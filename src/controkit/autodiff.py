@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Graph` is a tape of :class:`Tensor` nodes recorded in creation
 order, which makes the graph acyclic with every node's inputs preceding it.
@@ -10,11 +10,19 @@ a backward function, so a finalized graph supports three things:
 * ``grad_check(...)`` -- central finite differences against the analytic
   gradients (64-bit graphs only; 32-bit differences are too noisy).
 
+Values and most gradients are dense arrays. The gradient of a table read
+only through :func:`lookup` is a :class:`RowSparseGrad` holding just the
+gathered rows, so a document's backward pass never allocates a table-sized
+array. Tensors refer to their graph weakly: the graph owns its nodes, and a
+dropped graph is freed at once by reference counting.
+
 Training math runs in float32; gradient checking builds the identical graph
 in float64.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -39,13 +47,57 @@ def stable_softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+class RowSparseGrad:
+    """Gradient of a table touched only in some rows: row ``indices[k]`` of
+    the gradient is ``values[k]``, every other row is zero.
+
+    ``indices`` are unique and sorted. ``np.asarray`` densifies, and adding a
+    dense array gives a dense sum; other numpy operations are refused so
+    that nothing densifies by accident.
+    """
+
+    __slots__ = ("indices", "values", "shape")
+    __array_ufunc__ = None
+
+    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: tuple):
+        self.indices = indices
+        self.values = values
+        self.shape = tuple(shape)
+
+    @classmethod
+    def summed(cls, indices: np.ndarray, values: np.ndarray, shape) -> "RowSparseGrad":
+        """Sum the rows of ``values`` that share an index, in their order."""
+        rows, inverse = np.unique(indices, return_inverse=True)
+        out = np.zeros((len(rows),) + values.shape[1:], dtype=values.dtype)
+        np.add.at(out, inverse, values)
+        return cls(rows, out, shape)
+
+    @property
+    def nbytes(self) -> int:
+        return self.indices.nbytes + self.values.nbytes
+
+    def add_to(self, out: np.ndarray) -> np.ndarray:
+        """Add the stored rows into the dense array ``out`` in place."""
+        np.add.at(out, self.indices, self.values)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.add_to(np.zeros(self.shape, dtype=self.values.dtype))
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __add__(self, other):
+        return self.add_to(np.array(other))
+
+    __radd__ = __add__
+
+
 class Tensor:
     """One node of a computation graph: an array plus gradient bookkeeping."""
 
-    __slots__ = ("graph", "data", "grad", "op", "inputs", "_fwd", "_bwd", "name", "index")
+    __slots__ = ("_graph", "data", "grad", "op", "inputs", "_fwd", "_bwd", "name", "index")
 
     def __init__(self, graph, data, op, inputs=(), fwd=None, bwd=None, name=None):
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         self.data = data
         self.grad = None
         self.op = op
@@ -55,6 +107,13 @@ class Tensor:
         self.name = name
         self.index = len(graph.nodes)
         graph.nodes.append(self)
+
+    @property
+    def graph(self) -> "Graph":
+        graph = self._graph()
+        if graph is None:
+            raise UsageError(f"the graph of {self!r} has been freed")
+        return graph
 
     @property
     def shape(self):
@@ -115,13 +174,14 @@ class Graph:
             if node._fwd is not None:
                 node.data = node._fwd(*[t.data for t in node.inputs])
 
-    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
+    def backward(self, loss: Tensor) -> dict[str, np.ndarray | RowSparseGrad]:
         """Reverse accumulation from a scalar loss node.
 
-        Returns a map of parameter name to gradient array; parameters the
-        loss does not depend on get zero gradients. Raises
-        :class:`NumericError` on the first non-finite gradient, naming the
-        node that produced it.
+        Returns a map of parameter name to gradient; parameters the loss does
+        not depend on get zero arrays. A parameter reached only through
+        :func:`lookup` gets a :class:`RowSparseGrad` of the rows it gathered;
+        every other gradient is a dense array. Raises :class:`NumericError`
+        on the first non-finite gradient, naming the node that produced it.
         """
         if loss.graph is not self:
             raise UsageError("loss node belongs to a different graph")
@@ -132,18 +192,25 @@ class Graph:
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.data)
+        sparse: dict[int, list[RowSparseGrad]] = {}
         for node in reversed(self.nodes[: loss.index + 1]):
+            parts = sparse.pop(node.index, None)
+            if parts is not None:
+                node.grad = _merge_sparse(node.grad, parts, dense=node._bwd is not None)
             if node.grad is None or node._bwd is None:
                 continue
             in_grads = node._bwd(node.grad, node.data, *[t.data for t in node.inputs])
             for parent, g in zip(node.inputs, in_grads):
                 if g is None:
                     continue
-                if not np.all(np.isfinite(g)):
+                row_sparse = isinstance(g, RowSparseGrad)
+                if not np.all(np.isfinite(g.values if row_sparse else g)):
                     raise NumericError(
                         f"non-finite gradient flowing into {parent!r} from node {node!r}"
                     )
-                if parent.grad is None:
+                if row_sparse:
+                    sparse.setdefault(parent.index, []).append(g)
+                elif parent.grad is None:
                     parent.grad = g.copy() if g.base is not None else g
                 else:
                     parent.grad = parent.grad + g
@@ -155,8 +222,20 @@ class Graph:
         return out
 
 
-def backward(graph: Graph, loss: Tensor) -> dict[str, np.ndarray]:
-    return graph.backward(loss)
+def _merge_sparse(grad, parts: list[RowSparseGrad], dense: bool):
+    """One gradient from a node's row-sparse parts plus its dense gradient
+    (or None). Rows sharing an index add in the order the parts arrived;
+    the result stays row-sparse unless it joins a dense gradient or feeds a
+    backward rule (``dense``)."""
+    if len(parts) == 1:
+        merged = parts[0]
+    else:
+        merged = RowSparseGrad.summed(np.concatenate([p.indices for p in parts]),
+                                      np.concatenate([p.values for p in parts]),
+                                      parts[0].shape)
+    if grad is not None:
+        return merged + grad
+    return np.asarray(merged) if dense else merged
 
 
 def _record(op, inputs, fwd, bwd, name=None) -> Tensor:
@@ -430,22 +509,20 @@ def element(a: Tensor, i: int, j: int) -> Tensor:
 def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
     """Gather rows of an embedding table.
 
-    The backward pass scatter-adds into the table and zeroes the padding
-    row's gradient so row ``pad_index`` is excluded from updates.
+    The backward pass returns a :class:`RowSparseGrad` of the gathered rows,
+    repeated indices summed. Positions holding ``pad_index`` are left out, so
+    the padding row is excluded from updates.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError(f"lookup indices must be 1-D, got shape {idx.shape}")
+    kept = idx != pad_index if pad_index is not None else np.ones(len(idx), dtype=bool)
 
     def fwd(tab):
         return tab[idx]
 
     def bwd(g, out, tab):
-        gt = np.zeros_like(tab)
-        np.add.at(gt, idx, g)
-        if pad_index is not None:
-            gt[pad_index] = 0.0
-        return (gt,)
+        return (RowSparseGrad.summed(idx[kept], g[kept], tab.shape),)
 
     return _record("lookup", (table,), fwd, bwd)
 
@@ -537,7 +614,7 @@ def grad_check(graph: Graph, loss: Tensor, step: float = 1e-4, tolerance: float 
     nan_coords: list[tuple[str, int]] = []
     for name, tensor in graph.params.items():
         flat = tensor.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = np.asarray(analytic[name]).reshape(-1)
         worst = 0.0
         for k in range(flat.size):
             orig = flat[k]

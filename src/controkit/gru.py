@@ -103,10 +103,6 @@ class BoundGru:
         self.b_h = reg["b_h"]
 
 
-def bind_gru(graph: ad.Graph, prefix: str, params: GruParams) -> BoundGru:
-    return BoundGru(graph, prefix, params)
-
-
 def gru_step(x: ad.Tensor, h_prev: ad.Tensor, cell: BoundGru, mask: ad.Tensor | None = None) -> ad.Tensor:
     """One GRU update for a batch of row vectors (or single 1-D vectors).
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..corpus import CONTROVERSIAL, NON_CONTROVERSIAL
+from ..corpus import CONTROVERSIAL
 from ..errors import UsageError
 from ..textprep import tokenize
 
@@ -132,8 +132,3 @@ def tfidf_score(tokens_or_text, model: TfIdfModel) -> float:
     tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
     vec = tfidf_vector(tokens, model)
     return float(vec @ model.w.astype(np.float64) + model.b)
-
-
-def tfidf_predict_labels(token_lists, model: TfIdfModel) -> np.ndarray:
-    scores = np.array([tfidf_score(toks, model) for toks in token_lists])
-    return np.where(scores >= 0, CONTROVERSIAL, NON_CONTROVERSIAL)

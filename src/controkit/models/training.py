@@ -4,7 +4,9 @@ The neural loop trains per-document graphs with gradient accumulation over
 each mini-batch followed by a single Adam apply, cross-entropy plus an l2
 penalty on the dense prediction weights, epoch-wise seeded shuffling, and
 early stopping on validation F1 (best-validation parameters are restored
-at the end). Lexical models fit in one deterministic pass.
+at the end). A document's row-sparse table gradient is scatter-added into
+the batch's one dense accumulator, so the table is densified once per
+mini-batch. Lexical models fit in one deterministic pass.
 """
 
 from __future__ import annotations
@@ -209,8 +211,12 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                 raise NumericError(f"training loss became {value}")
             loss_sum += value
             grads = graph.backward(loss)
-            for name in total:
-                total[name] += grads[name]
+            for name, acc in total.items():
+                g = grads[name]
+                if isinstance(g, ad.RowSparseGrad):
+                    g.add_to(acc)
+                else:
+                    acc += g
         scale = 1.0 / len(batch)
         for name in total:
             total[name] *= scale

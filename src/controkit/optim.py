@@ -31,6 +31,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
     Moments for parameters not seen before start at zero. Deterministic
     given (params, grads, state). Returns (params, state) for convenience.
+    The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` computed with
+    the same operations in the same order, but in place through two
+    parameter-sized scratch buffers, so the result is bit-identical to that
+    expression.
     """
     for name, p in params.items():
         if name not in grads:
@@ -53,13 +57,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
             state.m[name] = m
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
+        step = np.multiply(g, 1.0 - b1, out=np.empty_like(p))
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        denom = np.multiply(g, g, out=np.empty_like(p))
+        denom *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += denom
+        np.divide(m, correct1, out=step)       # m_hat
+        step *= state.lr
+        np.divide(v, correct2, out=denom)      # v_hat
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params, state
 
 

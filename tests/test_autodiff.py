@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -271,3 +275,137 @@ class TestGradCheck:
         b = g.parameter("b", rng.normal(size=(2,)))
         report = ad.grad_check(g, ad.sum_all(ad.mul(a, a)), 1e-5, 1e-4)
         assert set(report.per_param) == {"a", "b"}
+
+
+def _dense_lookup_grad(shape, idx, g, pad_index):
+    """The dense reference: scatter-add into a zero table, pad row zeroed."""
+    dense = np.zeros(shape, dtype=g.dtype)
+    np.add.at(dense, idx, g)
+    dense[pad_index] = 0.0
+    return dense
+
+
+class TestRowSparseLookup:
+    def test_pad_rows_dropped(self):
+        g = ad.Graph(np.float64)
+        table = g.parameter("table", np.arange(15.0).reshape(5, 3))
+        grads = g.backward(ad.sum_all(ad.lookup(table, [0, 3, 0, 1], pad_index=0)))
+        grad = grads["table"]
+        assert isinstance(grad, ad.RowSparseGrad)
+        assert grad.indices.tolist() == [1, 3]
+        assert grad.shape == (5, 3)
+        assert grad.nbytes == grad.indices.nbytes + grad.values.nbytes
+
+    def test_repeated_indices_summed(self):
+        g = ad.Graph(np.float64)
+        table = g.parameter("table", np.zeros((6, 2)))
+        weights = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0], [5.0, 7.0]])
+        out = ad.lookup(table, [4, 2, 4, 4], pad_index=0)
+        grad = g.backward(ad.sum_all(ad.mul(out, g.constant(weights))))["table"]
+        assert grad.indices.tolist() == [2, 4]
+        assert np.array_equal(grad.values, [[10.0, 20.0], [106.0, 209.0]])
+
+    def test_densified_equals_add_at_reference_bitwise(self, rng):
+        shape = (50, 7)
+        idx = rng.integers(0, 12, size=40)  # many repeats and pad positions
+        upstream = rng.normal(size=(40, 7)).astype(np.float32)
+        g = ad.Graph(np.float32)
+        table = g.parameter("table", rng.normal(size=shape))
+        out = ad.lookup(table, idx, pad_index=0)
+        grad = g.backward(ad.sum_all(ad.mul(out, g.constant(upstream))))["table"]
+        dense = np.asarray(grad)
+        assert dense.dtype == np.float32
+        assert np.array_equal(dense, _dense_lookup_grad(shape, idx, upstream, 0))
+
+    def test_many_lookups_sum_like_the_dense_tape(self, rng):
+        # one lookup per position, as the HAN does; the dense tape summed the
+        # per-lookup tables in reverse recording order
+        shape = (30, 5)
+        positions = [rng.integers(0, 10, size=4) for _ in range(12)]
+        upstreams = [rng.normal(size=(4, 5)).astype(np.float32) for _ in positions]
+        g = ad.Graph(np.float32)
+        table = g.parameter("table", rng.normal(size=shape))
+        terms = [ad.sum_all(ad.mul(ad.lookup(table, idx, pad_index=0), g.constant(up)))
+                 for idx, up in zip(positions, upstreams)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        grad = g.backward(loss)["table"]
+        expected = None
+        for idx, up in reversed(list(zip(positions, upstreams))):
+            part = _dense_lookup_grad(shape, idx, up, 0)
+            expected = part if expected is None else expected + part
+        assert np.array_equal(np.asarray(grad), expected)
+
+    def test_table_read_by_lookup_and_matmul_gets_dense_sum(self, rng):
+        g = ad.Graph(np.float64)
+        table_val = rng.normal(size=(6, 3))
+        x_val = rng.normal(size=(2, 6))
+        table = g.parameter("table", table_val)
+        idx = [1, 4, 4, 2]
+        loss = ad.add(ad.sum_all(ad.lookup(table, idx, pad_index=0)),
+                      ad.sum_all(ad.matmul(g.constant(x_val), table)))
+        grad = g.backward(loss)["table"]
+        assert isinstance(grad, np.ndarray)
+        expected = _dense_lookup_grad((6, 3), idx, np.ones((4, 3)), 0)
+        expected += x_val.T @ np.ones((2, 3))
+        assert np.allclose(grad, expected, rtol=0, atol=1e-12)
+        assert ad.grad_check(g, loss, 1e-6, 1e-7).passed
+
+    def test_grad_check_through_lookup(self, rng):
+        g = ad.Graph(np.float64)
+        table = g.parameter("table", rng.normal(size=(5, 3)))
+        w = g.parameter("w", rng.normal(size=(3, 2)))
+        hidden = ad.tanh(ad.matmul(ad.lookup(table, [1, 3, 3, 2], pad_index=0), w))
+        report = ad.grad_check(g, ad.sum_all(ad.mul(hidden, hidden)), 1e-6, 1e-7)
+        assert report.passed, report
+
+    def test_backward_allocates_nothing_table_sized(self, rng):
+        g = ad.Graph(np.float32)
+        table = g.parameter("table", np.zeros((20_000, 64)))
+        terms = [ad.sum_all(ad.lookup(table, rng.integers(0, 500, size=30), pad_index=0))
+                 for _ in range(20)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        tracemalloc.start()
+        try:
+            g.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes / 4  # one dense table gradient would not fit
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_row_raises_naming_the_node(self):
+        # each upstream row is finite, but two of them summed into one table
+        # row overflow float32
+        g = ad.Graph(np.float32)
+        table = g.parameter("table", np.full((3, 2), 1e-38))
+        out = ad.lookup(table, [1, 1], pad_index=0)
+        loss = ad.sum_all(ad.mul(out, g.constant(np.full((2, 2), 3e38))))
+        assert np.isfinite(loss.data)
+        with pytest.raises(NumericError, match=r"name='table'.*op=lookup"):
+            g.backward(loss)
+
+
+class TestTapeLifetime:
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            g = ad.Graph(np.float32)
+            table = g.parameter("table", np.ones((4, 3)))
+            loss = ad.sum_all(ad.tanh(ad.lookup(table, [1, 2, 2])))
+            grads = g.backward(loss)
+            graph_ref = weakref.ref(g)
+            grad_ref = weakref.ref(grads["table"].values)
+            del g, table, loss, grads
+            assert graph_ref() is None
+            assert grad_ref() is None
+        finally:
+            gc.enable()
+
+    def test_tensor_of_a_freed_graph_is_refused(self):
+        x = ad.Graph().constant(np.ones(2))
+        with pytest.raises(UsageError, match="freed"):
+            ad.add(x, x)

@@ -40,6 +40,24 @@ class TestAdam:
             seen.append(float(params["w"][0]))
         assert np.allclose(seen, adam_trace([1.0, 1.0, 1.0], lr=1e-3), rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 3)])
+    def test_in_place_update_bit_identical_to_textbook_expression(self, rng, shape):
+        p = rng.normal(size=shape).astype(np.float32)
+        expected = p.copy()
+        state = AdamState(lr=1e-2)
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        for t in range(1, 21):
+            g = rng.normal(scale=3.0, size=shape).astype(np.float32)
+            adam_step({"w": p}, {"w": g}, state)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            expected = expected - state.lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(p, expected), t
+
     def test_update_magnitude_bound(self, rng):
         params = {"w": rng.normal(size=100)}
         state = AdamState(lr=1e-3)

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from controkit.embeddings import EmbeddingTable
 from controkit.models import TrainConfig, fit, predict
 from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
+from controkit.textprep import Vocabulary, build_vocabulary
 
 from oracles import bag_of_words_label
 
@@ -21,6 +24,26 @@ def splits():
 
 
 class TestNeuralTraining:
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_fit_peak_memory_bounded_by_table_size(self, kind, splits):
+        # A trainable table costs itself, Adam's two moments, the batch
+        # accumulator, Adam's two scratch buffers and the best-epoch
+        # snapshot; nothing table-sized may be made per document.
+        docs = splits["train"][:8]
+        words = build_vocabulary(docs, min_freq=1).words()
+        words += [f"filler{i}" for i in range(20_000 - 2 - len(words))]
+        table = EmbeddingTable.random(Vocabulary.from_tokens(words), 64,
+                                      np.random.default_rng(0))
+        assert table.vectors.shape == (20_000, 64)
+        cfg = TrainConfig(epochs=1, embed_dim=64, vocab_min_freq=1, seed=7)
+        tracemalloc.start()
+        try:
+            fit(kind, docs, splits["validation"][:4], cfg, pretrained=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * table.vectors.nbytes
+
     @pytest.mark.parametrize("kind", ["cnn", "han"])
     def test_separable_corpus_reaches_f1(self, kind, splits):
         result = fit(kind, splits["train"], splits["validation"], CFG)
