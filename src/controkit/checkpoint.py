@@ -47,6 +47,23 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
     vocab_hash: str = ""
 
+    def require(self, section: str, key: str, length: int | None = None):
+        """``key`` of the ``hyperparameters``, ``extra`` or ``arrays`` section,
+        which must be present and, given ``length``, hold that many entries."""
+        value = getattr(self, section).get(key)
+        if value is None or (length is not None and len(value) != length):
+            raise DataFormatError(f"checkpoint {section} has no {key!r}"
+                                  + ("" if length is None else f" of length {length}"))
+        return value
+
+    def array(self, name: str, shape) -> np.ndarray:
+        """The stored parameter ``name``, which must have ``shape``."""
+        arr = self.require("arrays", name)
+        if arr.shape != tuple(shape):
+            raise DataFormatError(f"checkpoint parameter {name!r} has shape {arr.shape}, "
+                                  f"expected {tuple(shape)}")
+        return arr
+
 
 def save_checkpoint(path, kind: str, hyperparameters: dict, arrays: dict[str, np.ndarray],
                     vocabulary: list[str] | None = None, extra: dict | None = None) -> None:
@@ -84,6 +101,13 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"unreadable checkpoint header: {exc}", offset=12) from exc
+    for key in ("model", "hyperparameters", "parameters"):
+        if key not in header:
+            raise DataFormatError(f"checkpoint header has no {key!r}", offset=12)
+    vocabulary = header.get("vocabulary")
+    if vocabulary is not None and vocabulary_hash(vocabulary) != header.get("vocabulary_hash"):
+        raise DataFormatError("checkpoint vocabulary does not match its vocabulary_hash",
+                              offset=12)
     arrays: dict[str, np.ndarray] = {}
     pos = header_end
     for entry in header["parameters"]:
@@ -102,7 +126,7 @@ def load_checkpoint(path) -> Checkpoint:
         kind=header["model"],
         hyperparameters=header["hyperparameters"],
         arrays=arrays,
-        vocabulary=header.get("vocabulary"),
+        vocabulary=vocabulary,
         extra=header.get("extra", {}),
         vocab_hash=header.get("vocabulary_hash", ""),
     )

@@ -33,9 +33,10 @@ from .errors import (
 )
 from .experiments import ExperimentSpec, run_experiment
 from .metrics import eval_report_from_json, evaluate_predictions, prediction_set
-from .models import TrainConfig, fit, load_classifier, predict, save_classifier
+from .models import MODEL_KINDS, TrainConfig, fit, load_classifier, predict, save_classifier
 from .reports import (
     dump_json,
+    render_averaged_metrics_table,
     render_interval_table,
     render_metrics_table,
     render_split_stats_table,
@@ -185,10 +186,9 @@ def cmd_report(args) -> int:
         print(render_temporal_table(eval_report_from_json(body["within"]),
                                     eval_report_from_json(body["between"])), end="")
     elif "averaged" in body:
-        print("Model  Precision  Recall  F1  AUC")
-        for model, vals in body["averaged"].items():
-            print("  ".join([model] + [f"{vals[m]:.3f}" for m in
-                                       ("precision", "recall", "f1", "auc")]))
+        averaged = body["averaged"]
+        rows = {m: averaged[m] for m in body.get("model_names", averaged)}
+        print(render_averaged_metrics_table(rows), end="")
     else:
         print(json.dumps(body, ensure_ascii=False, sort_keys=True, indent=2))
     return EXIT_OK
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one model on a split directory")
-    p.add_argument("--model", required=True, choices=["cnn", "han", "tfidf", "lm"])
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--config", help="training config JSON")
     p.add_argument("--data", required=True, help="split directory with train/validation.jsonl")
     p.add_argument("--out", required=True, help="checkpoint path")

@@ -120,7 +120,6 @@ def _provenance(spec: ExperimentSpec) -> dict:
         "dataset_fingerprints": {
             role: dataset_fingerprint(path) for role, path in sorted(spec.datasets.items())
         },
-        "worker_count": 1,
         "kind": spec.kind,
     }
 
@@ -349,7 +348,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         docs = read_documents(spec.datasets["dataset"])
         per_fold, averaged = run_topic_cv(docs, spec.models, spec.config, spec.seed,
                                           spec.k_topics, spec.n_resamples)
-        payload["report"] = {"folds": per_fold, "averaged": averaged}
+        payload["report"] = {"folds": per_fold, "averaged": averaged,
+                             "model_names": list(spec.models)}
         tables.append(("topic.txt",
                        render_averaged_metrics_table(
                            averaged, "Cross-topic stability (averaged over folds)")))

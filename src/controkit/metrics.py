@@ -84,35 +84,39 @@ class PrfResult:
         return iter((self.precision, self.recall, self.f1))
 
 
-def prf(preds: PredictionSet) -> PrfResult:
-    """Precision, recall and their harmonic mean from hard labels.
+def precision_recall_f1(predicted, labels) -> tuple[float, float, float]:
+    """Precision, recall and their harmonic mean of boolean predictions
+    against 0/1 labels, from one set of confusion counts.
 
-    Degenerate conventions (flagged, never raised): precision 0 with no
-    predicted positives, recall 0 with no actual positives, F1 = 0 when
-    P + R = 0.
+    Degenerate conventions: precision 0 with no predicted positives, recall
+    0 with no actual positives, F1 = 0 when P + R = 0.
     """
+    predicted = np.asarray(predicted, dtype=bool)
+    labels = np.asarray(labels)
+    actual = labels == 1
+    tp = int(np.sum(predicted & actual))
+    fp = int(np.sum(predicted & (labels == 0)))
+    fn = int(np.sum(~predicted & actual))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def prf(preds: PredictionSet) -> PrfResult:
+    """``precision_recall_f1`` of the hard labels, with each degenerate
+    convention flagged (never raised)."""
     if len(preds) < 1:
         raise UsageError("prf needs at least one prediction")
-    hard, true = preds.hard_labels, preds.true_labels
-    tp = int(np.sum((hard == 1) & (true == 1)))
-    fp = int(np.sum((hard == 1) & (true == 0)))
-    fn = int(np.sum((hard == 0) & (true == 1)))
+    predicted = preds.hard_labels == 1
+    precision, recall, f1 = precision_recall_f1(predicted, preds.true_labels)
     flags = []
-    if tp + fp == 0:
-        precision = 0.0
+    if not predicted.any():
         flags.append("no-predicted-positives")
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 0.0
+    if not np.any(preds.true_labels == 1):
         flags.append("no-actual-positives")
-    else:
-        recall = tp / (tp + fn)
     if precision + recall == 0:
-        f1 = 0.0
         flags.append("f1-undefined")
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
     return PrfResult(precision, recall, f1, flags)
 
 
@@ -396,7 +400,6 @@ class EvalReport:
     n_resamples: int
     seed: int
     level: float = 0.95
-    worker_count: int = 1
 
     def row(self, model: str) -> ModelEvalRow:
         for r in self.rows:
@@ -414,7 +417,6 @@ class EvalReport:
             "n_resamples": self.n_resamples,
             "seed": self.seed,
             "level": self.level,
-            "worker_count": self.worker_count,
         }
 
 
@@ -476,5 +478,4 @@ def eval_report_from_json(data: dict) -> EvalReport:
         n_resamples=data["n_resamples"],
         seed=data["seed"],
         level=data.get("level", 0.95),
-        worker_count=data.get("worker_count", 1),
     )

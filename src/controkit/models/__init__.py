@@ -1,6 +1,7 @@
 """The four full-text classifiers behind one train/predict interface."""
 
 from .base import (  # noqa: F401
+    MODEL_KINDS,
     Classifier,
     EmptyDocumentError,
     calibrate_threshold,
@@ -10,6 +11,6 @@ from .base import (  # noqa: F401
 )
 from .cnn import CnnParams, cnn_forward  # noqa: F401
 from .han import HanParams, han_forward  # noqa: F401
-from .lm import LmModel, lm_score, lm_train  # noqa: F401
-from .tfidf import TfIdfModel, tfidf_score, tfidf_train  # noqa: F401
+from .lm import LmModel, lm_train  # noqa: F401
+from .tfidf import TfIdfModel, tfidf_train  # noqa: F401
 from .training import TrainConfig, TrainResult, fit  # noqa: F401

@@ -1,20 +1,24 @@
-"""Shared classifier interface: scoring, thresholding, checkpoints."""
+"""Shared classifier interface: scoring, thresholding, checkpoints.
+
+A model kind is one ``MODEL_CLASSES`` entry: a ``NeuralModel`` (scores an
+encoded document) or ``LexicalModel`` (scores tokens) with ``score``,
+``checkpoint_parts`` and ``from_checkpoint``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..checkpoint import load_checkpoint, save_checkpoint
+from ..checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from ..corpus import CONTROVERSIAL
-from ..errors import ControkitError, UsageError
-from ..gru import GruParams
+from ..embeddings import EmbeddingTable
+from ..errors import ControkitError, DataFormatError, UsageError
+from ..metrics import precision_recall_f1
 from ..textprep import EncodeLimits, Vocabulary, encode_document, tokenize
 
 EMPTY_DOC_SCORE = 0.5
-
-MODEL_KINDS = ("cnn", "han", "tfidf", "lm")
 
 
 class EmptyDocumentError(ControkitError):
@@ -28,6 +32,66 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
+class NeuralModel:
+    """Parameters of a network over an ``embedding`` table. A subclass
+    defines ``named_arrays``, ``random(embedding, rng, **shape)`` and
+    ``SHAPE``, the names of the shape keywords, stored with checkpoints."""
+
+    SHAPE: tuple = ()
+
+    def document_input(self, doc, limits: EncodeLimits | None):
+        return encode_document(doc, self.embedding.vocab, limits)
+
+    def trainable_arrays(self) -> dict[str, np.ndarray]:
+        arrays = self.named_arrays()
+        if not self.embedding.trainable:
+            del arrays["embedding"]
+        return arrays
+
+    def checkpoint_parts(self):
+        vocab = self.embedding.vocab
+        extra = {
+            "vocab_counts": [vocab.counts.get(t, 0) for t in vocab.words()],
+            "embedding_trainable": self.embedding.trainable,
+        }
+        shape = {name: getattr(self, name) for name in self.SHAPE}
+        return shape, self.named_arrays(), vocab.index_to_token, extra
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: Checkpoint):
+        """A model of the checkpoint's shape, built by ``random``, with every
+        array replaced by the stored one of the same name and shape."""
+        words = ckpt.vocabulary[2:]
+        vocab = Vocabulary.from_tokens(words, dict(zip(words, ckpt.extra.get("vocab_counts", []))))
+        vectors = ckpt.require("arrays", "embedding")
+        if vectors.ndim != 2 or len(vectors) != len(vocab):
+            raise DataFormatError(f"checkpoint embedding has shape {vectors.shape}, "
+                                  f"expected {len(vocab)} rows")
+        table = EmbeddingTable(vocab=vocab, vectors=vectors,
+                               trainable=ckpt.extra.get("embedding_trainable", True))
+        shape = {name: ckpt.require("hyperparameters", name) for name in cls.SHAPE}
+        model = cls.random(table, np.random.default_rng(0), **shape)
+        arrays = model.named_arrays()
+        unexpected = sorted(set(ckpt.arrays) - set(arrays))
+        if unexpected:
+            raise DataFormatError(f"checkpoint parameters {unexpected} do not belong to a "
+                                  f"{ckpt.kind} model of shape {shape}")
+        for name, target in arrays.items():
+            target[...] = ckpt.array(name, target.shape)
+        return model
+
+
+class LexicalModel:
+    """A model scoring a document's tokens. Loading reads its terms from the
+    hash-checked checkpoint vocabulary; the stored ``terms`` extra repeats it."""
+
+    def document_input(self, doc, limits: EncodeLimits | None):
+        tokens = tokenize(doc.text if hasattr(doc, "text") else doc)
+        if not tokens:
+            raise EmptyDocumentError("document has no tokens")
+        return tokens
+
+
 @dataclass
 class Classifier:
     """Uniform facade over the four model kinds.
@@ -38,33 +102,13 @@ class Classifier:
     """
 
     kind: str
-    model: object
+    model: NeuralModel | LexicalModel
     threshold: float
     limits: EncodeLimits | None = None
     hyperparameters: dict = field(default_factory=dict)
 
     def score_document(self, doc) -> float:
-        from .cnn import cnn_forward
-        from .han import han_forward
-        from .lm import lm_score
-        from .tfidf import tfidf_score
-
-        if self.kind == "cnn":
-            encoded = encode_document(doc, self.model.embedding.vocab, self.limits)
-            return float(cnn_forward(encoded, self.model, mode="eval")[1])
-        if self.kind == "han":
-            encoded = encode_document(doc, self.model.embedding.vocab, self.limits)
-            probs, _, _ = han_forward(encoded, self.model, mode="eval")
-            return float(probs[1])
-        text = doc.text if hasattr(doc, "text") else doc
-        tokens = tokenize(text)
-        if not tokens:
-            raise EmptyDocumentError("document has no tokens")
-        if self.kind == "tfidf":
-            return tfidf_score(tokens, self.model)
-        if self.kind == "lm":
-            return lm_score(tokens, self.model)
-        raise UsageError(f"unknown classifier kind {self.kind!r}")
+        return self.model.score(self.model.document_input(doc, self.limits))
 
 
 @dataclass
@@ -95,18 +139,6 @@ def predict(classifier: Classifier, docs) -> list[Prediction]:
     return out
 
 
-def _f1_at(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
-    hard = scores >= threshold
-    tp = int(np.sum(hard & (labels == 1)))
-    fp = int(np.sum(hard & (labels == 0)))
-    fn = int(np.sum(~hard & (labels == 1)))
-    if tp == 0:
-        return 0.0
-    p = tp / (tp + fp)
-    r = tp / (tp + fn)
-    return 2 * p * r / (p + r)
-
-
 def calibrate_threshold(scores, labels) -> float:
     """Threshold maximizing F1 on validation scores; ties pick the lowest.
 
@@ -126,7 +158,7 @@ def calibrate_threshold(scores, labels) -> float:
     candidates.append(candidates[-1] + max(1e-9, abs(candidates[-1]) * 1e-9))
     best_t, best_f1 = None, -1.0
     for t in candidates:
-        f1 = _f1_at(scores, labels, t)
+        f1 = precision_recall_f1(scores >= t, labels)[2]
         if f1 > best_f1:
             best_t, best_f1 = t, f1
     return float(best_t)
@@ -137,126 +169,38 @@ def calibrate_threshold(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 def save_classifier(path, classifier: Classifier) -> None:
-    from .cnn import CnnParams
-    from .han import HanParams
-    from .lm import LmModel
-    from .tfidf import TfIdfModel
-
+    shape, arrays, vocabulary, extra = classifier.model.checkpoint_parts()
     hp = dict(classifier.hyperparameters)
     hp["threshold"] = classifier.threshold
     if classifier.limits is not None:
-        hp["limits"] = {
-            "max_sentences": classifier.limits.max_sentences,
-            "max_words_per_sentence": classifier.limits.max_words_per_sentence,
-            "max_tokens": classifier.limits.max_tokens,
-        }
-    model = classifier.model
-    if isinstance(model, (CnnParams, HanParams)):
-        vocab = model.embedding.vocab
-        extra = {
-            "vocab_counts": [vocab.counts.get(t, 0) for t in vocab.words()],
-            "embedding_trainable": model.embedding.trainable,
-        }
-        if isinstance(model, CnnParams):
-            hp["window_sizes"] = list(model.window_sizes)
-            hp["n_filters"] = model.n_filters
-        else:
-            hp["hidden_dim"] = model.hidden_dim
-        save_checkpoint(path, classifier.kind, hp, model.named_arrays(),
-                        vocabulary=vocab.index_to_token, extra=extra)
-    elif isinstance(model, TfIdfModel):
-        extra = {
-            "terms": model.terms,
-            "doc_freq": [int(v) for v in model.doc_freq],
-            "n_docs": model.n_docs,
-        }
-        arrays = {"w": model.w, "b": np.array([model.b], dtype=np.float32)}
-        save_checkpoint(path, "tfidf", hp, arrays, vocabulary=model.terms, extra=extra)
-    elif isinstance(model, LmModel):
-        extra = {
-            "terms": model.terms,
-            "pos_counts": [int(v) for v in model.pos_counts],
-            "neg_counts": [int(v) for v in model.neg_counts],
-            "mu": model.mu,
-        }
-        save_checkpoint(path, "lm", hp, {}, vocabulary=model.terms, extra=extra)
-    else:
-        raise UsageError(f"cannot checkpoint model of type {type(model).__name__}")
-
-
-def _limits_from(hp: dict) -> EncodeLimits | None:
-    lim = hp.get("limits")
-    if not lim:
-        return None
-    return EncodeLimits(**lim)
+        hp["limits"] = asdict(classifier.limits)
+    hp.update(shape)
+    save_checkpoint(path, classifier.kind, hp, arrays, vocabulary=vocabulary, extra=extra)
 
 
 def load_classifier(path) -> Classifier:
-    from ..embeddings import EmbeddingTable
-    from .cnn import CnnParams
-    from .han import HanParams
-    from .lm import LmModel, lm_from_counts
-    from .tfidf import TfIdfModel, tfidf_from_counts
-
     ckpt = load_checkpoint(path)
+    model_class = MODEL_CLASSES.get(ckpt.kind)
+    if model_class is None:
+        raise DataFormatError(f"unknown checkpoint model kind {ckpt.kind!r}")
+    if ckpt.vocabulary is None:
+        raise DataFormatError(f"{ckpt.kind} checkpoint has no vocabulary")
     hp = dict(ckpt.hyperparameters)
     threshold = hp.pop("threshold", 0.5)
-    limits = _limits_from(hp)
-
-    if ckpt.kind in ("cnn", "han"):
-        tokens = ckpt.vocabulary
-        counts = dict(zip(tokens[2:], ckpt.extra.get("vocab_counts", [])))
-        vocab = Vocabulary.from_tokens(tokens[2:], counts)
-        table = EmbeddingTable(vocab=vocab, vectors=ckpt.arrays["embedding"],
-                               trainable=ckpt.extra.get("embedding_trainable", True))
-        if ckpt.kind == "cnn":
-            sizes = tuple(hp["window_sizes"])
-            model = CnnParams(
-                embedding=table,
-                window_sizes=sizes,
-                filters={h: ckpt.arrays[f"conv{h}.w"] for h in sizes},
-                filter_biases={h: ckpt.arrays[f"conv{h}.b"] for h in sizes},
-                dense_w=ckpt.arrays["dense.w"],
-                dense_b=ckpt.arrays["dense.b"],
-            )
-        else:
-            a = ckpt.arrays
-
-            def gru(prefix):
-                return GruParams(**{k: a[f"{prefix}.{k}"] for k in
-                                    ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-                                     "b_z", "b_r", "b_h")})
-
-            model = HanParams(
-                embedding=table,
-                word_fw=gru("word_fw"), word_bw=gru("word_bw"),
-                word_att_w=a["word_att.w"], word_att_b=a["word_att.b"],
-                word_att_u=a["word_att.u"],
-                sent_fw=gru("sent_fw"), sent_bw=gru("sent_bw"),
-                sent_att_w=a["sent_att.w"], sent_att_b=a["sent_att.b"],
-                sent_att_u=a["sent_att.u"],
-                dense_w=a["dense.w"], dense_b=a["dense.b"],
-            )
-    elif ckpt.kind == "tfidf":
-        model = tfidf_from_counts(
-            terms=ckpt.extra["terms"],
-            doc_freq=ckpt.extra["doc_freq"],
-            n_docs=ckpt.extra["n_docs"],
-            w=ckpt.arrays["w"],
-            b=float(ckpt.arrays["b"][0]),
-        )
-    elif ckpt.kind == "lm":
-        model = lm_from_counts(
-            terms=ckpt.extra["terms"],
-            pos_counts=ckpt.extra["pos_counts"],
-            neg_counts=ckpt.extra["neg_counts"],
-            mu=ckpt.extra["mu"],
-        )
-    else:
-        raise UsageError(f"unknown checkpoint model kind {ckpt.kind!r}")
-    return Classifier(kind=ckpt.kind, model=model, threshold=threshold,
-                      limits=limits, hyperparameters=hp)
+    limits = EncodeLimits(**hp["limits"]) if hp.get("limits") else None
+    return Classifier(kind=ckpt.kind, model=model_class.from_checkpoint(ckpt),
+                      threshold=threshold, limits=limits, hyperparameters=hp)
 
 
 def label_to_int(label: str) -> int:
     return 1 if label == CONTROVERSIAL else 0
+
+
+# The kinds derive from this module's classes, so they are imported last.
+from .cnn import CnnParams  # noqa: E402
+from .han import HanParams  # noqa: E402
+from .lm import LmModel  # noqa: E402
+from .tfidf import TfIdfModel  # noqa: E402
+
+MODEL_CLASSES = {"cnn": CnnParams, "han": HanParams, "tfidf": TfIdfModel, "lm": LmModel}
+MODEL_KINDS = tuple(MODEL_CLASSES)

@@ -17,19 +17,21 @@ from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
 from ..errors import DimensionError
 from ..textprep import PAD_INDEX, EncodedDocument
-from .base import EmptyDocumentError, glorot_uniform
+from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2  # index 0 non-controversial, index 1 controversial
 
 
 @dataclass
-class CnnParams:
+class CnnParams(NeuralModel):
     embedding: EmbeddingTable
     window_sizes: tuple
     filters: dict           # window size -> (n_filters, window*dim) float32
     filter_biases: dict     # window size -> (n_filters,) float32
     dense_w: np.ndarray     # (2, n_windows*n_filters)
     dense_b: np.ndarray     # (2,)
+
+    SHAPE = ("window_sizes", "n_filters")
 
     @property
     def n_filters(self) -> int:
@@ -63,11 +65,8 @@ class CnnParams:
         out["dense.b"] = self.dense_b
         return out
 
-    def trainable_arrays(self) -> dict[str, np.ndarray]:
-        arrays = self.named_arrays()
-        if not self.embedding.trainable:
-            del arrays["embedding"]
-        return arrays
+    def score(self, encoded: EncodedDocument) -> float:
+        return float(cnn_forward(encoded, self, mode="eval")[1])
 
 
 class BoundCnn:

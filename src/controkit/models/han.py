@@ -19,14 +19,14 @@ from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
 from ..gru import BoundGru, GruParams, gru_step
 from ..textprep import PAD_INDEX, EncodedDocument
-from .base import EmptyDocumentError, glorot_uniform
+from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2
 MASK_LOGIT = -1e9
 
 
 @dataclass
-class HanParams:
+class HanParams(NeuralModel):
     embedding: EmbeddingTable
     word_fw: GruParams
     word_bw: GruParams
@@ -40,6 +40,8 @@ class HanParams:
     sent_att_u: np.ndarray
     dense_w: np.ndarray      # (2, 2h)
     dense_b: np.ndarray      # (2,)
+
+    SHAPE = ("hidden_dim",)
 
     @property
     def hidden_dim(self) -> int:
@@ -85,11 +87,8 @@ class HanParams:
         out["dense.b"] = self.dense_b
         return out
 
-    def trainable_arrays(self) -> dict[str, np.ndarray]:
-        arrays = self.named_arrays()
-        if not self.embedding.trainable:
-            del arrays["embedding"]
-        return arrays
+    def score(self, encoded: EncodedDocument) -> float:
+        return float(han_forward(encoded, self, mode="eval")[0][1])
 
 
 class _BoundAttention:

@@ -19,12 +19,13 @@ import numpy as np
 from ..corpus import CONTROVERSIAL
 from ..errors import UsageError
 from ..textprep import tokenize
+from .base import LexicalModel
 
 DEFAULT_MU = 2000.0
 
 
 @dataclass
-class LmModel:
+class LmModel(LexicalModel):
     terms: list[str]
     term_index: dict[str, int]
     pos_counts: np.ndarray
@@ -33,6 +34,31 @@ class LmModel:
     p_pos: np.ndarray
     p_neg: np.ndarray
     log_ratio: np.ndarray
+
+    def score(self, tokens_or_text) -> float:
+        """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none."""
+        tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
+        total = 0.0
+        n = 0
+        for tok in tokens:
+            idx = self.term_index.get(tok)
+            if idx is not None:
+                total += self.log_ratio[idx]
+                n += 1
+        return total / n if n else 0.0
+
+    def checkpoint_parts(self):
+        extra = {"terms": self.terms, "pos_counts": [int(v) for v in self.pos_counts],
+                 "neg_counts": [int(v) for v in self.neg_counts], "mu": self.mu}
+        return {}, {}, self.terms, extra
+
+    @classmethod
+    def from_checkpoint(cls, ckpt) -> "LmModel":
+        terms = ckpt.vocabulary
+        return lm_from_counts(terms=terms,
+                              pos_counts=ckpt.require("extra", "pos_counts", len(terms)),
+                              neg_counts=ckpt.require("extra", "neg_counts", len(terms)),
+                              mu=ckpt.require("extra", "mu"))
 
 
 def lm_from_counts(terms, pos_counts, neg_counts, mu: float = DEFAULT_MU) -> LmModel:
@@ -91,16 +117,3 @@ def lm_train(docs, mu: float = DEFAULT_MU, lexicon=None) -> LmModel:
         neg_counts=[neg.get(t, 0) for t in terms],
         mu=mu,
     )
-
-
-def lm_score(tokens_or_text, model: LmModel) -> float:
-    """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none."""
-    tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
-    total = 0.0
-    n = 0
-    for tok in tokens:
-        idx = model.term_index.get(tok)
-        if idx is not None:
-            total += model.log_ratio[idx]
-            n += 1
-    return total / n if n else 0.0

@@ -15,10 +15,11 @@ from scipy import sparse
 from ..corpus import CONTROVERSIAL
 from ..errors import UsageError
 from ..textprep import tokenize
+from .base import LexicalModel
 
 
 @dataclass
-class TfIdfModel:
+class TfIdfModel(LexicalModel):
     terms: list[str]
     term_index: dict[str, int]
     doc_freq: np.ndarray
@@ -26,6 +27,27 @@ class TfIdfModel:
     idf: np.ndarray
     w: np.ndarray  # float32, one weight per term
     b: float
+
+    def score(self, tokens_or_text) -> float:
+        """Margin w.x + b; positive favors controversial."""
+        tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
+        vec = tfidf_vector(tokens, self)
+        return float(vec @ self.w.astype(np.float64) + self.b)
+
+    def checkpoint_parts(self):
+        extra = {"terms": self.terms, "doc_freq": [int(v) for v in self.doc_freq],
+                 "n_docs": self.n_docs}
+        arrays = {"w": self.w, "b": np.array([self.b], dtype=np.float32)}
+        return {}, arrays, self.terms, extra
+
+    @classmethod
+    def from_checkpoint(cls, ckpt) -> "TfIdfModel":
+        terms = ckpt.vocabulary
+        return tfidf_from_counts(terms=terms,
+                                 doc_freq=ckpt.require("extra", "doc_freq", len(terms)),
+                                 n_docs=ckpt.require("extra", "n_docs"),
+                                 w=ckpt.array("w", (len(terms),)),
+                                 b=float(ckpt.array("b", (1,))[0]))
 
 
 def _idf(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
@@ -125,10 +147,3 @@ def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> T
     model.w = w.astype(np.float32)
     model.b = float(np.float32(b))
     return model
-
-
-def tfidf_score(tokens_or_text, model: TfIdfModel) -> float:
-    """Margin w.x + b; positive favors controversial."""
-    tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
-    vec = tfidf_vector(tokens, model)
-    return float(vec @ model.w.astype(np.float64) + model.b)

@@ -20,11 +20,20 @@ import numpy as np
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable, load_embeddings
 from ..errors import NumericError, UsageError
+from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step, clip_gradients
-from ..textprep import EncodeLimits, Vocabulary, build_vocabulary, encode_document
-from .base import Classifier, EmptyDocumentError, calibrate_threshold, label_to_int
-from .cnn import BoundCnn, CnnParams, cnn_forward, cnn_loss
-from .han import BoundHan, HanParams, han_forward, han_loss
+from ..textprep import EncodeLimits, Vocabulary, build_vocabulary, encode_document, tokenize
+from .base import (
+    EMPTY_DOC_SCORE,
+    MODEL_CLASSES,
+    Classifier,
+    EmptyDocumentError,
+    NeuralModel,
+    calibrate_threshold,
+    label_to_int,
+)
+from .cnn import BoundCnn, cnn_forward, cnn_loss
+from .han import BoundHan, han_forward, han_loss
 from .lm import lm_train
 from .tfidf import tfidf_train
 
@@ -92,19 +101,6 @@ class TrainResult:
     diagnostic: str | None = None
 
 
-def _f1_from_scores(scores, labels, threshold):
-    scores = np.asarray(scores)
-    labels = np.asarray(labels)
-    hard = scores >= threshold
-    tp = int(np.sum(hard & (labels == 1)))
-    fp = int(np.sum(hard & (labels == 0)))
-    fn = int(np.sum(~hard & (labels == 1)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
 def _extend_vocab(vocab: Vocabulary, extra_words) -> Vocabulary:
     new = [w for w in extra_words if w not in vocab.token_to_index]
     if not new:
@@ -147,7 +143,7 @@ def _neural_score(kind, params, encoded) -> float:
         probs, _, _ = han_forward(encoded, params, mode="eval")
         return float(probs[1])
     except EmptyDocumentError:
-        return 0.5
+        return EMPTY_DOC_SCORE
 
 
 def _usable(kind, encoded) -> bool:
@@ -164,14 +160,14 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     shuffling and dropout all draw from one seeded generator in a fixed
     order.
     """
-    if kind not in ("cnn", "han"):
-        raise UsageError(f"train_neural handles cnn/han, not {kind!r}")
+    model_class = MODEL_CLASSES.get(kind, object)
+    if not issubclass(model_class, NeuralModel):
+        raise UsageError(f"train_neural handles neural model kinds, not {kind!r}")
     rng = np.random.default_rng(config.seed)
     embedding = _build_embedding(train_docs, config, rng, pretrained)
-    if kind == "cnn":
-        params = CnnParams.random(embedding, rng, config.window_sizes, config.n_filters)
-    else:
-        params = HanParams.random(embedding, rng, config.hidden_dim)
+    # TrainConfig names its shape fields as the model's SHAPE does
+    params = model_class.random(embedding, rng,
+                                **{name: getattr(config, name) for name in model_class.SHAPE})
 
     limits = config.limits()
     encoded_train = []
@@ -243,7 +239,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
 
         val_scores = [_neural_score(kind, params, enc) for enc, _ in encoded_val]
         val_labels = [t for _, t in encoded_val]
-        precision, recall, f1 = _f1_from_scores(val_scores, val_labels, 0.5)
+        precision, recall, f1 = precision_recall_f1(np.asarray(val_scores) >= 0.5, val_labels)
         log.append({
             "epoch": epoch,
             "train_loss": epoch_loss / max(1, n_batches),
@@ -279,20 +275,16 @@ def _train_lexical(kind: str, train_docs, validation_docs, config: TrainConfig) 
     if kind == "tfidf":
         model = tfidf_train(train_docs, epochs=config.tfidf_epochs,
                             lr=config.tfidf_lr, l2=config.tfidf_l2)
-        from .tfidf import tfidf_score as scorer
     else:
         lexicon = None
         if config.lm_lexicon_path:
             with open(config.lm_lexicon_path, "r", encoding="utf-8") as f:
                 lexicon = {line.strip().lower() for line in f if line.strip()}
         model = lm_train(train_docs, mu=config.lm_mu, lexicon=lexicon)
-        from .lm import lm_score as scorer
 
     threshold = 0.0
     if config.calibrate and validation_docs:
-        from ..textprep import tokenize
-
-        scores = [scorer(tokenize(d.text), model) for d in validation_docs]
+        scores = [model.score(tokenize(d.text)) for d in validation_docs]
         labels = [label_to_int(d.label) for d in validation_docs]
         threshold = calibrate_threshold(scores, labels)
     clf = Classifier(kind=kind, model=model, threshold=threshold,
@@ -304,8 +296,9 @@ def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = Non
         pretrained: EmbeddingTable | None = None) -> TrainResult:
     """Train any of the four model kinds on labeled documents."""
     config = config or TrainConfig()
-    if kind in ("cnn", "han"):
+    model_class = MODEL_CLASSES.get(kind)
+    if model_class is None:
+        raise UsageError(f"unknown model kind {kind!r}; expected {'|'.join(MODEL_CLASSES)}")
+    if issubclass(model_class, NeuralModel):
         return train_neural(kind, train_docs, validation_docs, config, pretrained)
-    if kind in ("tfidf", "lm"):
-        return _train_lexical(kind, train_docs, validation_docs, config)
-    raise UsageError(f"unknown model kind {kind!r}; expected cnn|han|tfidf|lm")
+    return _train_lexical(kind, train_docs, validation_docs, config)

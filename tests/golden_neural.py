@@ -1,0 +1,48 @@
+"""Seeded CNN and HAN fits pinned as a behaviour lock.
+
+A small separable corpus, one fixed training config and one seed give, per
+neural model, a per-epoch training log, a calibrated threshold and the
+held-out scores. ``tests/test_training.py`` compares a fresh run with the
+committed golden at ``TOLERANCE``. Regenerate it after an intentional
+change to training or scoring with:
+
+    PYTHONPATH=src python tests/golden_neural.py --write
+"""
+
+import json
+import sys
+from pathlib import Path
+
+LOCK_PATH = Path(__file__).parent / "data" / "golden" / "neural_lock.json"
+
+# Absolute tolerance on every pinned float. The runs are bit-deterministic
+# on one machine; the margin leaves room for another BLAS build's rounding.
+TOLERANCE = 1e-6
+
+CONFIG = {"epochs": 4, "patience": 2, "batch_size": 16, "learning_rate": 1e-2,
+          "embed_dim": 8, "hidden_dim": 4, "n_filters": 4, "window_sizes": [2, 3],
+          "max_tokens": 40, "max_sentences": 5, "max_words_per_sentence": 10,
+          "vocab_min_freq": 1, "calibrate": True, "seed": 5}
+
+
+def build_neural_lock(kind: str) -> dict:
+    """Training log, threshold and test scores of one seeded fit."""
+    from controkit.models import TrainConfig, fit, predict
+    from controkit.synthetic import make_separable_corpus, split_simple
+
+    splits = split_simple(make_separable_corpus(n_docs=100, seed=51), seed=52)
+    result = fit(kind, splits["train"], splits["validation"], TrainConfig.from_json(CONFIG))
+    return {
+        "log": result.log,
+        "threshold": result.classifier.threshold,
+        "test_scores": [p.score for p in predict(result.classifier, splits["test"])],
+    }
+
+
+if __name__ == "__main__":
+    if "--write" not in sys.argv:
+        print("usage: python tests/golden_neural.py --write", file=sys.stderr)
+        sys.exit(2)
+    lock = {"config": CONFIG, **{kind: build_neural_lock(kind) for kind in ("cnn", "han")}}
+    LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {LOCK_PATH}")

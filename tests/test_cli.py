@@ -146,6 +146,27 @@ class TestExperimentCommand:
         payload = json.loads((tmp / "exp" / "report.json").read_text())
         assert payload["master_seed"] == 6
 
+    def test_topic_report_rerenders_averaged_table(self, tmp_path, capsys):
+        write_documents(tmp_path / "topics.jsonl", make_separable_corpus(n_docs=150, seed=44))
+        spec = {
+            "kind": "topic",
+            "datasets": {"dataset": str(tmp_path / "topics.jsonl")},
+            "models": ["tfidf", "lm"],
+            "config": {"epochs": 1, "vocab_min_freq": 1},
+            "k_topics": 3,
+            "n_resamples": 20,
+        }
+        with open(tmp_path / "spec.json", "w") as f:
+            json.dump(spec, f)
+        assert main(["experiment", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(tmp_path / "exp"), "--seed", "10"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--in", str(tmp_path / "exp" / "report.json")]) == 0
+        # topic.txt is the same table under the experiment's title line
+        title, table = (tmp_path / "exp" / "topic.txt").read_text().split("\n", 1)
+        assert title.startswith("Cross-topic")
+        assert capsys.readouterr().out == table
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
@@ -173,6 +194,15 @@ class TestExitCodes:
         code = main(["train", "--model", "tfidf", "--data", str(data_dir),
                      "--out", str(tmp_path / "m.ctrv")])
         assert code == 2
+
+    def test_malformed_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        tmp, data_dir = trained
+        raw = (tmp / "tfidf.ctrv").read_bytes()
+        bad = tmp_path / "bad.ctrv"
+        bad.write_bytes(raw.replace(b'"n_docs"', b'"n_dacs"', 1))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir / "test.jsonl")])
+        assert code == 3
+        assert "n_docs" in capsys.readouterr().err
 
     def test_argparse_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:

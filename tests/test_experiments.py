@@ -254,7 +254,6 @@ class TestRunExperiment:
         payload = json.loads(report_a)
         assert payload["kind"] == "comparison"
         assert payload["master_seed"] == 5
-        assert payload["worker_count"] == 1
         assert set(payload["dataset_fingerprints"]) == {"train_dir", "external_test"}
         assert (out_a / "comparison.txt").exists()
         assert (out_a / "roc_tfidf.csv").read_text().startswith("fpr,tpr")

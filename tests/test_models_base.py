@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from controkit.checkpoint import load_checkpoint, save_checkpoint
 from controkit.corpus import NON_CONTROVERSIAL
-from controkit.errors import UsageError
+from controkit.errors import DataFormatError, UsageError
 from controkit.models import (
     TrainConfig,
     calibrate_threshold,
@@ -123,3 +127,83 @@ class TestCheckpointRoundTrip:
             assert x.hard_label == y.hard_label
         # eval-mode prediction is deterministic for every model kind
         assert predict(reloaded, docs) == after
+
+
+def _edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place, body untouched."""
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12 : 12 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+
+
+def _edit_arrays(path, edit):
+    """Re-save a checkpoint with its parameter arrays edited."""
+    ckpt = load_checkpoint(path)
+    edit(ckpt.arrays)
+    save_checkpoint(path, ckpt.kind, ckpt.hyperparameters, ckpt.arrays,
+                    vocabulary=ckpt.vocabulary, extra=ckpt.extra)
+
+
+class TestMalformedCheckpoint:
+    @pytest.fixture(scope="class")
+    def saved(self, corpus_splits, tfidf_clf, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("ckpt")
+        cnn = fit("cnn", corpus_splits["train"][:40], corpus_splits["validation"][:20],
+                  NEURAL_CFG).classifier
+        save_classifier(tmp / "cnn.ctrv", cnn)
+        save_classifier(tmp / "tfidf.ctrv", tfidf_clf)
+        return tmp
+
+    @pytest.fixture
+    def copy(self, saved, tmp_path):
+        def make(kind):
+            path = tmp_path / f"{kind}.ctrv"
+            path.write_bytes((saved / f"{kind}.ctrv").read_bytes())
+            return path
+        return make
+
+    def test_missing_parameter(self, copy):
+        path = copy("cnn")
+        _edit_arrays(path, lambda arrays: arrays.pop("dense.w"))
+        with pytest.raises(DataFormatError, match="no 'dense.w'"):
+            load_classifier(path)
+
+    def test_parameter_of_wrong_shape(self, copy):
+        path = copy("cnn")
+        _edit_arrays(path, lambda arrays: arrays.update({"dense.w": arrays["dense.w"][:, 1:]}))
+        with pytest.raises(DataFormatError, match="'dense.w' has shape"):
+            load_classifier(path)
+
+    def test_parameter_of_another_model(self, copy):
+        path = copy("cnn")
+        _edit_arrays(path, lambda arrays: arrays.update({"conv9.w": arrays["conv2.w"]}))
+        with pytest.raises(DataFormatError, match="conv9.w"):
+            load_classifier(path)
+
+    def test_count_table_of_wrong_length(self, copy):
+        path = copy("tfidf")
+        _edit_header(path, lambda header: header["extra"]["doc_freq"].pop())
+        with pytest.raises(DataFormatError, match="'doc_freq' of length"):
+            load_classifier(path)
+
+    def test_missing_extra_field(self, copy):
+        path = copy("tfidf")
+        _edit_header(path, lambda header: header["extra"].pop("n_docs"))
+        with pytest.raises(DataFormatError, match="no 'n_docs'"):
+            load_classifier(path)
+
+    def test_header_without_parameters(self, copy):
+        path = copy("cnn")
+        _edit_header(path, lambda header: header.pop("parameters"))
+        with pytest.raises(DataFormatError, match="no 'parameters'"):
+            load_classifier(path)
+
+    @pytest.mark.parametrize("kind", ["cnn", "tfidf"])
+    def test_vocabulary_edited_after_saving(self, kind, copy):
+        path = copy(kind)
+        _edit_header(path, lambda header: header["vocabulary"].__setitem__(2, "edited"))
+        with pytest.raises(DataFormatError, match="vocabulary_hash"):
+            load_classifier(path)

@@ -10,6 +10,7 @@ from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
 from controkit.textprep import Vocabulary, build_vocabulary
 
+from golden_neural import CONFIG, LOCK_PATH, TOLERANCE, build_neural_lock
 from oracles import bag_of_words_label
 
 CFG = TrainConfig(epochs=8, patience=8, embed_dim=16, hidden_dim=8, n_filters=12,
@@ -126,3 +127,19 @@ class TestNeuralTraining:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(Exception, match="unknown"):
             TrainConfig.from_json({"learning_rates": 2})
+
+
+class TestBehaviourLock:
+    """A seeded CNN and HAN fit reproduce the committed golden; regenerate
+    it with ``python tests/golden_neural.py --write``."""
+
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_seeded_fit_matches_golden(self, kind):
+        golden = json.loads(LOCK_PATH.read_text())
+        assert golden["config"] == CONFIG
+        got, want = build_neural_lock(kind), golden[kind]
+        assert len(got["log"]) == len(want["log"])
+        for epoch_got, epoch_want in zip(got["log"], want["log"]):
+            assert epoch_got == pytest.approx(epoch_want, abs=TOLERANCE)
+        assert got["threshold"] == pytest.approx(want["threshold"], abs=TOLERANCE)
+        assert got["test_scores"] == pytest.approx(want["test_scores"], abs=TOLERANCE)
