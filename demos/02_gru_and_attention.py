@@ -11,28 +11,35 @@ import numpy as np
 
 from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
-from controkit.gru import BoundGru, GruParams, gru_step
+from controkit.gru import GruParams, gru_sequence
 from controkit.models.han import HanParams, han_forward
 from controkit.textprep import Vocabulary
 
 rng = np.random.default_rng(7)
 
-# --- one GRU step ------------------------------------------------------------
+# --- a GRU over a short sequence ---------------------------------------------
+# gru_sequence runs the cell over every step of a batch of sequences as one
+# tape node; row i * T + t of the input is step t of sequence i.
 params = GruParams.random(input_dim=3, hidden_dim=4, rng=rng, scale=0.4)
+xs = rng.normal(size=(5, 3))
 graph = ad.Graph(np.float64)
-cell = BoundGru(graph, "demo", params)
-x = graph.constant(rng.normal(size=3))
-h0 = graph.constant(rng.normal(size=4))
-h1 = gru_step(x, h0, cell)
-print("h0   :", np.round(h0.data, 3))
-print("h1   :", np.round(h1.data, 3))
+states = gru_sequence(graph.constant(xs), params.register(graph, "demo"), n_rows=1)
+print("states after each of 5 steps:\n", np.round(states.data, 3))
+print("tape nodes: 9 parameters + input + 1 GRU node =", len(graph.nodes))
 
-# force the update gate shut: the state passes through untouched
+# a masked step keeps the state it had
+graph = ad.Graph(np.float64)
+masked = gru_sequence(graph.constant(xs), params.register(graph, "masked"), n_rows=1,
+                      mask=np.array([[1, 1, 0, 0, 1]]))
+print("masked steps 2 and 3 (counting from 0) keep step 1's state:",
+      np.array_equal(masked.data[1], masked.data[2]) and
+      np.array_equal(masked.data[1], masked.data[3]))
+
+# force the update gate shut: the state never leaves its zero start
 params.b_z[:] = -np.inf
 graph = ad.Graph(np.float64)
-frozen = gru_step(graph.constant(rng.normal(size=3)),
-                  graph.constant(h0.data), BoundGru(graph, "frozen", params))
-print("z=0 keeps h exactly:", np.array_equal(frozen.data, h0.data))
+frozen = gru_sequence(graph.constant(xs), params.register(graph, "frozen"), n_rows=1)
+print("z=0 keeps h exactly:", np.array_equal(frozen.data, np.zeros((5, 4))))
 
 # --- attention on a toy document ---------------------------------------------
 vocab = Vocabulary.from_tokens(

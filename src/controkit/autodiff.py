@@ -130,9 +130,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
@@ -180,8 +177,11 @@ class Graph:
         Returns a map of parameter name to gradient; parameters the loss does
         not depend on get zero arrays. A parameter reached only through
         :func:`lookup` gets a :class:`RowSparseGrad` of the rows it gathered;
-        every other gradient is a dense array. Raises :class:`NumericError`
-        on the first non-finite gradient, naming the node that produced it.
+        every other gradient is a dense array. Only nodes some parameter
+        feeds run their backward rule and receive gradients; the ``grad`` of
+        every other node (constants, frozen tables, dropout masks) stays
+        None. Raises :class:`NumericError` on the first non-finite gradient,
+        naming the node that produced it.
         """
         if loss.graph is not self:
             raise UsageError("loss node belongs to a different graph")
@@ -189,19 +189,23 @@ class Graph:
             raise UsageError(f"loss must be scalar, got shape {loss.data.shape}")
         if not np.all(np.isfinite(loss.data)):
             raise NumericError(f"loss value is non-finite at node {loss!r}")
+        tape = self.nodes[: loss.index + 1]
+        fed = [False] * len(tape)  # fed[i]: some parameter feeds node i
         for node in self.nodes:
             node.grad = None
+        for node in tape:
+            fed[node.index] = node.op == "param" or any(fed[t.index] for t in node.inputs)
         loss.grad = np.ones_like(loss.data)
         sparse: dict[int, list[RowSparseGrad]] = {}
-        for node in reversed(self.nodes[: loss.index + 1]):
+        for node in reversed(tape):
             parts = sparse.pop(node.index, None)
             if parts is not None:
                 node.grad = _merge_sparse(node.grad, parts, dense=node._bwd is not None)
-            if node.grad is None or node._bwd is None:
+            if node.grad is None or node._bwd is None or not fed[node.index]:
                 continue
             in_grads = node._bwd(node.grad, node.data, *[t.data for t in node.inputs])
             for parent, g in zip(node.inputs, in_grads):
-                if g is None:
+                if g is None or not fed[parent.index]:
                     continue
                 row_sparse = isinstance(g, RowSparseGrad)
                 if not np.all(np.isfinite(g.values if row_sparse else g)):
@@ -275,18 +279,6 @@ def add(a: Tensor, b) -> Tensor:
     return _record("add", (a, b), fwd, bwd)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(a, b)
-
-    def fwd(x, y):
-        return x - y
-
-    def bwd(g, out, x, y):
-        return _unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)
-
-    return _record("sub", (a, b), fwd, bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def fwd(x, y):
         return x * y
@@ -308,16 +300,19 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product of two matrices, or of two stacks of n matrices (3-D
+    operands of equal first dimension), matrix by matrix."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"matmul needs 2-D operands or equal stacks of them, "
+                             f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
     def fwd(x, y):
         return x @ y
 
     def bwd(g, out, x, y):
-        return g @ y.T, x.T @ g
+        return g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g
 
     return _record("matmul", (a, b), fwd, bwd)
 
@@ -342,16 +337,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(x.shape),)
 
     return _record("reshape", (a,), fwd, bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    def fwd(x):
-        return stable_sigmoid(x)
-
-    def bwd(g, out, x):
-        return (g * out * (1.0 - out),)
-
-    return _record("sigmoid", (a,), fwd, bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -465,30 +450,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(pieces)
 
     return _record("concat", tensors, fwd, bwd)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    def fwd(x):
-        return x[i : i + 1, :].copy()
-
-    def bwd(g, out, x):
-        gi = np.zeros_like(x)
-        gi[i : i + 1, :] = g
-        return (gi,)
-
-    return _record("row", (a,), fwd, bwd)
-
-
-def col(a: Tensor, j: int) -> Tensor:
-    def fwd(x):
-        return x[:, j : j + 1].copy()
-
-    def bwd(g, out, x):
-        gi = np.zeros_like(x)
-        gi[:, j : j + 1] = g
-        return (gi,)
-
-    return _record("col", (a,), fwd, bwd)
 
 
 def element(a: Tensor, i: int, j: int) -> Tensor:

@@ -111,6 +111,11 @@ def load_checkpoint(path) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     pos = header_end
     for entry in header["parameters"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise DataFormatError(f"checkpoint parameter entry {entry!r} needs a name "
+                                  "and a shape of sizes", offset=12)
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = pos + 4 * count

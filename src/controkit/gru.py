@@ -1,4 +1,4 @@
-"""Gated recurrent unit cell built from autodiff primitives.
+"""Gated recurrent unit: the cell's parameters and a whole-sequence op.
 
 Gate convention, fixed so that checkpoints are unambiguous:
 
@@ -8,6 +8,9 @@ Gate convention, fixed so that checkpoints are unambiguous:
     h  = (1 - z) * h_prev + z * h~
 
 so forcing z to 0 returns h_prev exactly and forcing z to 1 returns h~.
+
+:func:`gru_sequence` runs the cell over a batch of padded sequences as one
+tape node with a hand-written backpropagation-through-time rule.
 """
 
 from __future__ import annotations
@@ -78,60 +81,81 @@ class GruParams:
             f"{prefix}.b_h": self.b_h,
         }
 
+    def register(self, graph: ad.Graph, prefix: str) -> tuple[ad.Tensor, ...]:
+        """The nine blocks as parameters of ``graph``, in ``named_arrays``
+        order; this tuple is the ``cell`` of :func:`gru_sequence`."""
+        return tuple(graph.parameter(name, arr)
+                     for name, arr in self.named_arrays(prefix).items())
 
-class BoundGru:
-    """A GRU cell's parameters registered in one graph.
 
-    Weight matrices are transposed once at bind time so each step is plain
-    row-matrix matmuls; the transpose nodes are shared by all steps.
+def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None, reverse: bool = False) -> ad.Tensor:
+    """The GRU state after every step of ``n_rows`` sequences, from a zero
+    initial state, as one tape node.
+
+    ``x`` is (n_rows * T, input_dim) with row ``i * T + t`` holding step t
+    of sequence i; the result is (n_rows * T, hidden_dim) in the same row
+    order. ``cell`` is the tuple :meth:`GruParams.register` returns.
+    ``mask`` is an optional (n_rows, T) 0/1 array: a step whose mask is 0
+    keeps the previous state. ``reverse`` runs each sequence from step T-1
+    down to step 0.
+
+    The backward pass is backpropagation through time over the gates the
+    forward pass saved (``Graph.recompute`` re-runs the forward pass, so
+    they always match the current inputs); each weight gradient is one
+    matmul over the stacked per-step gate gradients.
     """
+    hidden, input_dim = cell[0].shape
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise DimensionError(f"gru_sequence input {x.shape} does not match the cell's "
+                             f"input_dim {input_dim}")
+    if n_rows < 1 or x.shape[0] % n_rows:
+        raise DimensionError(f"gru_sequence input of {x.shape[0]} rows is not "
+                             f"{n_rows} sequences of equal length")
+    steps = x.shape[0] // n_rows
+    keep = np.ones((n_rows, steps), dtype=bool) if mask is None else np.asarray(mask) != 0
+    if keep.shape != (n_rows, steps):
+        raise DimensionError(f"gru_sequence mask {keep.shape} != ({n_rows}, {steps})")
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    saved = {}
 
-    def __init__(self, graph: ad.Graph, prefix: str, params: GruParams):
-        self.input_dim = params.input_dim
-        self.hidden_dim = params.hidden_dim
-        reg = {}
-        for name, arr in params.named_arrays(prefix).items():
-            reg[name.rsplit(".", 1)[1]] = graph.parameter(name, arr)
-        self.w_z_t = ad.transpose(reg["w_z"])
-        self.w_r_t = ad.transpose(reg["w_r"])
-        self.w_h_t = ad.transpose(reg["w_h"])
-        self.u_z_t = ad.transpose(reg["u_z"])
-        self.u_r_t = ad.transpose(reg["u_r"])
-        self.u_h_t = ad.transpose(reg["u_h"])
-        self.b_z = reg["b_z"]
-        self.b_r = reg["b_r"]
-        self.b_h = reg["b_h"]
+    def fwd(x, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+        ax = (x @ np.concatenate((w_z, w_r, w_h)).T).reshape(n_rows, steps, 3, hidden)
+        u_zr = np.concatenate((u_z, u_r)).T
+        # per step: the state before it, the gates z and r, the candidate, the state after it
+        saved["acts"] = prev, z, r, cand, out = np.empty((5, n_rows, steps, hidden), x.dtype)
+        h = np.zeros((n_rows, hidden), dtype=x.dtype)
+        for t in order:
+            a = ax[:, t]
+            hu = h @ u_zr
+            z[:, t] = ad.stable_sigmoid(a[:, 0] + hu[:, :hidden] + b_z)
+            r[:, t] = ad.stable_sigmoid(a[:, 1] + hu[:, hidden:] + b_r)
+            cand[:, t] = np.tanh(a[:, 2] + (r[:, t] * h) @ u_h.T + b_h)
+            prev[:, t] = h
+            h = np.where(keep[:, t, None], (1 - z[:, t]) * h + z[:, t] * cand[:, t], h)
+            out[:, t] = h
+        return out.reshape(n_rows * steps, hidden)
 
+    def bwd(g, out, x, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+        prev, z, r, cand, _ = saved["acts"]
+        g = g.reshape(n_rows, steps, hidden)
+        u_zr = np.concatenate((u_z, u_r))
+        # gradients of the z, r and candidate pre-activations
+        d_pre = np.empty((3, n_rows, steps, hidden), dtype=g.dtype)
+        dh = np.zeros((n_rows, hidden), dtype=g.dtype)
+        for t in reversed(order):
+            dh = dh + g[:, t]
+            zt, rt, ct, hp = z[:, t], r[:, t], cand[:, t], prev[:, t]
+            dz = dh * (ct - hp) * zt * (1 - zt)
+            dc = dh * zt * (1 - ct * ct)
+            d_rh = dc @ u_h
+            dr = d_rh * hp * rt * (1 - rt)
+            m = keep[:, t, None]
+            d_pre[:, :, t] = np.where(m, (dz, dr, dc), 0)
+            dh = np.where(m, dh * (1 - zt) + d_rh * rt + np.concatenate((dz, dr), 1) @ u_zr, dh)
+        dz, dr, dc = d_pre.reshape(3, n_rows * steps, hidden)
+        prev = prev.reshape(n_rows * steps, hidden)
+        rh = r.reshape(n_rows * steps, hidden) * prev
+        return (dz @ w_z + dr @ w_r + dc @ w_h, dz.T @ x, dr.T @ x, dc.T @ x,
+                dz.T @ prev, dr.T @ prev, dc.T @ rh, dz.sum(0), dr.sum(0), dc.sum(0))
 
-def gru_step(x: ad.Tensor, h_prev: ad.Tensor, cell: BoundGru, mask: ad.Tensor | None = None) -> ad.Tensor:
-    """One GRU update for a batch of row vectors (or single 1-D vectors).
-
-    ``mask`` is an optional (n, 1) 0/1 tensor: rows with mask 0 keep
-    h_prev unchanged, which is how padded timesteps are skipped.
-    """
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = ad.reshape(x, (1, x.shape[0]))
-        if h_prev.ndim == 1:
-            h_prev = ad.reshape(h_prev, (1, h_prev.shape[0]))
-    if x.shape[1] != cell.input_dim:
-        raise DimensionError(f"gru_step input width {x.shape[1]} != cell input_dim {cell.input_dim}")
-    if h_prev.shape[1] != cell.hidden_dim:
-        raise DimensionError(
-            f"gru_step hidden width {h_prev.shape[1]} != cell hidden_dim {cell.hidden_dim}"
-        )
-    if h_prev.shape[0] != x.shape[0]:
-        raise DimensionError(f"gru_step batch mismatch: x {x.shape} vs h_prev {h_prev.shape}")
-
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_z_t), ad.matmul(h_prev, cell.u_z_t)), cell.b_z))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_r_t), ad.matmul(h_prev, cell.u_r_t)), cell.b_r))
-    h_cand = ad.tanh(
-        ad.add(ad.add(ad.matmul(x, cell.w_h_t), ad.matmul(ad.mul(r, h_prev), cell.u_h_t)), cell.b_h)
-    )
-    one = x.graph.constant(1.0)
-    h_new = ad.add(ad.mul(ad.sub(one, z), h_prev), ad.mul(z, h_cand))
-    if mask is not None:
-        h_new = ad.add(ad.mul(mask, h_new), ad.mul(ad.sub(one, mask), h_prev))
-    if squeeze:
-        h_new = ad.reshape(h_new, (h_new.shape[1],))
-    return h_new
+    return ad._record("gru_sequence", (x, *cell), fwd, bwd)

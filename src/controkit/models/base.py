@@ -35,9 +35,11 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 class NeuralModel:
     """Parameters of a network over an ``embedding`` table. A subclass
     defines ``named_arrays``, ``random(embedding, rng, **shape)`` and
-    ``SHAPE``, the names of the shape keywords, stored with checkpoints."""
+    ``SHAPE``, which maps each shape keyword (stored with checkpoints) to
+    its type: ``int`` for a positive integer, ``list`` for a non-empty list
+    of them."""
 
-    SHAPE: tuple = ()
+    SHAPE: dict = {}
 
     def document_input(self, doc, limits: EncodeLimits | None):
         return encode_document(doc, self.embedding.vocab, limits)
@@ -69,7 +71,7 @@ class NeuralModel:
                                   f"expected {len(vocab)} rows")
         table = EmbeddingTable(vocab=vocab, vectors=vectors,
                                trainable=ckpt.extra.get("embedding_trainable", True))
-        shape = {name: ckpt.require("hyperparameters", name) for name in cls.SHAPE}
+        shape = {name: _shape_value(ckpt, name, kind) for name, kind in cls.SHAPE.items()}
         model = cls.random(table, np.random.default_rng(0), **shape)
         arrays = model.named_arrays()
         unexpected = sorted(set(ckpt.arrays) - set(arrays))
@@ -79,6 +81,17 @@ class NeuralModel:
         for name, target in arrays.items():
             target[...] = ckpt.array(name, target.shape)
         return model
+
+
+def _shape_value(ckpt: Checkpoint, name: str, kind: type):
+    value = ckpt.require("hyperparameters", name)
+    items = value if kind is list else [value]
+    if not isinstance(value, kind) or not items or not all(
+            type(v) is int and v > 0 for v in items):
+        expected = "a list of positive integers" if kind is list else "a positive integer"
+        raise DataFormatError(f"checkpoint hyperparameter {name!r} is {value!r}, "
+                              f"expected {expected}")
+    return value
 
 
 class LexicalModel:
@@ -187,9 +200,17 @@ def load_classifier(path) -> Classifier:
         raise DataFormatError(f"{ckpt.kind} checkpoint has no vocabulary")
     hp = dict(ckpt.hyperparameters)
     threshold = hp.pop("threshold", 0.5)
-    limits = EncodeLimits(**hp["limits"]) if hp.get("limits") else None
     return Classifier(kind=ckpt.kind, model=model_class.from_checkpoint(ckpt),
-                      threshold=threshold, limits=limits, hyperparameters=hp)
+                      threshold=threshold, limits=_stored_limits(hp.get("limits")),
+                      hyperparameters=hp)
+
+
+def _stored_limits(stored) -> EncodeLimits | None:
+    try:
+        return EncodeLimits(**stored).validated() if stored else None
+    except (TypeError, UsageError) as exc:
+        raise DataFormatError(f"checkpoint limits {stored!r} are not encode limits: "
+                              f"{exc}") from exc
 
 
 def label_to_int(label: str) -> int:

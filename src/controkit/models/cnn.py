@@ -31,7 +31,7 @@ class CnnParams(NeuralModel):
     dense_w: np.ndarray     # (2, n_windows*n_filters)
     dense_b: np.ndarray     # (2,)
 
-    SHAPE = ("window_sizes", "n_filters")
+    SHAPE = {"window_sizes": list, "n_filters": int}
 
     @property
     def n_filters(self) -> int:

@@ -7,6 +7,10 @@ padded to the longest sentence; padded steps keep their previous hidden
 state and their attention logits are pushed to -1e9 so padded positions
 get zero weight. Every attention distribution is an explicit softmax, so
 word-attention rows and the sentence-attention vector each sum to 1.
+
+A document's graph has the same nodes whatever its size: one lookup of
+the padded (S, L) word matrix, one ``gru_sequence`` node per GRU
+direction and level, and whole-array attention.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
-from ..gru import BoundGru, GruParams, gru_step
+from ..gru import GruParams, gru_sequence
 from ..textprep import PAD_INDEX, EncodedDocument
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
@@ -41,7 +45,7 @@ class HanParams(NeuralModel):
     dense_w: np.ndarray      # (2, 2h)
     dense_b: np.ndarray      # (2,)
 
-    SHAPE = ("hidden_dim",)
+    SHAPE = {"hidden_dim": int}
 
     @property
     def hidden_dim(self) -> int:
@@ -97,6 +101,10 @@ class _BoundAttention:
         self.b = graph.parameter(f"{prefix}.b", b)
         self.u_col = ad.reshape(graph.parameter(f"{prefix}.u", u), (len(u), 1))
 
+    def scores(self, states: ad.Tensor) -> ad.Tensor:
+        """One attention logit per row of ``states``, as an (n, 1) column."""
+        return ad.matmul(ad.tanh(ad.add(ad.matmul(states, self.w_t), self.b)), self.u_col)
+
 
 class BoundHan:
     def __init__(self, graph: ad.Graph, params: HanParams):
@@ -105,33 +113,16 @@ class BoundHan:
             self.embedding = graph.parameter("embedding", params.embedding.vectors)
         else:
             self.embedding = graph.constant(params.embedding.vectors, name="embedding")
-        self.word_fw = BoundGru(graph, "word_fw", params.word_fw)
-        self.word_bw = BoundGru(graph, "word_bw", params.word_bw)
+        self.word_fw = params.word_fw.register(graph, "word_fw")
+        self.word_bw = params.word_bw.register(graph, "word_bw")
         self.word_att = _BoundAttention(graph, "word_att", params.word_att_w,
                                         params.word_att_b, params.word_att_u)
-        self.sent_fw = BoundGru(graph, "sent_fw", params.sent_fw)
-        self.sent_bw = BoundGru(graph, "sent_bw", params.sent_bw)
+        self.sent_fw = params.sent_fw.register(graph, "sent_fw")
+        self.sent_bw = params.sent_bw.register(graph, "sent_bw")
         self.sent_att = _BoundAttention(graph, "sent_att", params.sent_att_w,
                                         params.sent_att_b, params.sent_att_u)
         self.dense_w_t = ad.transpose(graph.parameter("dense.w", params.dense_w))
         self.dense_b = graph.parameter("dense.b", params.dense_b)
-
-
-def _bi_gru_states(graph, x_steps, masks, fw_cell, bw_cell, n_rows, hidden):
-    """Forward+backward GRU over a padded step sequence; returns the
-    concatenated (n_rows, 2*hidden) annotation per step."""
-    zeros = np.zeros((n_rows, hidden), dtype=graph.dtype)
-    h = graph.constant(zeros)
-    fw = []
-    for t in range(len(x_steps)):
-        h = gru_step(x_steps[t], h, fw_cell, mask=masks[t] if masks else None)
-        fw.append(h)
-    h = graph.constant(zeros.copy())
-    bw = [None] * len(x_steps)
-    for t in reversed(range(len(x_steps))):
-        h = gru_step(x_steps[t], h, bw_cell, mask=masks[t] if masks else None)
-        bw[t] = h
-    return [ad.concat((fw[t], bw[t]), axis=1) for t in range(len(x_steps))]
 
 
 def han_document_vector(graph: ad.Graph, bound: BoundHan, sentences, mode: str,
@@ -144,48 +135,32 @@ def han_document_vector(graph: ad.Graph, bound: BoundHan, sentences, mode: str,
     if not sentences:
         raise EmptyDocumentError("document has no sentences")
     n_sent = len(sentences)
-    max_len = max(len(s) for s in sentences)
-    hidden = bound.params.hidden_dim
+    lengths = np.array([len(s) for s in sentences])
+    max_len = int(lengths.max())
+    rep = 2 * bound.params.hidden_dim
 
     padded = np.full((n_sent, max_len), PAD_INDEX, dtype=np.int64)
-    mask_np = np.zeros((n_sent, max_len), dtype=graph.dtype)
     for i, sent in enumerate(sentences):
         padded[i, : len(sent)] = sent
-        mask_np[i, : len(sent)] = 1.0
+    mask = np.arange(max_len) < lengths[:, None]
 
-    x_steps = [ad.lookup(bound.embedding, padded[:, t], pad_index=PAD_INDEX)
-               for t in range(max_len)]
-    masks = None
-    if mask_np.min() == 0.0:
-        masks = [graph.constant(mask_np[:, t : t + 1]) for t in range(max_len)]
-
-    annotations = _bi_gru_states(graph, x_steps, masks, bound.word_fw, bound.word_bw,
-                                 n_sent, hidden)
-
-    score_cols = []
-    for t in range(max_len):
-        u_t = ad.tanh(ad.add(ad.matmul(annotations[t], bound.word_att.w_t), bound.word_att.b))
-        score_cols.append(ad.matmul(u_t, bound.word_att.u_col))
-    scores = ad.concat(score_cols, axis=1)  # (S, L)
-    if masks is not None:
-        # (mask - 1) * 1e9 adds -1e9 to padded positions, forcing their
-        # attention weight to exactly zero after the stabilized softmax.
-        mask_bonus = graph.constant((mask_np - 1.0) * -MASK_LOGIT)
-        scores = ad.add(scores, mask_bonus)
+    # word level: row i * L + t of every (S * L, .) node is word t of sentence i
+    x = ad.lookup(bound.embedding, padded.reshape(-1), pad_index=PAD_INDEX)
+    word_h = ad.concat((gru_sequence(x, bound.word_fw, n_sent, mask),
+                       gru_sequence(x, bound.word_bw, n_sent, mask, reverse=True)), axis=1)
+    scores = ad.reshape(bound.word_att.scores(word_h), (n_sent, max_len))
+    # -1e9 on padded positions forces their attention weight to exactly zero
+    # after the stabilized softmax; real positions add 0
+    scores = ad.add(scores, graph.constant(np.where(mask, 0.0, MASK_LOGIT)))
     word_alpha = ad.softmax(scores)
+    sent_vec = ad.reshape(ad.matmul(ad.reshape(word_alpha, (n_sent, 1, max_len)),
+                                    ad.reshape(word_h, (n_sent, max_len, rep))),
+                          (n_sent, rep))
 
-    sent_vec = None
-    for t in range(max_len):
-        weighted = ad.mul(ad.col(word_alpha, t), annotations[t])
-        sent_vec = weighted if sent_vec is None else ad.add(sent_vec, weighted)
-
-    sent_rows = [ad.row(sent_vec, i) for i in range(n_sent)]
-    sent_annotations = _bi_gru_states(graph, sent_rows, None, bound.sent_fw, bound.sent_bw,
-                                      1, hidden)
-    sent_h = ad.concat(sent_annotations, axis=0)  # (S, 2h)
-    u_s = ad.tanh(ad.add(ad.matmul(sent_h, bound.sent_att.w_t), bound.sent_att.b))
-    sent_scores = ad.reshape(ad.matmul(u_s, bound.sent_att.u_col), (1, n_sent))
-    sent_alpha = ad.softmax(sent_scores)
+    # sentence level: one sequence of S steps
+    sent_h = ad.concat((gru_sequence(sent_vec, bound.sent_fw, 1),
+                        gru_sequence(sent_vec, bound.sent_bw, 1, reverse=True)), axis=1)
+    sent_alpha = ad.softmax(ad.reshape(bound.sent_att.scores(sent_h), (1, n_sent)))
     doc_vec = ad.matmul(sent_alpha, sent_h)  # (1, 2h)
     doc_vec = ad.dropout(doc_vec, dropout_rate, mode, rng)
     return doc_vec, word_alpha, sent_alpha

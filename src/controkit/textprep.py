@@ -120,8 +120,9 @@ class EncodeLimits:
     max_tokens: int = 400
 
     def validated(self) -> "EncodeLimits":
-        if min(self.max_sentences, self.max_words_per_sentence, self.max_tokens) <= 0:
-            raise UsageError(f"encode limits must be positive: {self}")
+        limits = (self.max_sentences, self.max_words_per_sentence, self.max_tokens)
+        if not all(type(n) is int and n > 0 for n in limits):
+            raise UsageError(f"encode limits must be positive integers: {self}")
         return self
 
 

@@ -204,6 +204,16 @@ class TestExitCodes:
         assert code == 3
         assert "n_docs" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_header_is_data_error(self, trained, tmp_path, capsys):
+        tmp, data_dir = trained
+        raw = (tmp / "tfidf.ctrv").read_bytes()
+        bad = tmp_path / "bad.ctrv"
+        # the first parameter entry loses its name; the header keeps its length
+        bad.write_bytes(raw.replace(b'{"name": ', b'{"nome": ', 1))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir / "test.jsonl")])
+        assert code == 3
+        assert "needs a name" in capsys.readouterr().err
+
     def test_argparse_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--model", "transformer"])

@@ -201,6 +201,33 @@ class TestMalformedCheckpoint:
         with pytest.raises(DataFormatError, match="no 'parameters'"):
             load_classifier(path)
 
+    def test_parameter_entry_without_name(self, copy):
+        path = copy("cnn")
+        _edit_header(path, lambda header: header["parameters"][1].pop("name"))
+        with pytest.raises(DataFormatError, match="needs a name"):
+            load_classifier(path)
+
+    def test_limits_with_unknown_key(self, copy):
+        path = copy("cnn")
+        _edit_header(path, lambda header: header["hyperparameters"]["limits"].update(
+            max_paragraphs=3))
+        with pytest.raises(DataFormatError, match="not encode limits"):
+            load_classifier(path)
+
+    def test_window_sizes_not_a_list(self, copy):
+        path = copy("cnn")
+        _edit_header(path, lambda header: header["hyperparameters"].update(window_sizes="23"))
+        with pytest.raises(DataFormatError, match="'window_sizes' is '23'"):
+            load_classifier(path)
+
+    @pytest.mark.parametrize("max_tokens", [0, 40.5])
+    def test_limits_not_positive_integers(self, copy, max_tokens):
+        path = copy("cnn")
+        _edit_header(path, lambda header: header["hyperparameters"]["limits"].update(
+            max_tokens=max_tokens))
+        with pytest.raises(DataFormatError, match="must be positive integers"):
+            load_classifier(path)
+
     @pytest.mark.parametrize("kind", ["cnn", "tfidf"])
     def test_vocabulary_edited_after_saving(self, kind, copy):
         path = copy(kind)

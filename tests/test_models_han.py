@@ -102,3 +102,32 @@ def test_deterministic_eval(han_params):
     a = han_forward(sentences, han_params)[0]
     b = han_forward(sentences, han_params)[0]
     assert np.array_equal(a, b)
+
+
+def test_tape_size_does_not_depend_on_the_document(han_params):
+    # both documents have unequal sentence lengths, so both are padded
+    tapes = []
+    for sentences in ([[2, 3, 4], [5, 6]], [[2, 3, 4, 5, 6, 2, 3], [4], [5, 6, 2], [3, 4]]):
+        graph = ad.Graph(np.float32)
+        han_loss(graph, BoundHan(graph, han_params), sentences, target=1, mode="train",
+                 rng=np.random.default_rng(0))
+        tapes.append([node.op for node in graph.nodes])
+    assert len(tapes[0]) == len(tapes[1]) < 100
+    assert tapes[0].count("lookup") == 1
+    assert tapes[0].count("gru_sequence") == 4
+
+
+def test_frozen_table_gets_no_gradient(small_embedding, rng):
+    params = HanParams.random(small_embedding, rng, hidden_dim=3, scale=0.4)
+    grads = {}
+    for trainable in (True, False):
+        params.embedding.trainable = trainable
+        graph = ad.Graph(np.float32)
+        bound = BoundHan(graph, params)
+        loss = han_loss(graph, bound, [[2, 3, 4], [5, 6]], target=1, mode="train",
+                        rng=np.random.default_rng(4))
+        grads[trainable] = graph.backward(loss)
+    assert bound.embedding.op == "const" and bound.embedding.grad is None
+    assert set(grads[True]) - set(grads[False]) == {"embedding"}
+    for name, g in grads[False].items():
+        assert np.array_equal(g, grads[True][name]), name
