@@ -196,13 +196,15 @@ class HttpFetcher:
         for _ in range(self.policy.retry_count + 1):
             try:
                 resp = self.session.get(self.real_url(url), timeout=self.policy.fetch_timeout)
-                if resp.status_code >= 400:
-                    last_error = f"HTTP {resp.status_code}"
-                    continue
-                return FetchedPage(url=normalize_url(url), status=resp.status_code,
-                                   html=resp.text)
             except requests.RequestException as exc:
                 last_error = str(exc)
+                continue
+            if resp.status_code < 400:
+                return FetchedPage(url=normalize_url(url), status=resp.status_code,
+                                   html=resp.text)
+            last_error = f"HTTP {resp.status_code}"
+            if resp.status_code < 500:
+                break  # a client error does not change on a retry
         raise FetchFailure(f"failed to fetch {url}: {last_error}")
 
     def fetch_random(self) -> FetchedPage:

@@ -219,7 +219,7 @@ def topic_folds(docs, k: int, seed: int):
 
 
 def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10,
-                 n_resamples: int = 1000, validation_fraction: float = 0.1):
+                 validation_fraction: float = 0.1):
     """Leave-one-topic-out cross validation; metrics averaged across folds."""
     folds = topic_folds(docs, k, seed)
     per_fold = []
@@ -346,8 +346,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     elif spec.kind == "topic":
         _require(spec, "dataset")
         docs = read_documents(spec.datasets["dataset"])
-        per_fold, averaged = run_topic_cv(docs, spec.models, spec.config, spec.seed,
-                                          spec.k_topics, spec.n_resamples)
+        per_fold, averaged = run_topic_cv(docs, spec.models, spec.config, spec.seed, spec.k_topics)
         payload["report"] = {"folds": per_fold, "averaged": averaged,
                              "model_names": list(spec.models)}
         tables.append(("topic.txt",

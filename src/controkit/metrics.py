@@ -3,9 +3,10 @@
 The bootstrap draw contract, shared by every resampling routine here (and
 by any independent reimplementation that wants identical numbers): with
 ``rng = numpy.random.default_rng(seed)``, resample ``i`` uses the index
-vector ``rng.integers(0, n, size=n)``, drawn in resample order. Intervals
-are empirical percentiles with linear interpolation between order
-statistics, pinned to the formula
+vector ``rng.integers(0, n, size=n)``, drawn in resample order; a block of r
+resamples is one ``rng.integers(0, n, size=(r, n))``, whose rows are those r
+draws. Intervals are empirical percentiles with linear interpolation between
+order statistics, pinned to the formula
 
     h = (n - 1) * q / 100;  value = v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)])
 
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import UsageError
 
 METRIC_NAMES = ("precision", "recall", "f1", "auc")
+
+_BLOCK_CELLS = 1 << 20  # index cells per block of resamples: flat memory at any n
 
 
 @dataclass
@@ -46,17 +49,6 @@ class PredictionSet:
 
     def __len__(self):
         return len(self.doc_ids)
-
-    def take(self, indices) -> "PredictionSet":
-        idx = np.asarray(indices)
-        return PredictionSet(
-            doc_ids=[self.doc_ids[i] for i in idx],
-            scores=self.scores[idx],
-            hard_labels=self.hard_labels[idx],
-            true_labels=self.true_labels[idx],
-            model_name=self.model_name,
-            experiment_tag=self.experiment_tag,
-        )
 
 
 def prediction_set(predictions, docs, model_name: str = "", tag: str = "") -> PredictionSet:
@@ -91,16 +83,25 @@ def precision_recall_f1(predicted, labels) -> tuple[float, float, float]:
     Degenerate conventions: precision 0 with no predicted positives, recall
     0 with no actual positives, F1 = 0 when P + R = 0.
     """
-    predicted = np.asarray(predicted, dtype=bool)
-    labels = np.asarray(labels)
+    rows = _confusion_rows(predicted, labels, np.ones((1, len(labels)), dtype=np.int64))
+    return tuple(float(v[0]) for v in rows)
+
+
+def _confusion_rows(predicted, labels, counts):
+    """Precision, recall and F1 under each row of (r, n) draw counts."""
+    predicted, labels = np.asarray(predicted, dtype=bool), np.asarray(labels)
     actual = labels == 1
-    tp = int(np.sum(predicted & actual))
-    fp = int(np.sum(predicted & (labels == 0)))
-    fn = int(np.sum(~predicted & actual))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    tp = counts @ (predicted & actual)
+    fp = counts @ (predicted & (labels == 0))
+    fn = counts @ (~predicted & actual)
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    return precision, recall, _ratio(2 * precision * recall, precision + recall)
+
+
+def _ratio(num, den):
+    """num / den elementwise, 0 where den is 0 (the degenerate conventions)."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den != 0)
 
 
 def prf(preds: PredictionSet) -> PrfResult:
@@ -130,23 +131,34 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         missing = "positive" if n_pos == 0 else "negative"
         raise UsageError(f"auc needs both classes; no {missing} examples present")
-    ranks = _average_ranks(scores)
-    pos_rank_sum = float(np.sum(ranks[labels == 1]))
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(_auc_rows(scores, labels, np.ones((1, len(scores)), dtype=np.int64))[0])
+
+
+def _class_counts_by_score(scores, labels, counts):
+    """(r, g) positive and negative draw counts per distinct score, ascending."""
+    order = np.argsort(scores, kind="stable")
+    starts = np.unique(scores[order], return_index=True)[1]
+    counts, labels = counts[:, order], labels[order]
+    return (np.add.reduceat(counts * (labels == 1), starts, axis=1),
+            np.add.reduceat(counts * (labels == 0), starts, axis=1))
+
+
+def _auc_rows(scores, labels, counts):
+    """AUC under each row of draw counts, NaN on a row that lacks a class.
+
+    U = sum of positives * (negatives below + half the negatives tied) over
+    distinct scores is a half-integer, exact in float64, so U / (n_pos *
+    n_neg) equals the tie-averaged rank-sum formula bit for bit."""
+    pos, neg = _class_counts_by_score(scores, labels, counts)
+    twice_u = np.sum(pos * (2 * np.cumsum(neg, axis=1) - neg), axis=1)
+    with np.errstate(invalid="ignore"):  # a single-class row is 0 / 0
+        return 0.5 * twice_u / (pos.sum(axis=1) * neg.sum(axis=1))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, ties = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(ties) - (ties - 1) / 2.0)[inverse]
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
@@ -157,22 +169,10 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise UsageError("roc needs both classes")
-    order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            if labels[order[k]] == 1:
-                tp += 1
-            else:
-                fp += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return points
+    pos, neg = _class_counts_by_score(scores, labels, np.ones((1, len(scores)), dtype=np.int64))
+    tpr = np.cumsum(pos[0, ::-1]) / n_pos
+    fpr = np.cumsum(neg[0, ::-1]) / n_neg
+    return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def percentile_linear(values, q: float) -> float:
@@ -185,18 +185,31 @@ def percentile_linear(values, q: float) -> float:
     return float(v[lo] + g * (v[hi] - v[lo]))
 
 
-def _metric_value(preds: PredictionSet, metric) -> float:
-    if callable(metric):
-        return float(metric(preds))
-    if metric == "precision":
-        return prf(preds).precision
-    if metric == "recall":
-        return prf(preds).recall
-    if metric == "f1":
-        return prf(preds).f1
+def _metric_rows(preds: PredictionSet, metric: str, counts) -> np.ndarray:
+    """``metric`` under each row of (r, n) draw counts, NaN where undefined."""
+    if metric not in METRIC_NAMES:
+        raise UsageError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
     if metric == "auc":
-        return auc(preds.scores, preds.true_labels)
-    raise UsageError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+        return _auc_rows(preds.scores, preds.true_labels, counts)
+    rows = _confusion_rows(preds.hard_labels == 1, preds.true_labels, counts)
+    return rows[METRIC_NAMES.index(metric)]
+
+
+def _resample_values(n: int, n_resamples: int, seed: int, metric_rows):
+    """``metric_rows(counts)`` on the full sample (computed before any draw,
+    so an unknown metric fails first), its defined values over the resamples
+    in resample order, and the number of NaN ones. One bincount over
+    row-offset indices turns a block's (r, n) index draw into draw counts."""
+    point = float(metric_rows(np.ones((1, n), dtype=np.int64))[0])
+    rng = np.random.default_rng(seed)
+    per_block = max(1, _BLOCK_CELLS // n)
+    values = [np.empty(0)]
+    for start in range(0, n_resamples, per_block):
+        r = min(per_block, n_resamples - start)
+        cells = rng.integers(0, n, size=(r, n)) + n * np.arange(r)[:, None]
+        values.append(metric_rows(np.bincount(cells.ravel(), minlength=r * n).reshape(r, n)))
+    values = np.concatenate(values)
+    return point, values[~np.isnan(values)], int(np.sum(np.isnan(values)))
 
 
 @dataclass
@@ -223,23 +236,15 @@ def bootstrap_ci(preds: PredictionSet, metric, n_resamples: int = 1000,
     n = len(preds)
     if n < 2:
         raise UsageError("bootstrap needs at least 2 predictions")
-    rng = np.random.default_rng(seed)
-    values = []
-    skipped = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        try:
-            values.append(_metric_value(preds.take(idx), metric))
-        except UsageError:
-            skipped += 1
-    if not values:
+    point, values, skipped = _resample_values(
+        n, n_resamples, seed, lambda counts: _metric_rows(preds, metric, counts))
+    if not len(values):
         raise UsageError("metric undefined on every bootstrap resample")
-    values = np.array(values)
     alpha = (1.0 - level) / 2.0
     lower = percentile_linear(values, 100 * alpha)
     upper = percentile_linear(values, 100 * (1 - alpha))
     return BootstrapResult(
-        point=_metric_value(preds, metric),
+        point=point,
         lower=lower,
         upper=upper,
         values=values,
@@ -273,18 +278,11 @@ def compare(a: PredictionSet, b: PredictionSet, metric, n_resamples: int = 1000,
     n = len(a)
     if n < 2:
         raise UsageError("compare needs at least 2 predictions")
-    rng = np.random.default_rng(seed)
-    diffs = []
-    skipped = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        try:
-            diffs.append(_metric_value(a.take(idx), metric) - _metric_value(b.take(idx), metric))
-        except UsageError:
-            skipped += 1
-    if not diffs:
+    point_difference, diffs, skipped = _resample_values(
+        n, n_resamples, seed,
+        lambda counts: _metric_rows(a, metric, counts) - _metric_rows(b, metric, counts))
+    if not len(diffs):
         raise UsageError("metric undefined on every paired resample")
-    diffs = np.array(diffs)
     alpha = (1.0 - level) / 2.0
     lower = percentile_linear(diffs, 100 * alpha)
     upper = percentile_linear(diffs, 100 * (1 - alpha))
@@ -293,7 +291,7 @@ def compare(a: PredictionSet, b: PredictionSet, metric, n_resamples: int = 1000,
         significant=significant,
         lower=lower,
         upper=upper,
-        point_difference=_metric_value(a, metric) - _metric_value(b, metric),
+        point_difference=point_difference,
         differences=diffs,
         n_skipped=skipped,
     )

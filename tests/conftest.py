@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread per test process: with more threads than free cores, small
+# matmuls slow down by orders of magnitude. A caller's own setting wins. This
+# must run before numpy is first imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

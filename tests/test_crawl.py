@@ -1,3 +1,6 @@
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from controkit.corpus import (
     split_dataset,
 )
 from controkit.crawl import (
+    FetchFailure,
+    HttpFetcher,
     RewriteFetcher,
     build_dataset,
     crawl_snowball,
@@ -167,6 +172,44 @@ class TestChainCrawl:
                                      sleep=sleeps.append, clock=lambda: float(next(times)))
             crawl_snowball(seeds, policy, fetcher, 2018, clock=CLOCK)
         assert sleeps and all(s > 0.4 for s in sleeps)
+
+
+class TestFetchRetries:
+    def test_client_error_fails_at_once_server_error_is_retried(self):
+        # a local server answering GET /<status> with that status; it counts
+        # every page request it serves
+        served = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):
+                status = 404 if self.path == "/robots.txt" else int(self.path.strip("/"))
+                if self.path != "/robots.txt":
+                    served.append(self.path)
+                self.send_response(status)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address
+            fetcher = HttpFetcher(POLICY)
+            for status, gets in ((404, 1), (403, 1), (500, POLICY.retry_count + 1)):
+                served.clear()
+                url = f"http://{host}:{port}/{status}"
+                with pytest.raises(FetchFailure) as info:
+                    fetcher.fetch(url)
+                assert str(info.value) == f"failed to fetch {url}: HTTP {status}"
+                assert len(served) == gets
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestNegativeSampling:

@@ -98,8 +98,7 @@ class TestTopicCv:
 
     def test_averaged_equals_hand_average(self, splits):
         docs = splits["train"][:150]
-        per_fold, averaged = run_topic_cv(docs, ("tfidf",), FAST_CFG, seed=7, k=3,
-                                          n_resamples=20)
+        per_fold, averaged = run_topic_cv(docs, ("tfidf",), FAST_CFG, seed=7, k=3)
         assert len(per_fold) == 3
         hand = np.mean([f["metrics"]["tfidf"]["f1"] for f in per_fold])
         assert averaged["tfidf"]["f1"] == pytest.approx(hand, abs=1e-12)
@@ -111,7 +110,7 @@ class TestTopicCv:
         for i, d in enumerate(base):
             if d.label == CONTROVERSIAL:
                 d.topic = f"T{i % 3}"
-        per_fold, _ = run_topic_cv(base, ("lm",), FAST_CFG, seed=8, k=3, n_resamples=20)
+        per_fold, _ = run_topic_cv(base, ("lm",), FAST_CFG, seed=8, k=3)
         f1s = [f["metrics"]["lm"]["f1"] for f in per_fold]
         assert max(f1s) - min(f1s) < 0.15
 

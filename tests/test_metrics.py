@@ -4,6 +4,8 @@ import pytest
 from controkit.corpus import AnnotationRecord
 from controkit.errors import UsageError
 from controkit.metrics import (
+    _BLOCK_CELLS,
+    METRIC_NAMES,
     PredictionSet,
     agreement_report,
     auc,
@@ -170,20 +172,72 @@ class TestBootstrap:
         assert (a.lower, a.upper) != (c.lower, c.upper)
 
     def test_matches_independent_second_implementation(self, rng):
-        # tiny 5-item set, full 1000 resamples, identical intervals
-        scores = np.array([0.9, 0.7, 0.45, 0.3, 0.1])
-        hard = np.array([1, 1, 0, 1, 0])
-        true = np.array([1, 0, 1, 1, 0])
-        preds = pset(scores, hard, true)
-        res = bootstrap_ci(preds, "f1", n_resamples=1000, seed=77)
+        # identical values, skips and intervals from the loop oracle, for
+        # every metric and for paired differences: a tiny 5-item set, a tied
+        # 12-item set, and an F1 case whose draws span two blocks
+        def oracle(metric, hard, true, scores):
+            def value(idx):
+                if metric != "auc":
+                    return prf_confusion(hard[idx].tolist(), true[idx].tolist())[
+                        METRIC_NAMES.index(metric)]
+                if true[idx].min() == true[idx].max():
+                    raise ValueError("single-class draw")
+                return auc_pairs(scores[idx].tolist(), true[idx].tolist())
+            return value
 
-        def metric(idx):
-            p, r, f1 = prf_confusion(hard[idx].tolist(), true[idx].tolist())
-            return f1
+        def recorded(value, seen):
+            def metric(idx):
+                seen.append(value(idx))
+                return seen[-1]
+            return metric
 
-        lo, hi, skipped = bootstrap_second(metric, 5, 1000, 0.95, seed=77)
-        assert res.lower == lo
-        assert res.upper == hi
+        scores_12 = np.round(rng.random(12), 1)
+        cases = [  # scores, hard labels, true labels, metrics, also compare
+            (np.array([0.9, 0.7, 0.45, 0.3, 0.1]), np.array([1, 1, 0, 1, 0]),
+             np.array([1, 0, 1, 1, 0]), METRIC_NAMES, True),
+            (scores_12, (scores_12 > 0.5).astype(int), rng.integers(0, 2, 12),
+             METRIC_NAMES, True),
+            (rng.random(1100), rng.integers(0, 2, 1100), rng.integers(0, 2, 1100),
+             ("f1",), False),
+        ]
+        assert 1100 * 1000 > _BLOCK_CELLS
+        for seed, (scores, hard, true, metrics, paired) in enumerate(cases, start=77):
+            n = len(scores)
+            other_scores = np.round(rng.random(n), 1)
+            other_hard = rng.integers(0, 2, n)
+            a, b = pset(scores, hard, true), pset(other_scores, other_hard, true)
+            for metric in metrics:
+                value_a = oracle(metric, hard, true, scores)
+                res = bootstrap_ci(a, metric, n_resamples=1000, seed=seed)
+                seen = []
+                lo, hi, skipped = bootstrap_second(recorded(value_a, seen), n, 1000, 0.95,
+                                                   seed=seed)
+                assert np.array_equal(res.values, seen)
+                assert (res.lower, res.upper, res.n_skipped) == (lo, hi, skipped)
+                if not paired:
+                    continue
+                value_b = oracle(metric, other_hard, true, other_scores)
+                res = compare(a, b, metric, n_resamples=1000, seed=seed)
+                seen = []
+                lo, hi, skipped = bootstrap_second(
+                    recorded(lambda idx: value_a(idx) - value_b(idx), seen), n, 1000, 0.95,
+                    seed=seed)
+                assert np.array_equal(res.differences, seen)
+                assert (res.lower, res.upper, res.n_skipped) == (lo, hi, skipped)
+
+    def test_draw_contract_one_matrix_equals_sequential_draws(self):
+        # the blocked draw relies on this numpy property; an upgrade that
+        # breaks it changes every interval and must fail here
+        for n in (7, 500, 2001):
+            sequential = np.random.default_rng(n)
+            rows = [sequential.integers(0, n, size=n) for _ in range(40)]
+            block = np.random.default_rng(n).integers(0, n, size=(40, n))
+            assert np.array_equal(block, np.stack(rows))
+
+    def test_unknown_metric_rejected_before_resampling(self):
+        preds = pset([0.9, 0.2, 0.6], [1, 0, 1], [1, 0, 0])
+        with pytest.raises(UsageError, match="unknown metric 'accuracy'; expected one of"):
+            bootstrap_ci(preds, "accuracy", n_resamples=20)
 
     def test_undefined_resamples_skipped_and_counted(self):
         preds = pset([0.9, 0.1, 0.5], [1, 0, 1], [1, 0, 0])
@@ -260,6 +314,11 @@ class TestCompare:
         assert fwd.upper == pytest.approx(-rev.lower, abs=1e-12)
         assert np.array_equal(fwd.differences, -rev.differences)
         assert fwd.significant == rev.significant
+
+    def test_unknown_metric_rejected_before_resampling(self):
+        preds = pset([0.9, 0.2, 0.6], [1, 0, 1], [1, 0, 0])
+        with pytest.raises(UsageError, match="unknown metric 'accuracy'; expected one of"):
+            compare(preds, preds, "accuracy", n_resamples=20)
 
     def test_misaligned_documents_rejected(self):
         a = pset([0.5, 0.6], [1, 1], [1, 0], ids=["x", "y"])
