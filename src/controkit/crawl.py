@@ -203,8 +203,8 @@ class HttpFetcher:
                 return FetchedPage(url=normalize_url(url), status=resp.status_code,
                                    html=resp.text)
             last_error = f"HTTP {resp.status_code}"
-            if resp.status_code < 500:
-                break  # a client error does not change on a retry
+            if resp.status_code < 500 and resp.status_code not in (408, 429):
+                break  # a client error other than a timeout or rate limit is final
         raise FetchFailure(f"failed to fetch {url}: {last_error}")
 
     def fetch_random(self) -> FetchedPage:

@@ -23,7 +23,7 @@ from .errors import UsageError
 
 METRIC_NAMES = ("precision", "recall", "f1", "auc")
 
-_BLOCK_CELLS = 1 << 20  # index cells per block of resamples: flat memory at any n
+_BLOCK_CELLS = 1 << 16  # draw cells per block of resamples: (r, n) int64 arrays of 512 KiB
 
 
 @dataclass
@@ -91,17 +91,16 @@ def _confusion_rows(predicted, labels, counts):
     """Precision, recall and F1 under each row of (r, n) draw counts."""
     predicted, labels = np.asarray(predicted, dtype=bool), np.asarray(labels)
     actual = labels == 1
-    tp = counts @ (predicted & actual)
-    fp = counts @ (predicted & (labels == 0))
-    fn = counts @ (~predicted & actual)
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    return precision, recall, _ratio(2 * precision * recall, precision + recall)
+    return prf_from_counts(counts @ (predicted & actual), counts @ (predicted & (labels == 0)),
+                           counts @ (~predicted & actual))
 
 
-def _ratio(num, den):
-    """num / den elementwise, 0 where den is 0 (the degenerate conventions)."""
-    return np.divide(num, den, out=np.zeros(len(den)), where=den != 0)
+def prf_from_counts(tp, fp, fn):
+    """Precision, recall and F1 elementwise over arrays of confusion counts."""
+    def ratio(num, den):  # 0 where den is 0: the degenerate conventions
+        return np.divide(num, den, out=np.zeros(len(den)), where=den != 0)
+    precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
+    return precision, recall, ratio(2 * precision * recall, precision + recall)
 
 
 def prf(preds: PredictionSet) -> PrfResult:
@@ -137,7 +136,8 @@ def auc(scores, labels) -> float:
 def _class_counts_by_score(scores, labels, counts):
     """(r, g) positive and negative draw counts per distinct score, ascending."""
     order = np.argsort(scores, kind="stable")
-    starts = np.unique(scores[order], return_index=True)[1]
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     counts, labels = counts[:, order], labels[order]
     return (np.add.reduceat(counts * (labels == 1), starts, axis=1),
             np.add.reduceat(counts * (labels == 0), starts, axis=1))

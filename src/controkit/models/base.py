@@ -15,7 +15,7 @@ from ..checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from ..corpus import CONTROVERSIAL
 from ..embeddings import EmbeddingTable
 from ..errors import ControkitError, DataFormatError, UsageError
-from ..metrics import precision_recall_f1
+from ..metrics import prf_from_counts
 from ..textprep import EncodeLimits, Vocabulary, encode_document, tokenize
 
 EMPTY_DOC_SCORE = 0.5
@@ -167,14 +167,14 @@ def calibrate_threshold(scores, labels) -> float:
     classes = np.unique(labels)
     if len(classes) < 2:
         raise UsageError("threshold calibration needs both classes in validation")
-    candidates = np.unique(scores).tolist()
-    candidates.append(candidates[-1] + max(1e-9, abs(candidates[-1]) * 1e-9))
-    best_t, best_f1 = None, -1.0
-    for t in candidates:
-        f1 = precision_recall_f1(scores >= t, labels)[2]
-        if f1 > best_f1:
-            best_t, best_f1 = t, f1
-    return float(best_t)
+    candidates, group = np.unique(scores, return_inverse=True)
+    # candidate k predicts the score groups k and up, so its true and false
+    # positives are class counts summed from the top
+    tp = np.cumsum(np.bincount(group, weights=labels == 1)[::-1])[::-1]
+    fp = np.cumsum(np.bincount(group, weights=labels == 0)[::-1])[::-1]
+    f1 = np.r_[prf_from_counts(tp, fp, tp[0] - tp)[2], 0.0]  # 0.0: the predict-nothing one
+    candidates = np.r_[candidates, candidates[-1] + max(1e-9, abs(candidates[-1]) * 1e-9)]
+    return float(candidates[np.argmax(f1)])  # the first best: ties pick the lowest
 
 
 # ---------------------------------------------------------------------------

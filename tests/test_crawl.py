@@ -177,7 +177,8 @@ class TestChainCrawl:
 class TestFetchRetries:
     def test_client_error_fails_at_once_server_error_is_retried(self):
         # a local server answering GET /<status> with that status; it counts
-        # every page request it serves
+        # every page request it serves. 408 and 429 are the client errors a
+        # retry can clear
         served = []
 
         class Handler(BaseHTTPRequestHandler):
@@ -198,7 +199,9 @@ class TestFetchRetries:
         try:
             host, port = server.server_address
             fetcher = HttpFetcher(POLICY)
-            for status, gets in ((404, 1), (403, 1), (500, POLICY.retry_count + 1)):
+            retried = POLICY.retry_count + 1
+            for status, gets in ((404, 1), (403, 1), (408, retried), (429, retried),
+                                 (500, retried)):
                 served.clear()
                 url = f"http://{host}:{port}/{status}"
                 with pytest.raises(FetchFailure) as info:

@@ -174,7 +174,8 @@ class TestBootstrap:
     def test_matches_independent_second_implementation(self, rng):
         # identical values, skips and intervals from the loop oracle, for
         # every metric and for paired differences: a tiny 5-item set, a tied
-        # 12-item set, and an F1 case whose draws span two blocks
+        # 12-item set, a tied 70-item set whose draws span two blocks, and an
+        # F1 case whose draws span many
         def oracle(metric, hard, true, scores):
             def value(idx):
                 if metric != "auc":
@@ -191,16 +192,18 @@ class TestBootstrap:
                 return seen[-1]
             return metric
 
-        scores_12 = np.round(rng.random(12), 1)
+        scores_12, scores_70 = np.round(rng.random(12), 1), np.round(rng.random(70), 1)
         cases = [  # scores, hard labels, true labels, metrics, also compare
             (np.array([0.9, 0.7, 0.45, 0.3, 0.1]), np.array([1, 1, 0, 1, 0]),
              np.array([1, 0, 1, 1, 0]), METRIC_NAMES, True),
             (scores_12, (scores_12 > 0.5).astype(int), rng.integers(0, 2, 12),
              METRIC_NAMES, True),
+            (scores_70, (scores_70 > 0.5).astype(int), rng.integers(0, 2, 70),
+             METRIC_NAMES, True),
             (rng.random(1100), rng.integers(0, 2, 1100), rng.integers(0, 2, 1100),
              ("f1",), False),
         ]
-        assert 1100 * 1000 > _BLOCK_CELLS
+        assert 70 * 1000 > _BLOCK_CELLS > 70 * 500
         for seed, (scores, hard, true, metrics, paired) in enumerate(cases, start=77):
             n = len(scores)
             other_scores = np.round(rng.random(n), 1)
