@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Controversy-detection workbench: crawl, split, train, evaluate.",
     )
     parser.add_argument("--version", action="version", version=f"controkit {__version__}")
+    parser.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                        default="warning", help="lowest level of log message shown")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("crawl", help="snowball-crawl a seed list into a labeled dataset")
@@ -260,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (UsageError, DomainError, DimensionError) as exc:

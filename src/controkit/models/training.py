@@ -4,14 +4,16 @@ The neural loop trains per-document graphs with gradient accumulation over
 each mini-batch followed by a single Adam apply, cross-entropy plus an l2
 penalty on the dense prediction weights, epoch-wise seeded shuffling, and
 early stopping on validation F1 (best-validation parameters are restored
-at the end). A document's row-sparse table gradient is scatter-added into
-the batch's one dense accumulator, so the table is densified once per
+at the end). Besides the live parameters, a fit allocates four arrays the
+size of each trainable one, once: Adam's two moments, the best-epoch
+snapshot (overwritten in place) and the dense gradient accumulator, which
+every mini-batch zeroes and refills. A document's row-sparse table gradient
+is scatter-added into that accumulator, so the table is densified once per
 mini-batch. Lexical models fit in one deterministic pass.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field, asdict
 
@@ -127,13 +129,10 @@ def _build_embedding(train_docs, config: TrainConfig, rng,
                                  trainable=config.fine_tune_embeddings)
 
 
-def _snapshot(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in arrays.items()}
-
-
-def _restore(arrays: dict[str, np.ndarray], snapshot: dict[str, np.ndarray]) -> None:
-    for k, v in arrays.items():
-        v[...] = snapshot[k]
+def _copy_arrays(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None:
+    """Overwrite each array of ``dst`` in place with its namesake in ``src``."""
+    for name, arr in dst.items():
+        np.copyto(arr, src[name])
 
 
 def _neural_score(kind, params, encoded) -> float:
@@ -184,14 +183,20 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     adam = AdamState(lr=config.learning_rate)
     log: list[dict] = []
     best_f1 = -1.0
-    best_snapshot = _snapshot(params.named_arrays())
+    # a frozen table never changes, so only trainable arrays need a snapshot
+    best_snapshot = {name: arr.copy() for name, arr in trainable.items()}
+    total = {name: np.zeros_like(arr) for name, arr in trainable.items()}
     epochs_since_best = 0
     diverged = False
     diagnostic = None
 
-    def batch_gradients(batch):
-        total = {name: np.zeros_like(arr) for name, arr in trainable.items()}
+    def batch_gradients(batch) -> float:
+        """Refill ``total`` with the batch's mean gradient; returns the mean loss."""
+        for acc in total.values():
+            acc.fill(0)
         loss_sum = 0.0
+        # a document's tape lives until the next one's forward pass has run: freed
+        # earlier, its heap pages go back to the OS and fault in again per document
         for enc, target in batch:
             graph = ad.Graph(np.float32)
             if kind == "cnn":
@@ -214,9 +219,9 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                 else:
                     acc += g
         scale = 1.0 / len(batch)
-        for name in total:
-            total[name] *= scale
-        return total, loss_sum / len(batch)
+        for acc in total.values():
+            acc *= scale
+        return loss_sum / len(batch)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(encoded_train))
@@ -225,10 +230,10 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
         try:
             for start in range(0, len(order), config.batch_size):
                 batch = [encoded_train[i] for i in order[start : start + config.batch_size]]
-                grads, batch_loss = batch_gradients(batch)
+                batch_loss = batch_gradients(batch)
                 if config.grad_clip is not None:
-                    clip_gradients(grads, config.grad_clip)
-                adam_step(trainable, grads, adam)
+                    clip_gradients(total, config.grad_clip)
+                adam_step(trainable, total, adam)
                 epoch_loss += batch_loss
                 n_batches += 1
         except NumericError as exc:
@@ -249,7 +254,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
         })
         if f1 > best_f1:
             best_f1 = f1
-            best_snapshot = _snapshot(params.named_arrays())
+            _copy_arrays(best_snapshot, trainable)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -258,7 +263,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                             epoch, config.patience)
                 break
 
-    _restore(params.named_arrays(), best_snapshot)
+    _copy_arrays(trainable, best_snapshot)
 
     threshold = 0.5
     if config.calibrate and encoded_val:

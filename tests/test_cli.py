@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -124,6 +125,28 @@ class TestTrainEvalReport:
         code = main(["report", "--in", str(tmp / "report.json"), "--format", "json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["report"]["n_resamples"] == 50
+
+
+class TestLogLevel:
+    def test_info_shows_early_stop(self, trained, tmp_path, caplog):
+        _, data_dir = trained
+        # learning rate 0 keeps validation F1 flat, so patience 0 stops at epoch 1
+        config = {"epochs": 3, "patience": 0, "learning_rate": 0.0, "vocab_min_freq": 1,
+                  "embed_dim": 8, "n_filters": 4, "window_sizes": [2], "max_tokens": 40}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+
+        def train(*level):
+            return main([*level, "train", "--model", "cnn", "--config",
+                         str(tmp_path / "config.json"), "--data", str(data_dir),
+                         "--out", str(tmp_path / "cnn.ctrv"), "--seed", "2"])
+
+        try:
+            assert train() == 0
+            assert "early stop" not in caplog.text
+            assert train("--log-level", "info") == 0
+        finally:
+            logging.getLogger().setLevel(logging.WARNING)
+        assert "early stop at epoch 1" in caplog.text
 
 
 class TestExperimentCommand:

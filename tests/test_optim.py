@@ -1,10 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from controkit.errors import DimensionError
+from controkit import optim
+from controkit.errors import DimensionError, UsageError
 from controkit.optim import AdamState, adam_step, clip_gradients
 
 from oracles import adam_trace
+
+
+def _slice_boundary_shapes():
+    """1-D and 2-D shapes whose sizes sit on and around multiples of the
+    slice length adam_step walks a parameter in."""
+    shapes = []
+    for size in (optim._CHUNK - 1, optim._CHUNK, optim._CHUNK + 1, 3 * optim._CHUNK + 7):
+        rows = max(k for k in range(1, int(size**0.5) + 1) if size % k == 0)
+        shapes += [(size,), (rows, size // rows)]
+    return shapes
 
 
 class TestAdam:
@@ -40,7 +53,7 @@ class TestAdam:
             seen.append(float(params["w"][0]))
         assert np.allclose(seen, adam_trace([1.0, 1.0, 1.0], lr=1e-3), rtol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 3)])
+    @pytest.mark.parametrize("shape", [(7,), (5, 3)] + _slice_boundary_shapes())
     def test_in_place_update_bit_identical_to_textbook_expression(self, rng, shape):
         p = rng.normal(size=shape).astype(np.float32)
         expected = p.copy()
@@ -50,6 +63,7 @@ class TestAdam:
         v = np.zeros_like(p)
         for t in range(1, 21):
             g = rng.normal(scale=3.0, size=shape).astype(np.float32)
+            g[rng.random(shape) >= 0.25] = 0.0  # mostly zero, as a table's rows are
             adam_step({"w": p}, {"w": g}, state)
             m = m * b1 + (1.0 - b1) * g
             v = v * b2 + (1.0 - b2) * (g * g)
@@ -57,6 +71,25 @@ class TestAdam:
             v_hat = v / (1.0 - b2**t)
             expected = expected - state.lr * m_hat / (np.sqrt(v_hat) + eps)
             assert np.array_equal(p, expected), t
+
+    def test_step_allocates_nothing_parameter_sized(self, rng):
+        p = rng.normal(size=(1024, 2048)).astype(np.float32)
+        g = rng.normal(size=p.shape).astype(np.float32)
+        state = AdamState()
+        adam_step({"w": p}, {"w": g}, state)  # moments exist from here on
+        tracemalloc.start()
+        try:
+            adam_step({"w": p}, {"w": g}, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * p.nbytes
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = np.zeros((4, 3)).T
+        with pytest.raises(UsageError, match="contiguous"):
+            adam_step({"w": p}, {"w": np.ones(p.shape)}, AdamState())
+        assert not p.any()
 
     def test_update_magnitude_bound(self, rng):
         params = {"w": rng.normal(size=100)}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -24,26 +25,57 @@ def splits():
     return split_simple(docs, seed=32)
 
 
+def _wide_table(docs, rows=20_000):
+    """A ``rows`` x 64 trainable table covering ``docs``, padded with unused words."""
+    words = build_vocabulary(docs, min_freq=1).words()
+    words += [f"filler{i}" for i in range(rows - 2 - len(words))]
+    table = EmbeddingTable.random(Vocabulary.from_tokens(words), 64, np.random.default_rng(0))
+    assert table.vectors.shape == (rows, 64)
+    return table
+
+
+def _traced_fit(kind, docs, validation, cfg, table):
+    """Run a fit under tracemalloc; returns (result, peak bytes)."""
+    tracemalloc.start()
+    try:
+        result = fit(kind, docs, validation, cfg, pretrained=table)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNeuralTraining:
     @pytest.mark.parametrize("kind", ["cnn", "han"])
     def test_fit_peak_memory_bounded_by_table_size(self, kind, splits):
-        # A trainable table costs itself, Adam's two moments, the batch
-        # accumulator, Adam's two scratch buffers and the best-epoch
-        # snapshot; nothing table-sized may be made per document.
+        # The table itself is allocated before tracing. A fit adds Adam's two
+        # moments, the one batch accumulator and the best-epoch snapshot;
+        # Adam's scratch is slice-sized, and nothing table-sized may be made
+        # per document.
         docs = splits["train"][:8]
-        words = build_vocabulary(docs, min_freq=1).words()
-        words += [f"filler{i}" for i in range(20_000 - 2 - len(words))]
-        table = EmbeddingTable.random(Vocabulary.from_tokens(words), 64,
-                                      np.random.default_rng(0))
-        assert table.vectors.shape == (20_000, 64)
+        table = _wide_table(docs)
         cfg = TrainConfig(epochs=1, embed_dim=64, vocab_min_freq=1, seed=7)
-        tracemalloc.start()
-        try:
-            fit(kind, docs, splits["validation"][:4], cfg, pretrained=table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_fit(kind, docs, splits["validation"][:4], cfg, table)
         assert peak <= 10 * table.vectors.nbytes
+
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_fit_holds_each_table_sized_array_once(self, kind, splits):
+        # Two epochs of two batches, and a validation F1 that improves in the
+        # second epoch, fitted on a 20,000- and an 80,000-row table. The
+        # documents, and so the tapes, are the same; the peak grows by the
+        # table-sized arrays held at once. Adam's two moments, the batch
+        # accumulator and the best-epoch snapshot are four; a second
+        # accumulator, snapshot or Adam scratch buffer would make five.
+        docs, validation = splits["train"][:8], splits["validation"][:4]
+        cfg = TrainConfig(epochs=2, batch_size=4, embed_dim=64, vocab_min_freq=1, seed=3)
+        table_bytes, peaks = [], []
+        for rows in (20_000, 80_000):
+            table = _wide_table(docs, rows)
+            result, peak = _traced_fit(kind, docs, validation, cfg, table)
+            assert result.log[1]["val_f1"] > result.log[0]["val_f1"]
+            table_bytes.append(table.vectors.nbytes)
+            peaks.append(peak)
+        arrays_held = (peaks[1] - peaks[0]) / (table_bytes[1] - table_bytes[0])
+        assert arrays_held <= 4.5
 
     @pytest.mark.parametrize("kind", ["cnn", "han"])
     def test_separable_corpus_reaches_f1(self, kind, splits):
@@ -106,6 +138,31 @@ class TestNeuralTraining:
         preds = predict(result.classifier, splits["validation"][:60])
         ps = prediction_set(preds, splits["validation"][:60], model_name="cnn")
         assert prf(ps).f1 == pytest.approx(best_epoch_f1, abs=1e-9)
+
+    def test_restored_parameters_are_those_of_the_best_epoch(self, splits):
+        # a snapshot that aliased the live arrays would restore the last epoch
+        cfg = TrainConfig(**{**CFG.__dict__, "epochs": 4, "learning_rate": 3e-2})
+        train, validation = splits["train"][:120], splits["validation"][:40]
+        full = fit("cnn", train, validation, cfg)
+        assert len(full.log) == cfg.epochs
+        best = int(np.argmax([e["val_f1"] for e in full.log]))
+        assert best < cfg.epochs - 1
+        short = fit("cnn", train, validation, TrainConfig(**{**cfg.__dict__, "epochs": best + 1}))
+        assert json.dumps(short.log) == json.dumps(full.log[: best + 1])
+        want = short.classifier.model.named_arrays()
+        for name, arr in full.classifier.model.named_arrays().items():
+            assert np.array_equal(arr, want[name]), name
+
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_empty_validation_document_counts_as_positive(self, kind, splits):
+        # an empty document scores EMPTY_DOC_SCORE (0.5), which the epoch
+        # log's 0.5 threshold predicts positive
+        empty = dataclasses.replace(splits["validation"][0], id="empty", text="",
+                                    label="controversial")
+        cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1})
+        result = fit(kind, splits["train"][:40], [empty], cfg)
+        assert result.log[0]["val_recall"] == 1.0
+        assert result.log[0]["val_f1"] == 1.0
 
     def test_calibration_flag_sets_threshold(self, splits):
         cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "calibrate": True})
