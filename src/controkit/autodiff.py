@@ -384,19 +384,33 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", (a,), fwd, bwd)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    if a.data.size == 0 or a.shape[-1] == 0:
-        raise DomainError("log_softmax of an empty vector")
+def _log_probabilities(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Negative log-likelihood of the target classes: ``-sum_i log
+    softmax(logits[i])[target[i]]`` over the rows of a 2-D node, as one
+    scalar node. ``target`` is a class index per row (an int for one row).
+    The backward is ``g * (softmax(logits) - onehot(target))``."""
+    if logits.ndim != 2 or logits.shape[1] == 0:
+        raise DomainError(f"cross_entropy needs non-empty 2-D logits, got {logits.shape}")
+    rows = np.arange(logits.shape[0])
+    cols = np.broadcast_to(np.asarray(target, dtype=np.int64), rows.shape)
+    if np.any((cols < 0) | (cols >= logits.shape[1])):
+        raise DomainError(f"cross_entropy targets {cols.tolist()} outside "
+                          f"{logits.shape[1]} classes")
+    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
+    onehot[rows, cols] = 1
 
     def fwd(x):
-        m = np.max(x, axis=-1, keepdims=True)
-        shifted = x - m
-        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        return np.asarray(-_log_probabilities(x)[rows, cols].sum(), dtype=x.dtype)
 
     def bwd(g, out, x):
-        return (g - np.exp(out) * np.sum(g, axis=-1, keepdims=True),)
+        return (g * (np.exp(_log_probabilities(x)) - onehot),)
 
-    return _record("log_softmax", (a,), fwd, bwd)
+    return _record("cross_entropy", (logits,), fwd, bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -450,21 +464,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(pieces)
 
     return _record("concat", tensors, fwd, bwd)
-
-
-def element(a: Tensor, i: int, j: int) -> Tensor:
-    """Scalar pick out of a 2-D node (used for the log-likelihood of the
-    target class)."""
-
-    def fwd(x):
-        return np.asarray(x[i, j], dtype=x.dtype)
-
-    def bwd(g, out, x):
-        gi = np.zeros_like(x)
-        gi[i, j] = g
-        return (gi,)
-
-    return _record("element", (a,), fwd, bwd)
 
 
 def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:

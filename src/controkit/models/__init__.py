@@ -9,7 +9,7 @@ from .base import (  # noqa: F401
     predict,
     save_classifier,
 )
-from .cnn import CnnParams, cnn_forward  # noqa: F401
+from .cnn import CnnParams  # noqa: F401
 from .han import HanParams, han_forward  # noqa: F401
 from .lm import LmModel, lm_train  # noqa: F401
 from .tfidf import TfIdfModel, tfidf_train  # noqa: F401

@@ -2,7 +2,9 @@
 
 A model kind is one ``MODEL_CLASSES`` entry: a ``NeuralModel`` (scores an
 encoded document) or ``LexicalModel`` (scores tokens) with ``score``,
-``checkpoint_parts`` and ``from_checkpoint``.
+``checkpoint_parts`` and ``from_checkpoint``. A neural kind adds only its
+input check (``network_input``) and its forward pass (``logits``); binding,
+the loss and eval scoring are shared. A lexical kind adds ``train``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .. import autodiff as ad
 from ..checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from ..corpus import CONTROVERSIAL
 from ..embeddings import EmbeddingTable
@@ -33,16 +36,52 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 class NeuralModel:
-    """Parameters of a network over an ``embedding`` table. A subclass
-    defines ``named_arrays``, ``random(embedding, rng, **shape)`` and
+    """Parameters of a two-class network over an ``embedding`` table.
+
+    A subclass defines ``named_arrays`` (which includes ``embedding`` and
+    the ``dense.w`` prediction weights), ``random(embedding, rng, **shape)``,
     ``SHAPE``, which maps each shape keyword (stored with checkpoints) to
-    its type: ``int`` for a positive integer, ``list`` for a non-empty list
-    of them."""
+    its type (``int`` for a positive integer, ``list`` for a non-empty list
+    of them), and two methods:
+
+    * ``network_input(doc)``: the network's input from an
+      ``EncodedDocument`` (or that input itself); raises
+      ``EmptyDocumentError`` when there is nothing to read.
+    * ``logits(bound, net_input, mode, rng, dropout_rate)``: the (1, 2)
+      logits node over ``bind``'s nodes.
+    """
 
     SHAPE: dict = {}
 
     def document_input(self, doc, limits: EncodeLimits | None):
         return encode_document(doc, self.embedding.vocab, limits)
+
+    def bind(self, graph: ad.Graph) -> dict[str, ad.Tensor]:
+        """``named_arrays`` as nodes of ``graph``: parameters, except a
+        frozen embedding table, which is a constant."""
+        trainable = self.trainable_arrays()
+        return {name: graph.parameter(name, arr) if name in trainable
+                else graph.constant(arr, name=name)
+                for name, arr in self.named_arrays().items()}
+
+    def loss(self, graph: ad.Graph, net_input, target: int, mode: str = "train",
+             rng=None, dropout_rate: float = 0.5, l2: float = 1e-3) -> ad.Tensor:
+        """Cross-entropy plus the l2 penalty on the dense prediction weights."""
+        bound = self.bind(graph)
+        nll = ad.cross_entropy(self.logits(bound, net_input, mode, rng, dropout_rate), target)
+        if l2 > 0:
+            w = bound["dense.w"]
+            return ad.add(nll, ad.sum_all(ad.mul(w, w)) * l2)
+        return nll
+
+    def probabilities(self, doc) -> np.ndarray:
+        """Eval-mode class probabilities [non-controversial, controversial]."""
+        net_input = self.network_input(doc)
+        graph = ad.Graph(np.float32)  # held here: nodes refer to their graph weakly
+        return ad.softmax(self.logits(self.bind(graph), net_input)).data[0]
+
+    def score(self, doc) -> float:
+        return float(self.probabilities(doc)[1])
 
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         arrays = self.named_arrays()
@@ -96,7 +135,9 @@ def _shape_value(ckpt: Checkpoint, name: str, kind: type):
 
 class LexicalModel:
     """A model scoring a document's tokens. Loading reads its terms from the
-    hash-checked checkpoint vocabulary; the stored ``terms`` extra repeats it."""
+    hash-checked checkpoint vocabulary; the stored ``terms`` extra repeats it.
+    A subclass fits in one deterministic pass through the classmethod
+    ``train(docs, config)``, reading its settings off a ``TrainConfig``."""
 
     def document_input(self, doc, limits: EncodeLimits | None):
         tokens = tokenize(doc.text if hasattr(doc, "text") else doc)

@@ -15,7 +15,7 @@ direction and level, and whole-array attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,53 +91,40 @@ class HanParams(NeuralModel):
         out["dense.b"] = self.dense_b
         return out
 
-    def score(self, encoded: EncodedDocument) -> float:
-        return float(han_forward(encoded, self, mode="eval")[0][1])
+    def network_input(self, doc) -> list[list[int]]:
+        """The sentences of an encoded document (or a sentence list)."""
+        sentences = doc.sentences if isinstance(doc, EncodedDocument) else doc
+        if not sentences:
+            raise EmptyDocumentError(f"document {getattr(doc, 'doc_id', '')!r} has no sentences")
+        return sentences
+
+    def logits(self, bound, sentences, mode: str = "eval", rng=None,
+               dropout_rate: float = 0.5) -> ad.Tensor:
+        return han_logits(bound, sentences, mode, rng, dropout_rate)[0]
 
 
-class _BoundAttention:
-    def __init__(self, graph: ad.Graph, prefix: str, w, b, u):
-        self.w_t = ad.transpose(graph.parameter(f"{prefix}.w", w))
-        self.b = graph.parameter(f"{prefix}.b", b)
-        self.u_col = ad.reshape(graph.parameter(f"{prefix}.u", u), (len(u), 1))
-
-    def scores(self, states: ad.Tensor) -> ad.Tensor:
-        """One attention logit per row of ``states``, as an (n, 1) column."""
-        return ad.matmul(ad.tanh(ad.add(ad.matmul(states, self.w_t), self.b)), self.u_col)
+def _cell(bound, prefix: str) -> tuple:
+    """The nine bound blocks of one GRU, in the order ``gru_sequence`` takes."""
+    return tuple(bound[f"{prefix}.{block.name}"] for block in fields(GruParams))
 
 
-class BoundHan:
-    def __init__(self, graph: ad.Graph, params: HanParams):
-        self.params = params
-        if params.embedding.trainable:
-            self.embedding = graph.parameter("embedding", params.embedding.vectors)
-        else:
-            self.embedding = graph.constant(params.embedding.vectors, name="embedding")
-        self.word_fw = params.word_fw.register(graph, "word_fw")
-        self.word_bw = params.word_bw.register(graph, "word_bw")
-        self.word_att = _BoundAttention(graph, "word_att", params.word_att_w,
-                                        params.word_att_b, params.word_att_u)
-        self.sent_fw = params.sent_fw.register(graph, "sent_fw")
-        self.sent_bw = params.sent_bw.register(graph, "sent_bw")
-        self.sent_att = _BoundAttention(graph, "sent_att", params.sent_att_w,
-                                        params.sent_att_b, params.sent_att_u)
-        self.dense_w_t = ad.transpose(graph.parameter("dense.w", params.dense_w))
-        self.dense_b = graph.parameter("dense.b", params.dense_b)
+def _attention_scores(bound, prefix: str, states: ad.Tensor) -> ad.Tensor:
+    """One attention logit per row of ``states``, as an (n, 1) column."""
+    hidden = ad.tanh(ad.add(ad.matmul(states, ad.transpose(bound[f"{prefix}.w"])),
+                            bound[f"{prefix}.b"]))
+    u = bound[f"{prefix}.u"]
+    return ad.matmul(hidden, ad.reshape(u, (u.shape[0], 1)))
 
 
-def han_document_vector(graph: ad.Graph, bound: BoundHan, sentences, mode: str,
-                        rng=None, dropout_rate: float = 0.5):
+def han_document_vector(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5):
     """Document vector plus both attention distributions.
 
     Returns (doc_vec (1, 2h), word_alpha (S, L) with padded positions at
     zero weight, sent_alpha (1, S)).
     """
-    if not sentences:
-        raise EmptyDocumentError("document has no sentences")
     n_sent = len(sentences)
     lengths = np.array([len(s) for s in sentences])
     max_len = int(lengths.max())
-    rep = 2 * bound.params.hidden_dim
 
     padded = np.full((n_sent, max_len), PAD_INDEX, dtype=np.int64)
     for i, sent in enumerate(sentences):
@@ -145,45 +132,39 @@ def han_document_vector(graph: ad.Graph, bound: BoundHan, sentences, mode: str,
     mask = np.arange(max_len) < lengths[:, None]
 
     # word level: row i * L + t of every (S * L, .) node is word t of sentence i
-    x = ad.lookup(bound.embedding, padded.reshape(-1), pad_index=PAD_INDEX)
-    word_h = ad.concat((gru_sequence(x, bound.word_fw, n_sent, mask),
-                       gru_sequence(x, bound.word_bw, n_sent, mask, reverse=True)), axis=1)
-    scores = ad.reshape(bound.word_att.scores(word_h), (n_sent, max_len))
+    x = ad.lookup(bound["embedding"], padded.reshape(-1), pad_index=PAD_INDEX)
+    word_h = ad.concat((gru_sequence(x, _cell(bound, "word_fw"), n_sent, mask),
+                        gru_sequence(x, _cell(bound, "word_bw"), n_sent, mask, reverse=True)),
+                       axis=1)
+    rep = word_h.shape[1]
+    scores = ad.reshape(_attention_scores(bound, "word_att", word_h), (n_sent, max_len))
     # -1e9 on padded positions forces their attention weight to exactly zero
     # after the stabilized softmax; real positions add 0
-    scores = ad.add(scores, graph.constant(np.where(mask, 0.0, MASK_LOGIT)))
-    word_alpha = ad.softmax(scores)
+    word_alpha = ad.softmax(ad.add(scores, np.where(mask, 0.0, MASK_LOGIT)))
     sent_vec = ad.reshape(ad.matmul(ad.reshape(word_alpha, (n_sent, 1, max_len)),
                                     ad.reshape(word_h, (n_sent, max_len, rep))),
                           (n_sent, rep))
 
     # sentence level: one sequence of S steps
-    sent_h = ad.concat((gru_sequence(sent_vec, bound.sent_fw, 1),
-                        gru_sequence(sent_vec, bound.sent_bw, 1, reverse=True)), axis=1)
-    sent_alpha = ad.softmax(ad.reshape(bound.sent_att.scores(sent_h), (1, n_sent)))
+    sent_h = ad.concat((gru_sequence(sent_vec, _cell(bound, "sent_fw"), 1),
+                        gru_sequence(sent_vec, _cell(bound, "sent_bw"), 1, reverse=True)),
+                       axis=1)
+    sent_alpha = ad.softmax(ad.reshape(_attention_scores(bound, "sent_att", sent_h),
+                                       (1, n_sent)))
     doc_vec = ad.matmul(sent_alpha, sent_h)  # (1, 2h)
     doc_vec = ad.dropout(doc_vec, dropout_rate, mode, rng)
     return doc_vec, word_alpha, sent_alpha
 
 
-def han_logits(graph, bound, sentences, mode, rng=None, dropout_rate=0.5):
-    doc_vec, word_alpha, sent_alpha = han_document_vector(
-        graph, bound, sentences, mode, rng, dropout_rate)
-    logits = ad.add(ad.matmul(doc_vec, bound.dense_w_t), bound.dense_b)
+def han_logits(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5):
+    """The (1, 2) logits node plus both attention distributions."""
+    doc_vec, word_alpha, sent_alpha = han_document_vector(bound, sentences, mode, rng,
+                                                          dropout_rate)
+    logits = ad.add(ad.matmul(doc_vec, ad.transpose(bound["dense.w"])), bound["dense.b"])
     return logits, word_alpha, sent_alpha
 
 
-def han_loss(graph: ad.Graph, bound: BoundHan, sentences, target: int, mode: str,
-             rng=None, dropout_rate: float = 0.5, l2: float = 1e-3) -> ad.Tensor:
-    logits, _, _ = han_logits(graph, bound, sentences, mode, rng, dropout_rate)
-    nll = -ad.element(ad.log_softmax(logits), 0, target)
-    if l2 > 0:
-        w = graph.params["dense.w"]
-        return ad.add(nll, ad.sum_all(ad.mul(w, w)) * l2)
-    return nll
-
-
-def han_forward(encoded, params: HanParams, mode: str = "eval", rng=None,
+def han_forward(doc, params: HanParams, mode: str = "eval", rng=None,
                 dropout_rate: float = 0.5, dtype=np.float32):
     """Class probabilities plus attention weights for one document.
 
@@ -191,17 +172,10 @@ def han_forward(encoded, params: HanParams, mode: str = "eval", rng=None,
     is a list per sentence trimmed to the sentence's true length; sentence
     attention is a 1-D array over sentences. Each distribution sums to 1.
     """
-    if isinstance(encoded, EncodedDocument):
-        if encoded.empty or not encoded.sentences:
-            raise EmptyDocumentError(f"document {encoded.doc_id!r} has no sentences")
-        sentences = encoded.sentences
-    else:
-        sentences = encoded
-        if not sentences:
-            raise EmptyDocumentError("document has no sentences")
+    sentences = params.network_input(doc)
     graph = ad.Graph(dtype)
-    bound = BoundHan(graph, params)
-    logits, word_alpha, sent_alpha = han_logits(graph, bound, sentences, mode, rng, dropout_rate)
+    logits, word_alpha, sent_alpha = han_logits(params.bind(graph), sentences, mode, rng,
+                                                dropout_rate)
     probs = ad.softmax(logits)
     word_attention = [word_alpha.data[i, : len(sent)].copy()
                       for i, sent in enumerate(sentences)]

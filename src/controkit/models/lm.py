@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import CONTROVERSIAL
-from ..errors import UsageError
+from ..errors import DataFormatError, UsageError
 from ..textprep import tokenize
 from .base import LexicalModel
 
@@ -53,6 +53,13 @@ class LmModel(LexicalModel):
         return {}, {}, self.terms, extra
 
     @classmethod
+    def train(cls, docs, config) -> "LmModel":
+        """Fit with ``config.lm_mu``, filtered by the lexicon file at
+        ``config.lm_lexicon_path`` when one is set."""
+        lexicon = read_lexicon(config.lm_lexicon_path) if config.lm_lexicon_path else None
+        return lm_train(docs, mu=config.lm_mu, lexicon=lexicon)
+
+    @classmethod
     def from_checkpoint(cls, ckpt) -> "LmModel":
         terms = ckpt.vocabulary
         return lm_from_counts(terms=terms,
@@ -83,6 +90,16 @@ def lm_from_counts(terms, pos_counts, neg_counts, mu: float = DEFAULT_MU) -> LmM
         p_neg=p_neg,
         log_ratio=np.log(p_pos) - np.log(p_neg),
     )
+
+
+def read_lexicon(path) -> set[str]:
+    """The lowercased terms of a lexicon file, one per line; blank lines are
+    skipped. A file without terms is refused, not read as "no lexicon"."""
+    with open(path, "r", encoding="utf-8") as f:
+        lexicon = {line.strip().lower() for line in f if line.strip()}
+    if not lexicon:
+        raise DataFormatError(f"lexicon file {path} has no terms")
+    return lexicon
 
 
 def lm_train(docs, mu: float = DEFAULT_MU, lexicon=None) -> LmModel:

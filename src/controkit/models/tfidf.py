@@ -41,6 +41,11 @@ class TfIdfModel(LexicalModel):
         return {}, arrays, self.terms, extra
 
     @classmethod
+    def train(cls, docs, config) -> "TfIdfModel":
+        return tfidf_train(docs, epochs=config.tfidf_epochs, lr=config.tfidf_lr,
+                           l2=config.tfidf_l2)
+
+    @classmethod
     def from_checkpoint(cls, ckpt) -> "TfIdfModel":
         terms = ckpt.vocabulary
         return tfidf_from_counts(terms=terms,

@@ -1,15 +1,15 @@
 """Seed-deterministic training for all four classifier kinds.
 
-The neural loop trains per-document graphs with gradient accumulation over
-each mini-batch followed by a single Adam apply, cross-entropy plus an l2
-penalty on the dense prediction weights, epoch-wise seeded shuffling, and
-early stopping on validation F1 (best-validation parameters are restored
-at the end). Besides the live parameters, a fit allocates four arrays the
+The neural loop trains per-document graphs of the model's loss
+(cross-entropy plus an l2 penalty on the dense prediction weights) with
+gradient accumulation over each mini-batch followed by a single Adam apply,
+epoch-wise seeded shuffling, and early stopping on validation F1
+(best-validation parameters are restored at the end). Besides the live parameters, a fit allocates four arrays the
 size of each trainable one, once: Adam's two moments, the best-epoch
 snapshot (overwritten in place) and the dense gradient accumulator, which
 every mini-batch zeroes and refills. A document's row-sparse table gradient
 is scatter-added into that accumulator, so the table is densified once per
-mini-batch. Lexical models fit in one deterministic pass.
+mini-batch. Lexical models fit in one deterministic pass of their ``train``.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .base import (
     calibrate_threshold,
     label_to_int,
 )
-from .cnn import BoundCnn, cnn_forward, cnn_loss
-from .han import BoundHan, han_forward, han_loss
-from .lm import lm_train
-from .tfidf import tfidf_train
 
 logger = logging.getLogger(__name__)
 
@@ -135,20 +131,11 @@ def _copy_arrays(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None
         np.copyto(arr, src[name])
 
 
-def _neural_score(kind, params, encoded) -> float:
+def _score_or_sentinel(model: NeuralModel, encoded) -> float:
     try:
-        if kind == "cnn":
-            return float(cnn_forward(encoded, params, mode="eval")[1])
-        probs, _, _ = han_forward(encoded, params, mode="eval")
-        return float(probs[1])
+        return model.score(encoded)
     except EmptyDocumentError:
         return EMPTY_DOC_SCORE
-
-
-def _usable(kind, encoded) -> bool:
-    if kind == "cnn":
-        return not encoded.empty
-    return bool(encoded.sentences)
 
 
 def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
@@ -171,11 +158,13 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     limits = config.limits()
     encoded_train = []
     for doc in train_docs:
-        enc = encode_document(doc, embedding.vocab, limits)
-        if _usable(kind, enc):
-            encoded_train.append((enc, label_to_int(doc.label)))
-    encoded_val = [(encode_document(d, embedding.vocab, limits), label_to_int(d.label))
-                   for d in validation_docs]
+        try:
+            net_input = params.network_input(encode_document(doc, embedding.vocab, limits))
+        except EmptyDocumentError:
+            continue
+        encoded_train.append((net_input, label_to_int(doc.label)))
+    encoded_val = [encode_document(d, embedding.vocab, limits) for d in validation_docs]
+    val_labels = [label_to_int(d.label) for d in validation_docs]
     if not encoded_train:
         raise UsageError("no usable training documents after encoding")
 
@@ -197,16 +186,10 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
         loss_sum = 0.0
         # a document's tape lives until the next one's forward pass has run: freed
         # earlier, its heap pages go back to the OS and fault in again per document
-        for enc, target in batch:
+        for net_input, target in batch:
             graph = ad.Graph(np.float32)
-            if kind == "cnn":
-                bound = BoundCnn(graph, params)
-                loss = cnn_loss(graph, bound, enc.tokens, target, mode="train",
-                                rng=rng, dropout_rate=config.dropout, l2=config.l2)
-            else:
-                bound = BoundHan(graph, params)
-                loss = han_loss(graph, bound, enc.sentences, target, mode="train",
-                                rng=rng, dropout_rate=config.dropout, l2=config.l2)
+            loss = params.loss(graph, net_input, target, rng=rng,
+                               dropout_rate=config.dropout, l2=config.l2)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericError(f"training loss became {value}")
@@ -242,8 +225,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
             logger.error("training diverged, keeping last good checkpoint: %s", diagnostic)
             break
 
-        val_scores = [_neural_score(kind, params, enc) for enc, _ in encoded_val]
-        val_labels = [t for _, t in encoded_val]
+        val_scores = [_score_or_sentinel(params, enc) for enc in encoded_val]
         precision, recall, f1 = precision_recall_f1(np.asarray(val_scores) >= 0.5, val_labels)
         log.append({
             "epoch": epoch,
@@ -267,8 +249,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
 
     threshold = 0.5
     if config.calibrate and encoded_val:
-        val_scores = [_neural_score(kind, params, enc) for enc, _ in encoded_val]
-        val_labels = [t for _, t in encoded_val]
+        val_scores = [_score_or_sentinel(params, enc) for enc in encoded_val]
         threshold = calibrate_threshold(val_scores, val_labels)
 
     clf = Classifier(kind=kind, model=params, threshold=threshold, limits=limits,
@@ -277,15 +258,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
 
 
 def _train_lexical(kind: str, train_docs, validation_docs, config: TrainConfig) -> TrainResult:
-    if kind == "tfidf":
-        model = tfidf_train(train_docs, epochs=config.tfidf_epochs,
-                            lr=config.tfidf_lr, l2=config.tfidf_l2)
-    else:
-        lexicon = None
-        if config.lm_lexicon_path:
-            with open(config.lm_lexicon_path, "r", encoding="utf-8") as f:
-                lexicon = {line.strip().lower() for line in f if line.strip()}
-        model = lm_train(train_docs, mu=config.lm_mu, lexicon=lexicon)
+    model = MODEL_CLASSES[kind].train(train_docs, config)
 
     threshold = 0.0
     if config.calibrate and validation_docs:

@@ -30,8 +30,8 @@ from controkit.metrics import (
     spearman,
 )
 from controkit.models import TrainConfig, fit, load_classifier, predict, save_classifier
-from controkit.models.cnn import BoundCnn, CnnParams, cnn_loss
-from controkit.models.han import BoundHan, HanParams, han_forward, han_loss
+from controkit.models.cnn import CnnParams
+from controkit.models.han import HanParams, han_forward
 from controkit.metrics import prediction_set
 from controkit.synthetic import (
     make_drift_corpus,
@@ -113,7 +113,7 @@ def test_criterion_2_gradient_suite():
         n_cnn = sum(a.size for a in cnn.named_arrays().values())
         assert n_cnn <= 200
         graph = ad.Graph(np.float64)
-        loss = cnn_loss(graph, BoundCnn(graph, cnn), flat_doc, target=1, mode="train",
+        loss = cnn.loss(graph, flat_doc, target=1, mode="train",
                         rng=np.random.default_rng(seed + 100), dropout_rate=0.5, l2=1e-3)
         report = ad.grad_check(graph, loss, step=1e-4, tolerance=1e-4)
         assert report.passed, f"cnn seed {seed}: {report}"
@@ -123,9 +123,8 @@ def test_criterion_2_gradient_suite():
         n_han = sum(a.size for a in han.named_arrays().values())
         assert n_han <= 200
         graph = ad.Graph(np.float64)
-        loss = han_loss(graph, BoundHan(graph, han), two_sentence_doc, target=0,
-                        mode="train", rng=np.random.default_rng(seed + 200),
-                        dropout_rate=0.5, l2=1e-3)
+        loss = han.loss(graph, two_sentence_doc, target=0, mode="train",
+                        rng=np.random.default_rng(seed + 200), dropout_rate=0.5, l2=1e-3)
         report = ad.grad_check(graph, loss, step=1e-4, tolerance=1e-4)
         assert report.passed, f"han seed {seed}: {report}"
         worst = max(worst, report.max_error)

@@ -100,8 +100,9 @@ class TestSoftmax:
     def test_rowwise_gradients(self, rng):
         g = ad.Graph(np.float64)
         x = g.parameter("x", rng.normal(size=(3, 4)))
-        picked = ad.element(ad.softmax(x), 1, 2)
-        report = ad.grad_check(g, picked, 1e-6, 1e-7)
+        weights = g.constant(rng.normal(size=(3, 4)))
+        head = ad.sum_all(ad.mul(ad.softmax(x), weights))
+        report = ad.grad_check(g, head, 1e-6, 1e-7)
         assert report.passed
 
 
@@ -223,21 +224,59 @@ class TestOps:
         expected[2] = 2.0  # row 2 gathered twice; pad row stays zero
         assert np.array_equal(grads["table"], expected)
 
-    def test_concat_element_grads(self, rng):
+    def test_concat_grads(self, rng):
         g = ad.Graph(np.float64)
         a = g.parameter("a", rng.normal(size=(2, 3)))
         b = g.parameter("b", rng.normal(size=(2, 2)))
         joined = ad.concat((a, b), axis=1)
-        picked = ad.add(ad.sum_all(ad.tanh(joined)), ad.element(joined, 0, 4))
-        report = ad.grad_check(g, picked, 1e-6, 1e-7)
+        weights = g.constant(rng.normal(size=(2, 5)))
+        head = ad.sum_all(ad.mul(ad.tanh(joined), weights))
+        report = ad.grad_check(g, head, 1e-6, 1e-7)
         assert report.passed
 
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        v = rng.normal(size=6)
+
+class TestCrossEntropy:
+    def test_matches_log_of_softmax(self, rng):
+        v = rng.normal(size=(3, 6))
+        targets = [4, 0, 5]
         g = ad.Graph(np.float64)
-        a = ad.log_softmax(g.constant(v)).data
-        b = np.log(ad.softmax(g.constant(v)).data)
-        assert np.allclose(a, b, atol=1e-12)
+        loss = ad.cross_entropy(g.constant(v), targets).data
+        probs = ad.softmax(g.constant(v)).data
+        assert loss.shape == ()
+        assert np.allclose(loss, -np.log(probs[[0, 1, 2], targets]).sum(), atol=1e-12)
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_grad_check(self, rng, target):
+        g = ad.Graph(np.float64)
+        x = g.parameter("x", rng.normal(size=(1, 3)))
+        w = g.parameter("w", rng.normal(size=(3, 2)))
+        loss = ad.cross_entropy(ad.matmul(x, w), target)
+        report = ad.grad_check(g, loss, 1e-6, 1e-7)
+        assert report.passed, report
+
+    def test_grad_check_one_target_per_row(self, rng):
+        g = ad.Graph(np.float64)
+        logits = g.parameter("logits", rng.normal(size=(3, 4)))
+        report = ad.grad_check(g, ad.cross_entropy(logits, [3, 0, 3]), 1e-6, 1e-7)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_far_apart_stay_finite(self, dtype):
+        for target, expected_loss, expected_grad in ((0, 0.0, [0.0, 0.0]),
+                                                     (1, 1e4, [1.0, -1.0])):
+            g = ad.Graph(dtype)
+            logits = g.parameter("logits", [[1e4, 0.0]])
+            loss = ad.cross_entropy(logits, target)
+            grad = g.backward(loss)["logits"]
+            assert float(loss.data) == expected_loss
+            assert np.array_equal(grad, [expected_grad])
+
+    def test_target_out_of_range_rejected(self):
+        g = ad.Graph()
+        with pytest.raises(DomainError, match="targets"):
+            ad.cross_entropy(g.constant([[0.0, 1.0]]), 2)
+        with pytest.raises(DomainError, match="2-D"):
+            ad.cross_entropy(g.constant([0.0, 1.0]), 0)
 
 
 class TestDropout:

@@ -218,6 +218,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ctrv")])
         assert code == 2
 
+    def test_empty_lexicon_file_is_data_error(self, trained, tmp_path):
+        _, data_dir = trained
+        (tmp_path / "lexicon.txt").write_text("\n")
+        config = {"lm_lexicon_path": str(tmp_path / "lexicon.txt")}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = main(["train", "--model", "lm", "--config", str(tmp_path / "config.json"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "lm.ctrv")])
+        assert code == 3
+
     def test_malformed_checkpoint_is_data_error(self, trained, tmp_path, capsys):
         tmp, data_dir = trained
         raw = (tmp / "tfidf.ctrv").read_bytes()

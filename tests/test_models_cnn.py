@@ -4,7 +4,7 @@ import pytest
 from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
 from controkit.models.base import EmptyDocumentError
-from controkit.models.cnn import BoundCnn, CnnParams, cnn_forward, cnn_loss
+from controkit.models.cnn import CnnParams
 from controkit.textprep import EncodedDocument, Vocabulary
 
 from oracles import cnn_scalar
@@ -24,7 +24,7 @@ def zeroed_cnn(vocab_size=6, dim=4, windows=(2, 3), n_filters=3):
 
 
 def test_all_zero_parameters_give_uniform_probabilities():
-    probs = cnn_forward([2, 3, 4, 5], zeroed_cnn())
+    probs = zeroed_cnn().probabilities([2, 3, 4, 5])
     assert np.array_equal(probs, [0.5, 0.5])
 
 
@@ -37,10 +37,10 @@ def test_max_over_time_position_invariance(rng):
 
     def pooled_activation(tokens):
         graph = ad.Graph(np.float64)
-        bound = BoundCnn(graph, params)
-        emb = ad.lookup(bound.embedding, tokens, pad_index=0)
-        act = ad.relu(ad.add(ad.matmul(ad.windows(emb, 3), bound.filters_t[3]),
-                             bound.biases[3]))
+        bound = params.bind(graph)
+        emb = ad.lookup(bound["embedding"], tokens, pad_index=0)
+        act = ad.relu(ad.add(ad.matmul(ad.windows(emb, 3), ad.transpose(bound["conv3.w"])),
+                             bound["conv3.b"]))
         return float(ad.max_over_rows(act).data[0, 0])
 
     early = pooled_activation([2, 3, 4, 5, 5, 5, 5])
@@ -51,14 +51,14 @@ def test_max_over_time_position_invariance(rng):
 def test_matches_scalar_loop_oracle(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
     tokens = [2, 3, 4, 5, 6, 2, 4]
-    probs = cnn_forward(tokens, params)
+    probs = params.probabilities(tokens)
     oracle = cnn_scalar(tokens, params)
     assert np.max(np.abs(probs - oracle)) < 1e-5
 
 
 def test_short_document_padded_to_window(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2)
-    probs = cnn_forward([3], params)  # shorter than the widest window
+    probs = params.probabilities([3])  # shorter than the widest window
     assert probs.shape == (2,)
     assert abs(probs.sum() - 1.0) < 1e-6
 
@@ -67,25 +67,24 @@ def test_empty_document_signals(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
     encoded = EncodedDocument(doc_id="d", sentences=[], tokens=[0, 0, 0], empty=True)
     with pytest.raises(EmptyDocumentError):
-        cnn_forward(encoded, params)
+        params.probabilities(encoded)
     with pytest.raises(EmptyDocumentError):
-        cnn_forward([0, 0, 0], params)  # nothing but padding
+        params.probabilities([0, 0, 0])  # nothing but padding
 
 
 def test_probabilities_sum_to_one(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
     for _ in range(20):
         tokens = rng.integers(2, 7, size=rng.integers(3, 12)).tolist()
-        probs = cnn_forward(tokens, params)
+        probs = params.probabilities(tokens)
         assert abs(probs.sum() - 1.0) < 1e-6
 
 
 def test_toy_gradient_check(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
     graph = ad.Graph(np.float64)
-    bound = BoundCnn(graph, params)
-    loss = cnn_loss(graph, bound, [2, 3, 4, 5, 6], target=1, mode="train",
-                    rng=np.random.default_rng(5), dropout_rate=0.5, l2=1e-3)
+    loss = params.loss(graph, [2, 3, 4, 5, 6], target=1, mode="train",
+                       rng=np.random.default_rng(5), dropout_rate=0.5, l2=1e-3)
     report = ad.grad_check(graph, loss, 1e-4, 1e-4)
     assert report.passed, report
 
@@ -96,8 +95,7 @@ def test_l2_term_increases_loss(rng, small_embedding):
 
     def loss_value(l2):
         graph = ad.Graph(np.float64)
-        bound = BoundCnn(graph, params)
-        return float(cnn_loss(graph, bound, [2, 3, 4], 0, "eval", l2=l2).data)
+        return float(params.loss(graph, [2, 3, 4], 0, "eval", l2=l2).data)
 
     assert loss_value(1e-3) == pytest.approx(loss_value(0.0) + 1e-3 * params.dense_w.size)
 
@@ -107,5 +105,5 @@ def test_frozen_embedding_not_trainable(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
     assert "embedding" not in params.trainable_arrays()
     graph = ad.Graph(np.float32)
-    BoundCnn(graph, params)
+    params.bind(graph)
     assert "embedding" not in graph.params

@@ -3,7 +3,7 @@ import pytest
 
 from controkit import autodiff as ad
 from controkit.models.base import EmptyDocumentError
-from controkit.models.han import BoundHan, HanParams, han_forward, han_loss
+from controkit.models.han import HanParams, han_forward
 from controkit.textprep import EncodedDocument
 
 from oracles import han_scalar
@@ -90,9 +90,8 @@ def test_empty_document_signals(han_params):
 def test_toy_gradient_check(small_embedding, rng):
     params = HanParams.random(small_embedding, rng, hidden_dim=1, scale=0.5)
     graph = ad.Graph(np.float64)
-    bound = BoundHan(graph, params)
-    loss = han_loss(graph, bound, [[2, 3, 4], [5, 6, 2]], target=0, mode="train",
-                    rng=np.random.default_rng(9), dropout_rate=0.5, l2=1e-3)
+    loss = params.loss(graph, [[2, 3, 4], [5, 6, 2]], target=0, mode="train",
+                       rng=np.random.default_rng(9), dropout_rate=0.5, l2=1e-3)
     report = ad.grad_check(graph, loss, 1e-4, 1e-4)
     assert report.passed, report
 
@@ -109,8 +108,7 @@ def test_tape_size_does_not_depend_on_the_document(han_params):
     tapes = []
     for sentences in ([[2, 3, 4], [5, 6]], [[2, 3, 4, 5, 6, 2, 3], [4], [5, 6, 2], [3, 4]]):
         graph = ad.Graph(np.float32)
-        han_loss(graph, BoundHan(graph, han_params), sentences, target=1, mode="train",
-                 rng=np.random.default_rng(0))
+        han_params.loss(graph, sentences, target=1, mode="train", rng=np.random.default_rng(0))
         tapes.append([node.op for node in graph.nodes])
     assert len(tapes[0]) == len(tapes[1]) < 100
     assert tapes[0].count("lookup") == 1
@@ -123,11 +121,11 @@ def test_frozen_table_gets_no_gradient(small_embedding, rng):
     for trainable in (True, False):
         params.embedding.trainable = trainable
         graph = ad.Graph(np.float32)
-        bound = BoundHan(graph, params)
-        loss = han_loss(graph, bound, [[2, 3, 4], [5, 6]], target=1, mode="train",
-                        rng=np.random.default_rng(4))
+        loss = params.loss(graph, [[2, 3, 4], [5, 6]], target=1, mode="train",
+                           rng=np.random.default_rng(4))
         grads[trainable] = graph.backward(loss)
-    assert bound.embedding.op == "const" and bound.embedding.grad is None
+    embedding = next(node for node in graph.nodes if node.name == "embedding")
+    assert embedding.op == "const" and embedding.grad is None
     assert set(grads[True]) - set(grads[False]) == {"embedding"}
     for name, g in grads[False].items():
         assert np.array_equal(g, grads[True][name]), name

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from controkit.corpus import CONTROVERSIAL, NON_CONTROVERSIAL
-from controkit.errors import UsageError
+from controkit.errors import DataFormatError, UsageError
+from controkit.models import TrainConfig, fit
 from controkit.models.lm import lm_train
 from controkit.models.tfidf import tfidf_train, tfidf_vector
 from controkit.synthetic import make_separable_corpus
@@ -150,3 +151,25 @@ class TestLm:
         corpus = [doc("keyword a", CONTROVERSIAL), doc("plain b", NON_CONTROVERSIAL)]
         with pytest.raises(UsageError, match="lexicon"):
             lm_train(corpus, lexicon={"keyword"})
+
+    def test_lexicon_file_read_by_fit(self, tmp_path):
+        corpus = [
+            doc("filtered out entirely", CONTROVERSIAL),
+            doc("keyword alpha beta", CONTROVERSIAL),
+            doc("keyword gamma delta", NON_CONTROVERSIAL),
+            doc("also dropped", NON_CONTROVERSIAL),
+        ]
+        path = tmp_path / "lexicon.txt"
+        path.write_text("  KeyWord \n\nabsent\n", encoding="utf-8")
+        config = TrainConfig(lm_mu=1.0, lm_lexicon_path=str(path))
+        model = fit("lm", corpus, [], config).classifier.model
+        expected = lm_train(corpus, mu=1.0, lexicon={"keyword", "absent"})
+        assert model.terms == expected.terms
+        assert np.array_equal(model.log_ratio, expected.log_ratio)
+
+    def test_lexicon_file_without_terms_rejected(self, tmp_path):
+        corpus = [doc("keyword a", CONTROVERSIAL), doc("plain b", NON_CONTROVERSIAL)]
+        path = tmp_path / "lexicon.txt"
+        path.write_text("\n   \n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="no terms"):
+            fit("lm", corpus, [], TrainConfig(lm_lexicon_path=str(path)))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from controkit.embeddings import EmbeddingTable
-from controkit.models import TrainConfig, fit, predict
+from controkit.models import TrainConfig, calibrate_threshold, fit, predict
+from controkit.models.base import label_to_int
 from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
 from controkit.textprep import Vocabulary, build_vocabulary
@@ -166,8 +167,13 @@ class TestNeuralTraining:
 
     def test_calibration_flag_sets_threshold(self, splits):
         cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "calibrate": True})
-        result = fit("tfidf", splits["train"][:100], splits["validation"][:40], cfg)
-        assert result.classifier.threshold != 0.0 or True  # calibrated value recorded
+        validation = splits["validation"][:40]
+        result = fit("tfidf", splits["train"][:100], validation, cfg)
+        model = result.classifier.model
+        expected = calibrate_threshold([model.score(d.text) for d in validation],
+                                       [label_to_int(d.label) for d in validation])
+        assert expected != 0.0
+        assert result.classifier.threshold == expected
         cfg_plain = TrainConfig(**{**CFG.__dict__, "epochs": 1})
         plain = fit("tfidf", splits["train"][:100], splits["validation"][:40], cfg_plain)
         assert plain.classifier.threshold == 0.0
