@@ -317,14 +317,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), fwd, bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def fwd(x):
-        return x.T.copy()
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The dense layer ``x @ w.T + b`` for x (n, k), w (m, k) and b (m,), as
+    one node. ``w.T`` enters the products as a C-ordered copy: BLAS rounds
+    some shapes differently for a transposed view of ``w``."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise DimensionError(f"linear needs x (n, k), w (m, k) and b (m,), "
+                             f"got {x.shape}, {w.shape} and {b.shape}")
 
-    def bwd(g, out, x):
-        return (g.T.copy(),)
+    def fwd(x, w, b):
+        return x @ w.T.copy() + b
 
-    return _record("transpose", (a,), fwd, bwd)
+    def bwd(g, out, x, w, b):
+        return g @ w.T.copy().T, g.T @ x, g.sum(0)
+
+    return _record("linear", (x, w, b), fwd, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -347,16 +354,6 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return _record("tanh", (a,), fwd, bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    def fwd(x):
-        return np.maximum(x, 0.0)
-
-    def bwd(g, out, x):
-        return (g * (x > 0),)
-
-    return _record("relu", (a,), fwd, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -423,27 +420,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record("sum_all", (a,), fwd, bwd)
 
 
-def max_over_rows(a: Tensor) -> Tensor:
-    """Column-wise maximum of a 2-D array, kept as a 1 x n row.
-
-    The gradient is routed to the first maximal row of each column, which
-    keeps backward deterministic under ties.
-    """
-    if a.ndim != 2:
-        raise DimensionError(f"max_over_rows needs a 2-D input, got {a.shape}")
-
-    def fwd(x):
-        return x.max(axis=0, keepdims=True)
-
-    def bwd(g, out, x):
-        winners = np.argmax(x, axis=0)
-        gi = np.zeros_like(x)
-        gi[winners, np.arange(x.shape[1])] = g[0]
-        return (gi,)
-
-    return _record("max_over_rows", (a,), fwd, bwd)
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = tuple(tensors)
     if not tensors:
@@ -487,31 +463,49 @@ def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
     return _record("lookup", (table,), fwd, bwd)
 
 
-def windows(a: Tensor, width: int) -> Tensor:
-    """All contiguous row-windows of a 2-D array, flattened per position.
+def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Text convolution, ReLU and max-over-time pooling as one (1, F) node:
+    ``out[f]`` is the largest ``relu(window @ w[f] + b[f])`` over the
+    windows of ``width`` consecutive rows of x (T, d), for w (F, width * d)
+    and b (F,).
 
-    A (T, d) input yields (T - width + 1, width * d); row i is
-    ``a[i : i + width]`` flattened. This is the im2col step of the text
-    convolution.
+    The gradient goes to each filter's first maximal window, which keeps
+    backward deterministic under ties, and only where that maximum is
+    positive. Only the winning positions are saved (``Graph.recompute``
+    refreshes them); ``w`` enters the products as in :func:`linear`.
     """
-    if a.ndim != 2:
-        raise DimensionError(f"windows needs a 2-D input, got {a.shape}")
-    T, d = a.shape
-    if T < width:
-        raise DimensionError(f"sequence of length {T} shorter than window {width}")
+    if (x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[:1] or not x.shape[1]
+            or not w.shape[1] or w.shape[1] % x.shape[1]):
+        raise DimensionError(f"conv_max_pool needs x (T, d), w (F, width * d) and b (F,), "
+                             f"got {x.shape}, {w.shape} and {b.shape}")
+    (steps, dim), width = x.shape, w.shape[1] // x.shape[1]
+    if steps < width:
+        raise DimensionError(f"sequence of length {steps} shorter than window {width}")
+    positions = steps - width + 1
+    cols = np.arange(w.shape[0])
+    saved = {}
 
-    def fwd(x):
-        view = np.lib.stride_tricks.sliding_window_view(x, (width, x.shape[1]))
-        return view.reshape(x.shape[0] - width + 1, width * x.shape[1]).copy()
+    def windows(x):  # row i is x[i : i + width] flattened, a view
+        return np.lib.stride_tricks.sliding_window_view(x, (width, dim)).reshape(positions, -1)
 
-    def bwd(g, out, x):
-        gi = np.zeros_like(x)
-        cols = x.shape[1]
-        for i in range(g.shape[0]):
-            gi[i : i + width] += g[i].reshape(width, cols)
-        return (gi,)
+    def fwd(x, w, b):
+        act = np.maximum(windows(x).copy() @ w.T.copy() + b, 0.0)
+        saved["winners"] = winners = np.argmax(act, axis=0)
+        return act[winners, cols][None]
 
-    return _record("windows", (a,), fwd, bwd)
+    def bwd(g, out, x, w, b):
+        winners = saved["winners"]
+        gp = g[0] * (out[0] > 0)
+        g_act = np.zeros((positions, len(cols)), dtype=g.dtype)
+        g_act[winners, cols] = gp
+        g_win = g_act @ w.T.copy().T
+        dx = np.zeros_like(x)
+        # offsets from width-1 down to 0: each row adds its windows in position order
+        for j in range(width - 1, -1, -1):
+            dx[j : j + positions] += g_win[:, j * dim : (j + 1) * dim]
+        return dx, gp[:, None] * windows(x)[winners], gp
+
+    return _record("conv_max_pool", (x, w, b), fwd, bwd)
 
 
 def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:

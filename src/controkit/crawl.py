@@ -263,9 +263,6 @@ class CrawlResult:
     edges: list[LinkEdge]
     failures: list = field(default_factory=list)
 
-    def by_url(self) -> dict[str, Document]:
-        return {normalize_url(d.url): d for d in self.documents}
-
 
 def _now_rfc3339() -> str:
     return datetime.now(timezone.utc).isoformat()

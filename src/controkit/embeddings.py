@@ -71,6 +71,9 @@ def _parse_header(raw: bytes):
         count, dim = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise DataFormatError(f"non-numeric w2v header {raw[:newline]!r}", offset=0) from exc
+    if count < 0 or dim < 1:
+        raise DataFormatError(f"w2v header {raw[:newline]!r} needs a count >= 0 and "
+                              f"a dimension >= 1", offset=0)
     return count, dim, newline + 1
 
 
@@ -83,6 +86,9 @@ def read_w2v(path, binary: bool | None = None) -> tuple[list[str], np.ndarray]:
         binary = _sniff_binary(raw, pos, dim)
     words: list[str] = []
     if binary:
+        if count * (4 * dim + 1) > len(raw) - pos:  # a record is >= a space and dim floats
+            raise DataFormatError(f"header promises {count} records of dimension {dim}, "
+                                  f"more than {len(raw) - pos} bytes hold", offset=0)
         vectors = np.empty((count, dim), dtype=np.float32)
         for i in range(count):
             space = raw.find(b" ", pos)

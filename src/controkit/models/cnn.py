@@ -77,11 +77,7 @@ class CnnParams(NeuralModel):
         than the widest window is padded to it."""
         tokens = list(tokens) + [PAD_INDEX] * (max(self.window_sizes) - len(tokens))
         embedded = ad.lookup(bound["embedding"], tokens, pad_index=PAD_INDEX)
-        pooled = []
-        for h in self.window_sizes:
-            win = ad.windows(embedded, h)
-            act = ad.relu(ad.add(ad.matmul(win, ad.transpose(bound[f"conv{h}.w"])),
-                                 bound[f"conv{h}.b"]))
-            pooled.append(ad.max_over_rows(act))
+        pooled = [ad.conv_max_pool(embedded, bound[f"conv{h}.w"], bound[f"conv{h}.b"])
+                  for h in self.window_sizes]
         features = ad.dropout(ad.concat(pooled, axis=1), dropout_rate, mode, rng)
-        return ad.add(ad.matmul(features, ad.transpose(bound["dense.w"])), bound["dense.b"])
+        return ad.linear(features, bound["dense.w"], bound["dense.b"])

@@ -110,8 +110,7 @@ def _cell(bound, prefix: str) -> tuple:
 
 def _attention_scores(bound, prefix: str, states: ad.Tensor) -> ad.Tensor:
     """One attention logit per row of ``states``, as an (n, 1) column."""
-    hidden = ad.tanh(ad.add(ad.matmul(states, ad.transpose(bound[f"{prefix}.w"])),
-                            bound[f"{prefix}.b"]))
+    hidden = ad.tanh(ad.linear(states, bound[f"{prefix}.w"], bound[f"{prefix}.b"]))
     u = bound[f"{prefix}.u"]
     return ad.matmul(hidden, ad.reshape(u, (u.shape[0], 1)))
 
@@ -160,7 +159,7 @@ def han_logits(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5)
     """The (1, 2) logits node plus both attention distributions."""
     doc_vec, word_alpha, sent_alpha = han_document_vector(bound, sentences, mode, rng,
                                                           dropout_rate)
-    logits = ad.add(ad.matmul(doc_vec, ad.transpose(bound["dense.w"])), bound["dense.b"])
+    logits = ad.linear(doc_vec, bound["dense.w"], bound["dense.b"])
     return logits, word_alpha, sent_alpha
 
 

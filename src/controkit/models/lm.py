@@ -107,9 +107,12 @@ def lm_train(docs, mu: float = DEFAULT_MU, lexicon=None) -> LmModel:
 
     ``lexicon`` optionally restricts training to documents containing at
     least one lexicon term (the document-selection step of the lexicon
-    based variant); both classes must survive the filter.
+    based variant); both classes must survive the filter. ``None`` means
+    no filter; an empty lexicon is refused.
     """
-    lexicon = set(lexicon) if lexicon else None
+    lexicon = None if lexicon is None else set(lexicon)
+    if lexicon == set():
+        raise UsageError("lexicon has no terms; pass None to train without one")
     pos: dict[str, int] = {}
     neg: dict[str, int] = {}
     has_pos = has_neg = False

@@ -65,6 +65,94 @@ class TestMatmul:
             ad.matmul(a, g.constant(np.zeros((4, 2))))
 
 
+class TestLinear:
+    def test_value_and_grad_check(self, rng):
+        g = ad.Graph(np.float64)
+        x = g.parameter("x", rng.normal(size=(4, 3)))
+        w = g.parameter("w", rng.normal(size=(2, 3)))
+        b = g.parameter("b", rng.normal(size=2))
+        out = ad.linear(x, w, b)
+        assert out.shape == (4, 2)
+        expected = matmul_loops(x.data, w.data.T) + b.data
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+        weights = g.constant(rng.normal(size=(4, 2)))
+        report = ad.grad_check(g, ad.sum_all(ad.mul(ad.tanh(out), weights)), 1e-6, 1e-7)
+        assert report.passed, report
+
+    def test_shape_mismatch_rejected(self):
+        g = ad.Graph()
+        x, w, b = (g.constant(np.zeros(shape)) for shape in ((4, 3), (2, 3), (2,)))
+        for args in ((x, g.constant(np.zeros((2, 4))), b),
+                     (x, w, g.constant(np.zeros(3))),
+                     (g.constant(np.zeros(3)), w, b)):
+            with pytest.raises(DimensionError, match="linear"):
+                ad.linear(*args)
+
+
+class TestConvMaxPool:
+    @staticmethod
+    def conv(x_val, w_val, b_val):
+        g = ad.Graph(np.float64)
+        x, w, b = (g.parameter(n, v) for n, v in (("x", x_val), ("w", w_val), ("b", b_val)))
+        return g, ad.conv_max_pool(x, w, b)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_matches_window_loop_and_grad_check(self, rng, width):
+        x_val = rng.normal(size=(7, 3))
+        w_val = rng.normal(size=(3, width * 3))
+        w_val[1] = 2.0 * w_val[0]  # filters 0 and 1 win at the same window
+        b_val = np.array([0.5, 1.0, 0.5])
+        g, out = self.conv(x_val, w_val, b_val)
+        windows = [x_val[i : i + width].reshape(-1) for i in range(7 - width + 1)]
+        acts = np.maximum([w_val @ win + b_val for win in windows], 0.0)
+        assert out.shape == (1, 3)
+        assert np.max(np.abs(out.data[0] - acts.max(axis=0))) < 1e-12
+        assert np.argmax(acts[:, 0]) == np.argmax(acts[:, 1]) and acts[:, 0].max() > 0
+        weights = g.constant(rng.normal(size=(1, 3)))
+        report = ad.grad_check(g, ad.sum_all(ad.mul(out, weights)), 1e-6, 1e-6)
+        assert report.passed, report
+
+    def test_ties_route_gradient_to_the_first_window(self):
+        # an all-padding document: every window is relu(b), and the
+        # gradient goes to the earliest one
+        w_val = np.array([[1.0, -2.0, 3.0, 0.0], [2.0, 1.0, -1.0, 4.0]])
+        g, out = self.conv(np.zeros((5, 2)), w_val, np.array([0.5, 0.25]))
+        assert np.array_equal(out.data, [[0.5, 0.25]])
+        grads = g.backward(ad.sum_all(out))
+        expected_x = np.zeros((5, 2))
+        expected_x[:2] = w_val.sum(axis=0).reshape(2, 2)
+        assert np.array_equal(grads["x"], expected_x)
+        assert np.array_equal(grads["w"], np.zeros((2, 4)))
+        assert np.array_equal(grads["b"], [1.0, 1.0])
+
+    def test_filter_never_active_gets_no_gradient(self, rng):
+        x_val = rng.normal(size=(6, 3))
+        w_val = rng.normal(size=(3, 6))
+        w_val[1] = 0.0  # pre-activation exactly 0 at every window
+        b_val = np.array([0.5, 0.0, -100.0])  # filter 2 below 0 everywhere
+        weights = rng.normal(size=(1, 3))
+        g, out = self.conv(x_val, w_val, b_val)
+        grads = g.backward(ad.sum_all(ad.mul(out, g.constant(weights))))
+        assert np.array_equal(out.data[0, 1:], [0.0, 0.0])
+        assert not np.any(grads["w"][1:]) and not np.any(grads["b"][1:])
+        g_live, out_live = self.conv(x_val, w_val[:1], b_val[:1])
+        live = g_live.backward(ad.sum_all(ad.mul(out_live, g_live.constant(weights[:, :1]))))
+        assert np.array_equal(grads["x"], live["x"])
+
+    def test_shape_errors(self):
+        g = ad.Graph()
+        x = g.constant(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match="shorter than window"):
+            ad.conv_max_pool(x, g.constant(np.zeros((4, 9))), g.constant(np.zeros(4)))
+        with pytest.raises(DimensionError, match="conv_max_pool needs"):
+            ad.conv_max_pool(x, g.constant(np.zeros((4, 5))), g.constant(np.zeros(4)))
+        with pytest.raises(DimensionError, match="conv_max_pool needs"):
+            ad.conv_max_pool(x, g.constant(np.zeros((4, 6))), g.constant(np.zeros(3)))
+        with pytest.raises(DimensionError, match="conv_max_pool needs"):
+            ad.conv_max_pool(g.constant(np.zeros(6)), g.constant(np.zeros((4, 6))),
+                             g.constant(np.zeros(4)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         g = ad.Graph()
@@ -137,7 +225,7 @@ class TestBackward:
         g = ad.Graph(np.float64)
         w = g.parameter("w", rng.normal(size=(3, 2)))
         x = g.constant(rng.normal(size=(2, 4)))
-        loss = ad.sum_all(ad.relu(ad.matmul(w, x)))
+        loss = ad.sum_all(ad.tanh(ad.matmul(w, x)))
         g.backward(loss)
         for node in g.params.values():
             assert node.grad.shape == node.data.shape
@@ -187,34 +275,6 @@ class TestBackward:
 
 
 class TestOps:
-    def test_relu_routes_gradient(self):
-        g = ad.Graph(np.float64)
-        x = g.parameter("x", np.array([3.0, -3.0]))
-        g.backward(ad.sum_all(ad.relu(x)))
-        assert np.array_equal(x.grad, [1.0, 0.0])
-
-    def test_max_over_rows_first_winner_on_ties(self):
-        g = ad.Graph(np.float64)
-        x = g.parameter("x", np.array([[1.0, 5.0], [1.0, 2.0]]))
-        out = ad.max_over_rows(x)
-        assert np.array_equal(out.data, [[1.0, 5.0]])
-        g.backward(ad.sum_all(out))
-        assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
-
-    def test_windows_content_and_gradient(self):
-        g = ad.Graph(np.float64)
-        x = g.parameter("x", np.arange(8.0).reshape(4, 2))
-        win = ad.windows(x, 2)
-        assert win.data.shape == (3, 4)
-        assert np.array_equal(win.data[0], [0, 1, 2, 3])
-        report = ad.grad_check(g, ad.sum_all(ad.mul(win, win)), 1e-6, 1e-7)
-        assert report.passed
-
-    def test_windows_too_short(self):
-        g = ad.Graph()
-        with pytest.raises(DimensionError):
-            ad.windows(g.constant(np.zeros((2, 3))), 5)
-
     def test_lookup_scatter_and_pad_exclusion(self):
         g = ad.Graph(np.float64)
         table = g.parameter("table", np.arange(12.0).reshape(4, 3))

@@ -227,6 +227,16 @@ class TestExitCodes:
                      "--data", str(data_dir), "--out", str(tmp_path / "lm.ctrv")])
         assert code == 3
 
+    def test_impossible_embeddings_header_is_data_error(self, trained, tmp_path, capsys):
+        _, data_dir = trained
+        (tmp_path / "vectors.bin").write_bytes(b"1000000000 300\nabcde")
+        config = {"embeddings_path": str(tmp_path / "vectors.bin"), "embed_dim": 300}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = main(["train", "--model", "cnn", "--config", str(tmp_path / "config.json"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "cnn.ctrv")])
+        assert code == 3
+        assert "header promises 1000000000 records" in capsys.readouterr().err
+
     def test_malformed_checkpoint_is_data_error(self, trained, tmp_path, capsys):
         tmp, data_dir = trained
         raw = (tmp / "tfidf.ctrv").read_bytes()

@@ -96,6 +96,17 @@ def test_malformed_header_fields(tmp_path):
         read_w2v(path)
 
 
+@pytest.mark.parametrize("binary", [True, False, None])
+@pytest.mark.parametrize("header", [b"-1 4", b"3 0", b"1000000000 300"])
+def test_impossible_header_refused_before_allocating(tmp_path, header, binary):
+    # a billion 300-dim records would need 1.1 TiB; the 5 bytes after the
+    # header cannot hold them
+    path = tmp_path / "bad.bin"
+    path.write_bytes(header + b"\nabcde")
+    with pytest.raises(DataFormatError, match="header"):
+        read_w2v(path, binary=binary)
+
+
 def test_dimension_mismatch(tmp_path, vocab, rng):
     path = tmp_path / "v.bin"
     write_w2v(path, ["alpha"], rng.normal(size=(1, 4)).astype(np.float32), binary=True)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,27 @@ def test_max_over_time_position_invariance(rng):
         graph = ad.Graph(np.float64)
         bound = params.bind(graph)
         emb = ad.lookup(bound["embedding"], tokens, pad_index=0)
-        act = ad.relu(ad.add(ad.matmul(ad.windows(emb, 3), ad.transpose(bound["conv3.w"])),
-                             bound["conv3.b"]))
-        return float(ad.max_over_rows(act).data[0, 0])
+        return float(ad.conv_max_pool(emb, bound["conv3.w"], bound["conv3.b"]).data[0, 0])
 
     early = pooled_activation([2, 3, 4, 5, 5, 5, 5])
     late = pooled_activation([5, 5, 5, 5, 2, 3, 4])
     assert early == late == 3.0
+
+
+def test_tape_size_does_not_depend_on_the_document(rng, small_embedding):
+    # one lookup, one conv_max_pool per width and one linear layer: no op
+    # is recorded per token or per window position
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=4)
+    tapes = []
+    for n_tokens in (5, 400):
+        graph = ad.Graph(np.float32)
+        params.loss(graph, rng.integers(2, 7, size=n_tokens).tolist(), target=1, mode="train",
+                    rng=np.random.default_rng(0), l2=1e-3)
+        tapes.append(Counter(node.op for node in graph.nodes))
+    assert tapes[0] == tapes[1]
+    assert sum(tapes[0].values()) == 22
+    assert tapes[0]["conv_max_pool"] == 3 and tapes[0]["linear"] == 1
+    assert tapes[0]["lookup"] == 1
 
 
 def test_matches_scalar_loop_oracle(rng, small_embedding):

@@ -152,6 +152,14 @@ class TestLm:
         with pytest.raises(UsageError, match="lexicon"):
             lm_train(corpus, lexicon={"keyword"})
 
+    @pytest.mark.parametrize("empty", [set(), [], ()])
+    def test_empty_lexicon_rejected(self, empty):
+        # only None means "no lexicon"; an empty one would filter everything
+        corpus = [doc("keyword a", CONTROVERSIAL), doc("plain b", NON_CONTROVERSIAL)]
+        with pytest.raises(UsageError, match="lexicon has no terms"):
+            lm_train(corpus, lexicon=empty)
+        assert lm_train(corpus, lexicon=None).terms == ["a", "b", "keyword", "plain"]
+
     def test_lexicon_file_read_by_fit(self, tmp_path):
         corpus = [
             doc("filtered out entirely", CONTROVERSIAL),
