@@ -51,9 +51,9 @@ class RowSparseGrad:
     """Gradient of a table touched only in some rows: row ``indices[k]`` of
     the gradient is ``values[k]``, every other row is zero.
 
-    ``indices`` are unique and sorted. ``np.asarray`` densifies, and adding a
-    dense array gives a dense sum; other numpy operations are refused so
-    that nothing densifies by accident.
+    ``indices`` are unique and sorted. ``np.asarray`` densifies and
+    ``add_to`` adds into an array; arithmetic operators and other numpy
+    operations are refused so that nothing densifies by accident.
     """
 
     __slots__ = ("indices", "values", "shape")
@@ -76,19 +76,21 @@ class RowSparseGrad:
     def nbytes(self) -> int:
         return self.indices.nbytes + self.values.nbytes
 
-    def add_to(self, out: np.ndarray) -> np.ndarray:
-        """Add the stored rows into the dense array ``out`` in place."""
-        np.add.at(out, self.indices, self.values)
+    def add_to(self, out):
+        """Add the stored rows into ``out``: an array, or a RowSparseGrad with all of them."""
+        if isinstance(out, RowSparseGrad):
+            inside = np.isin(self.indices, out.indices)
+            if not inside.all():
+                raise UsageError(f"gradient rows {self.indices[~inside][:5].tolist()} lie "
+                                 f"outside the {len(out.indices)} rows being accumulated")
+            np.add.at(out.values, np.searchsorted(out.indices, self.indices), self.values)
+        else:
+            np.add.at(out, self.indices, self.values)
         return out
 
     def __array__(self, dtype=None, copy=None):
         dense = self.add_to(np.zeros(self.shape, dtype=self.values.dtype))
         return dense if dtype is None else dense.astype(dtype, copy=False)
-
-    def __add__(self, other):
-        return self.add_to(np.array(other))
-
-    __radd__ = __add__
 
 
 class Tensor:
@@ -238,7 +240,7 @@ def _merge_sparse(grad, parts: list[RowSparseGrad], dense: bool):
                                       np.concatenate([p.values for p in parts]),
                                       parts[0].shape)
     if grad is not None:
-        return merged + grad
+        return merged.add_to(np.array(grad))
     return np.asarray(merged) if dense else merged
 
 

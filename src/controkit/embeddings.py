@@ -16,6 +16,7 @@ from .errors import DataFormatError, DimensionError
 from .textprep import OOV_INDEX, PAD_INDEX, Vocabulary
 
 MISSING_WORD_SCALE = 0.25
+_DRAW_BLOCK = 1 << 16  # float64 values drawn at a time
 
 
 @dataclass
@@ -39,7 +40,13 @@ class EmbeddingTable:
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng, trainable: bool = True,
                scale: float = MISSING_WORD_SCALE) -> "EmbeddingTable":
-        vectors = rng.uniform(-scale, scale, size=(len(vocab), dim)).astype(np.float32)
+        """Rows uniform in [-scale, scale], padding row zero. The bytes and the
+        generator's next state are those of one ``rng.uniform`` over the whole
+        table cast to float32, but drawn in row blocks: no float64 table."""
+        vectors = np.empty((len(vocab), dim), dtype=np.float32)
+        step = max(1, _DRAW_BLOCK // max(1, dim))
+        for lo in range(0, len(vocab), step):
+            vectors[lo : lo + step] = rng.uniform(-scale, scale, vectors[lo : lo + step].shape)
         vectors[PAD_INDEX] = 0.0
         return cls(vocab=vocab, vectors=vectors, trainable=trainable, coverage=0.0)
 
@@ -144,22 +151,26 @@ def write_w2v(path, words, vectors: np.ndarray, binary: bool = True) -> None:
 
 def load_embeddings(path, vocab: Vocabulary, dim: int, rng=None,
                     binary: bool | None = None, trainable: bool = True) -> EmbeddingTable:
-    """Embedding table for ``vocab`` initialized from a w2v file.
+    """``table_from_vectors`` over the records of a w2v file."""
+    return table_from_vectors(*read_w2v(path, binary=binary), vocab, dim, rng, trainable)
+
+
+def table_from_vectors(words, file_vectors: np.ndarray, vocab: Vocabulary, dim: int,
+                       rng=None, trainable: bool = True) -> EmbeddingTable:
+    """Embedding table for ``vocab`` initialized from w2v records.
 
     Rows for vocabulary words present in the file are copied bit-exactly
     (binary) or parsed (text); missing words are initialized uniform
     [-0.25, 0.25]; the padding row is zero. ``coverage`` records the found
     fraction of non-reserved words.
     """
-    words, file_vectors = read_w2v(path, binary=binary)
     if file_vectors.shape[1] != dim:
         raise DataFormatError(
             f"file vectors have dim {file_vectors.shape[1]}, expected {dim}"
         )
     if rng is None:
         rng = np.random.default_rng(0)
-    table = rng.uniform(-MISSING_WORD_SCALE, MISSING_WORD_SCALE,
-                        size=(len(vocab), dim)).astype(np.float32)
+    table = EmbeddingTable.random(vocab, dim, rng).vectors
     row_of = {w: i for i, w in enumerate(words)}
     found = 0
     for token, index in vocab.token_to_index.items():

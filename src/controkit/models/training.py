@@ -4,12 +4,12 @@ The neural loop trains per-document graphs of the model's loss
 (cross-entropy plus an l2 penalty on the dense prediction weights) with
 gradient accumulation over each mini-batch followed by a single Adam apply,
 epoch-wise seeded shuffling, and early stopping on validation F1
-(best-validation parameters are restored at the end). Besides the live parameters, a fit allocates four arrays the
-size of each trainable one, once: Adam's two moments, the best-epoch
-snapshot (overwritten in place) and the dense gradient accumulator, which
-every mini-batch zeroes and refills. A document's row-sparse table gradient
-is scatter-added into that accumulator, so the table is densified once per
-mini-batch. Lexical models fit in one deterministic pass of their ``train``.
+(best-validation parameters are restored at the end). A fit allocates Adam's
+moments, the best-epoch snapshot and the gradient accumulator once; for the
+table they hold only the rows ``U`` the training encodings reach (a gradient
+row outside ``U`` is an error). Exact, not lazy Adam: any other row keeps a
+zero gradient and zero moments, so its update ``p -= 0 / (0 + eps)`` would
+not change it. Lexical models fit in one deterministic pass of ``train``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .. import autodiff as ad
-from ..embeddings import EmbeddingTable, load_embeddings
+from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
 from ..errors import NumericError, UsageError
 from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step, clip_gradients
-from ..textprep import EncodeLimits, Vocabulary, build_vocabulary, encode_document, tokenize
+from ..textprep import (PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary,
+                        encode_document, tokenize)
 from .base import (
     EMPTY_DOC_SCORE,
     MODEL_CLASSES,
@@ -112,23 +113,14 @@ def _build_embedding(train_docs, config: TrainConfig, rng,
         return pretrained
     vocab = build_vocabulary(train_docs, config.vocab_max_size, config.vocab_min_freq)
     if config.embeddings_path:
-        from ..embeddings import read_w2v
-
-        file_words, _ = read_w2v(config.embeddings_path, binary=config.embeddings_binary)
-        vocab = _extend_vocab(vocab, file_words)
-        table = load_embeddings(config.embeddings_path, vocab, config.embed_dim,
-                                rng=rng, binary=config.embeddings_binary,
-                                trainable=config.fine_tune_embeddings)
+        records = read_w2v(config.embeddings_path, binary=config.embeddings_binary)
+        vocab = _extend_vocab(vocab, records[0])
+        table = table_from_vectors(*records, vocab, config.embed_dim, rng=rng,
+                                   trainable=config.fine_tune_embeddings)
         logger.info("loaded embeddings, coverage %.3f", table.coverage)
         return table
     return EmbeddingTable.random(vocab, config.embed_dim, rng,
                                  trainable=config.fine_tune_embeddings)
-
-
-def _copy_arrays(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None:
-    """Overwrite each array of ``dst`` in place with its namesake in ``src``."""
-    for name, arr in dst.items():
-        np.copyto(arr, src[name])
 
 
 def _score_or_sentinel(model: NeuralModel, encoded) -> float:
@@ -157,24 +149,29 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
 
     limits = config.limits()
     encoded_train = []
+    ids = set()  # every id a training document can look up
     for doc in train_docs:
+        encoded = encode_document(doc, embedding.vocab, limits)
         try:
-            net_input = params.network_input(encode_document(doc, embedding.vocab, limits))
+            net_input = params.network_input(encoded)
         except EmptyDocumentError:
             continue
         encoded_train.append((net_input, label_to_int(doc.label)))
+        ids.update(encoded.tokens, *encoded.sentences)
     encoded_val = [encode_document(d, embedding.vocab, limits) for d in validation_docs]
     val_labels = [label_to_int(d.label) for d in validation_docs]
     if not encoded_train:
         raise UsageError("no usable training documents after encoding")
 
     trainable = params.trainable_arrays()
+    table_rows = np.array(sorted(ids - {PAD_INDEX}), dtype=np.int64)  # all a fit can change
+    total = {name: ad.RowSparseGrad(table_rows, np.zeros_like(arr[: len(table_rows)]), arr.shape)
+             if name == "embedding" else np.zeros_like(arr) for name, arr in trainable.items()}
+    reach = {name: getattr(acc, "indices", np.arange(acc.shape[0])) for name, acc in total.items()}
+    best_snapshot = {name: arr[reach[name]] for name, arr in trainable.items()}
     adam = AdamState(lr=config.learning_rate)
     log: list[dict] = []
     best_f1 = -1.0
-    # a frozen table never changes, so only trainable arrays need a snapshot
-    best_snapshot = {name: arr.copy() for name, arr in trainable.items()}
-    total = {name: np.zeros_like(arr) for name, arr in trainable.items()}
     epochs_since_best = 0
     diverged = False
     diagnostic = None
@@ -182,7 +179,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     def batch_gradients(batch) -> float:
         """Refill ``total`` with the batch's mean gradient; returns the mean loss."""
         for acc in total.values():
-            acc.fill(0)
+            getattr(acc, "values", acc).fill(0)
         loss_sum = 0.0
         # a document's tape lives until the next one's forward pass has run: freed
         # earlier, its heap pages go back to the OS and fault in again per document
@@ -203,7 +200,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                     acc += g
         scale = 1.0 / len(batch)
         for acc in total.values():
-            acc *= scale
+            getattr(acc, "values", acc)[...] *= scale
         return loss_sum / len(batch)
 
     for epoch in range(config.epochs):
@@ -236,7 +233,8 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
         })
         if f1 > best_f1:
             best_f1 = f1
-            _copy_arrays(best_snapshot, trainable)
+            for name, arr in trainable.items():  # "raise" would buffer; every row is valid
+                np.take(arr, reach[name], axis=0, out=best_snapshot[name], mode="clip")
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -245,7 +243,8 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                             epoch, config.patience)
                 break
 
-    _copy_arrays(trainable, best_snapshot)
+    for name, arr in trainable.items():
+        arr[reach[name]] = best_snapshot[name]
 
     threshold = 0.5
     if config.calibrate and encoded_val:

@@ -24,12 +24,13 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray | None] = field(default_factory=dict)  # None: every row
 
 
 _CHUNK = 1 << 16  # slice length: float32 slices of p, g, m, v and two scratch buffers fit in L2
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState):
+def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
     """One bias-corrected Adam update, applied in place.
 
     Moments for parameters not seen before start at zero. Deterministic
@@ -37,7 +38,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` computed with
     the same operations in the same order, so the result is bit-identical
     to that expression, but walks each parameter's flat (C-contiguous) view
-    in cache-sized slices through two slice-sized scratch buffers.
+    in cache-sized slices through two slice-sized scratch buffers. A
+    :class:`RowSparseGrad` (the same rows at every step, else ``UsageError``)
+    has moments for its rows only, which are gathered (or viewed) from ``p``
+    in blocks; any other row's update ``p -= 0 / (0 + eps)`` is a no-op.
     """
     for name, p in params.items():
         if name not in grads:
@@ -49,20 +53,31 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
             )
         if not p.flags.c_contiguous:
             raise UsageError(f"parameter {name!r} must be C-contiguous to update in place")
+        if name in state.m and not np.array_equal(getattr(g, "indices", None), state.rows[name]):
+            raise UsageError(f"gradient rows of {name!r} differ from those its moments hold")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1**t
     correct2 = 1.0 - b2**t
     for name, p in params.items():
+        rows = getattr(grads[name], "indices", None)
+        values = getattr(grads[name], "values", grads[name])
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        flat_p, flat_g, flat_m, flat_v = (a.reshape(-1) for a in (p, grads[name], m, state.v[name]))
-        scratch = np.empty((2, min(_CHUNK, p.size)), p.dtype)
-        for lo in range(0, p.size, _CHUNK):
-            hi = min(lo + _CHUNK, p.size)
+            m = state.m[name] = np.zeros(values.shape, p.dtype)
+            state.v[name] = np.zeros_like(m)
+            state.rows[name] = rows
+        width = 1 if rows is None else p[0].size  # a row block holds whole rows
+        block = max(1, _CHUNK // width) * width
+        flat_p, flat_g, flat_m, flat_v = (a.reshape(-1) for a in (p, values, m, state.v[name]))
+        scratch = np.empty((2, min(block, values.size)), p.dtype)
+        for lo in range(0, values.size, block):
+            hi = min(lo + block, values.size)
+            start, sel = lo, None if rows is None else rows[lo // width : hi // width]
+            if sel is not None and sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows
+                start, sel = sel[0] * width, None
+            target = flat_p[start : start + hi - lo] if sel is None else p[sel].reshape(-1)
             g = flat_g[lo:hi].astype(p.dtype, copy=False)
             m, v = flat_m[lo:hi], flat_v[lo:hi]
             step, denom = scratch[:, : hi - lo]
@@ -79,22 +94,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
             np.sqrt(denom, out=denom)
             denom += state.eps
             step /= denom
-            flat_p[lo:hi] -= step
+            target -= step
+            if sel is not None:
+                p[sel] = target.reshape((-1,) + p.shape[1:])
     return params, state
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients so their global l2 norm is at most max_norm.
 
     Off by default in training; exposed as a config knob. Returns the norm
-    before clipping.
+    before clipping. A :class:`RowSparseGrad` counts its ``values``.
     """
+    arrays = [getattr(g, "values", g) for g in grads.values()]
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
+    for a in arrays:
+        total += float(np.sum(np.square(a, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
-        for g in grads.values():
-            g *= factor
+        for a in arrays:
+            a *= factor
     return norm

@@ -2,8 +2,11 @@
 
 A small separable corpus, one fixed training config and one seed give, per
 neural model, a per-epoch training log, a calibrated threshold and the
-held-out scores. ``tests/test_training.py`` compares a fresh run with the
-committed golden at ``TOLERANCE``. Regenerate it after an intentional
+held-out scores. Each model is pinned twice: with the vocabulary the fit
+builds, whose table rows the training documents nearly all reach, and
+(``cnn_wide``, ``han_wide``) with a pretrained table padded with
+``WIDE_FILLER_ROWS`` rows that no document reaches. ``tests/test_training.py``
+compares a fresh run with the committed golden at ``TOLERANCE``. Regenerate it after an intentional
 change to training or scoring with:
 
     PYTHONPATH=src python tests/golden_neural.py --write
@@ -24,14 +27,33 @@ CONFIG = {"epochs": 4, "patience": 2, "batch_size": 16, "learning_rate": 1e-2,
           "max_tokens": 40, "max_sentences": 5, "max_words_per_sentence": 10,
           "vocab_min_freq": 1, "calibrate": True, "seed": 5}
 
+WIDE_FILLER_ROWS = 2_000
+LOCKS = ("cnn", "han", "cnn_wide", "han_wide")
 
-def build_neural_lock(kind: str) -> dict:
-    """Training log, threshold and test scores of one seeded fit."""
+
+def _wide_table(train_docs, dim: int):
+    """A trainable table over the training vocabulary plus filler words."""
+    import numpy as np
+
+    from controkit.embeddings import EmbeddingTable
+    from controkit.textprep import Vocabulary, build_vocabulary
+
+    words = build_vocabulary(train_docs, min_freq=1).words()
+    words += [f"filler{i}" for i in range(WIDE_FILLER_ROWS)]
+    return EmbeddingTable.random(Vocabulary.from_tokens(words), dim, np.random.default_rng(53))
+
+
+def build_neural_lock(lock: str) -> dict:
+    """Training log, threshold and test scores of one seeded fit; ``lock``
+    is a model kind, optionally suffixed ``_wide`` for the padded table."""
     from controkit.models import TrainConfig, fit, predict
     from controkit.synthetic import make_separable_corpus, split_simple
 
+    kind, _, wide = lock.partition("_")
     splits = split_simple(make_separable_corpus(n_docs=100, seed=51), seed=52)
-    result = fit(kind, splits["train"], splits["validation"], TrainConfig.from_json(CONFIG))
+    pretrained = _wide_table(splits["train"], CONFIG["embed_dim"]) if wide else None
+    result = fit(kind, splits["train"], splits["validation"], TrainConfig.from_json(CONFIG),
+                 pretrained=pretrained)
     return {
         "log": result.log,
         "threshold": result.classifier.threshold,
@@ -43,6 +65,6 @@ if __name__ == "__main__":
     if "--write" not in sys.argv:
         print("usage: python tests/golden_neural.py --write", file=sys.stderr)
         sys.exit(2)
-    lock = {"config": CONFIG, **{kind: build_neural_lock(kind) for kind in ("cnn", "han")}}
+    lock = {"config": CONFIG, **{lock: build_neural_lock(lock) for lock in LOCKS}}
     LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
     print(f"wrote {LOCK_PATH}")

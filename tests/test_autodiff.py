@@ -530,6 +530,33 @@ class TestRowSparseLookup:
             g.backward(loss)
 
 
+class TestRowIndexedAccumulator:
+    def test_rows_add_at_their_positions_in_order(self, rng):
+        shape = (40, 3)
+        acc = ad.RowSparseGrad(np.array([2, 5, 9, 30]), np.zeros((4, 3), np.float32), shape)
+        dense = np.zeros(shape, np.float32)
+        for idx in ([5, 30], [2, 5, 9], [9]):
+            part = ad.RowSparseGrad(np.array(idx), rng.normal(size=(len(idx), 3))
+                                    .astype(np.float32), shape)
+            part.add_to(acc)
+            part.add_to(dense)
+        assert np.array_equal(np.asarray(acc), dense)
+
+    @pytest.mark.parametrize("outside", [[0], [3], [31], [2, 41]])
+    def test_row_outside_accumulator_refused(self, outside):
+        acc = ad.RowSparseGrad(np.array([2, 5, 9, 30]), np.zeros((4, 2)), (50, 2))
+        part = ad.RowSparseGrad(np.array(outside), np.ones((len(outside), 2)), (50, 2))
+        with pytest.raises(UsageError, match="outside"):
+            part.add_to(acc)
+        assert not acc.values.any()
+
+    def test_dense_gradient_refused(self):
+        acc = ad.RowSparseGrad(np.arange(3), np.zeros((3, 2)), (3, 2))
+        with pytest.raises(TypeError):
+            acc += np.ones((3, 2))
+        assert not acc.values.any()
+
+
 class TestTapeLifetime:
     def test_dropped_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from controkit import embeddings
 from controkit.embeddings import (
+    MISSING_WORD_SCALE,
     EmbeddingTable,
     load_embeddings,
     read_w2v,
@@ -127,3 +129,49 @@ def test_pad_row_zero_and_oov_row_random(tmp_path, vocab, rng):
     table = EmbeddingTable.random(vocab, 4, rng)
     assert np.array_equal(table.vectors[PAD_INDEX], np.zeros(4, np.float32))
     assert np.any(table.vectors[1] != 0)  # shared trainable OOV row
+
+
+# Draw contract: a table is drawn in row blocks straight into float32. That is
+# the one-shot float64 draw cast to float32, byte for byte, and it leaves the
+# generator where the one-shot draw does. An upgrade that breaks the
+# numpy property this relies on changes every initialized table and must
+# fail here.
+_DRAW_SHAPES = [(7, 3), (1, 1), (embeddings._DRAW_BLOCK + 1, 1), (1000, 300), (3, 70_000)]
+
+
+def _one_shot(seed, shape):
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-MISSING_WORD_SCALE, MISSING_WORD_SCALE, size=shape).astype(np.float32)
+    return table, rng.random()
+
+
+@pytest.mark.parametrize("shape", _DRAW_SHAPES)
+def test_draw_contract_random_table(shape):
+    words = [f"w{i}" for i in range(shape[0] - 2)] if shape[0] > 2 else []
+    vocab = Vocabulary.from_tokens(words, {})
+    rng = np.random.default_rng(41)
+    table = EmbeddingTable.random(vocab, shape[1], rng)
+    expected, next_draw = _one_shot(41, (len(vocab), shape[1]))
+    expected[PAD_INDEX] = 0.0
+    assert table.vectors.dtype == np.float32
+    assert table.vectors.tobytes() == expected.tobytes()
+    assert rng.random() == next_draw
+
+
+@pytest.mark.parametrize("shape", _DRAW_SHAPES[:4])
+def test_draw_contract_load_embeddings(tmp_path, shape):
+    words = [f"w{i}" for i in range(max(shape[0] - 2, 1))]
+    vocab = Vocabulary.from_tokens(words, {})
+    found = words[::3]
+    file_vectors = np.arange(len(found) * shape[1], dtype=np.float32).reshape(len(found), -1)
+    path = tmp_path / "v.bin"
+    write_w2v(path, found, file_vectors, binary=True)
+    rng = np.random.default_rng(42)
+    table = load_embeddings(path, vocab, dim=shape[1], rng=rng)
+    expected, next_draw = _one_shot(42, (len(vocab), shape[1]))
+    for word, vec in zip(found, file_vectors):
+        expected[vocab.token_to_index[word]] = vec
+    expected[PAD_INDEX] = 0.0
+    assert table.vectors.tobytes() == expected.tobytes()
+    assert rng.random() == next_draw
+

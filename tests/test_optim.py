@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from controkit import optim
+from controkit.autodiff import RowSparseGrad
 from controkit.errors import DimensionError, UsageError
 from controkit.optim import AdamState, adam_step, clip_gradients
 
@@ -129,6 +130,51 @@ class TestAdam:
             assert state.step == expected
 
 
+class TestRowIndexedAdam:
+    """A table's gradient given on rows ``U``: the textbook update of every
+    other row is ``p -= 0 / (0 + eps)``, so skipping those rows must give
+    the dense step's bytes."""
+
+    # scattered rows are gathered and scattered back; with all but one of
+    # 799 rows, the blocks away from the gap are consecutive rows, which are
+    # updated in place through a view
+    @pytest.mark.parametrize("shape,n_rows", [((40, 3), 9), ((1000, 300), 400), ((800, 300), 798)])
+    def test_bit_identical_to_dense_step(self, rng, shape, n_rows):
+        rows = np.sort(rng.choice(np.arange(1, shape[0]), size=n_rows, replace=False))
+        dense_p = rng.normal(size=shape).astype(np.float32)
+        dense_p[rows[0], :2] = -0.0
+        dense_p[rows[1], 0] = -0.0  # rows[1] never gets a gradient
+        dense_p[0] = -0.0  # outside the rows: must keep its sign bit
+        p = dense_p.copy()
+        dense, indexed = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        for t in range(4):
+            values = rng.normal(scale=3.0, size=(n_rows, shape[1])).astype(np.float32)
+            values[1] = 0.0  # a row of U that never gets a gradient
+            values[2] = 0.0 if t % 2 else values[2]  # and one without it at odd steps
+            g = RowSparseGrad(rows, values, shape)
+            adam_step({"w": dense_p}, {"w": np.asarray(g)}, dense)
+            adam_step({"w": p}, {"w": g}, indexed)
+            assert p.tobytes() == dense_p.tobytes(), t
+            assert indexed.m["w"].tobytes() == dense.m["w"][rows].tobytes(), t
+            assert indexed.v["w"].tobytes() == dense.v["w"][rows].tobytes(), t
+        outside = np.setdiff1d(np.arange(shape[0]), rows)
+        assert not dense.m["w"][outside].any() and not dense.v["w"][outside].any()
+        assert np.signbit(p[0]).all()
+        assert indexed.m["w"].shape == (n_rows, shape[1])
+
+    def test_other_rows_refused_without_update(self, rng):
+        p = rng.normal(size=(10, 2)).astype(np.float32)
+        state = AdamState()
+        adam_step({"w": p}, {"w": RowSparseGrad(np.array([1, 4]), np.ones((2, 2), np.float32),
+                                                p.shape)}, state)
+        before = p.copy()
+        for other in (RowSparseGrad(np.array([1, 5]), np.ones((2, 2), np.float32), p.shape),
+                      np.ones(p.shape, np.float32)):
+            with pytest.raises(UsageError, match="rows"):
+                adam_step({"w": p}, {"w": other}, state)
+        assert np.array_equal(p, before) and state.step == 1
+
+
 class TestClip:
     def test_noop_below_threshold(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -141,3 +187,12 @@ class TestClip:
         clip_gradients(grads, 1.0)
         total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
         assert abs(total - 1.0) < 1e-12
+
+    def test_row_indexed_gradient_clipped_through_its_values(self):
+        sparse = RowSparseGrad(np.array([0, 2]), np.array([[3.0, 0.0], [0.0, 4.0]]), (3, 2))
+        dense = {"a": np.array([12.0])}
+        norm = clip_gradients({"t": sparse, **dense}, 6.5)
+        assert norm == 13.0
+        assert np.allclose(sparse.values, [[1.5, 0.0], [0.0, 2.0]])
+        assert np.allclose(dense["a"], [6.0])
+

@@ -12,7 +12,7 @@ from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
 from controkit.textprep import Vocabulary, build_vocabulary
 
-from golden_neural import CONFIG, LOCK_PATH, TOLERANCE, build_neural_lock
+from golden_neural import CONFIG, LOCK_PATH, LOCKS, TOLERANCE, build_neural_lock
 from oracles import bag_of_words_label
 
 CFG = TrainConfig(epochs=8, patience=8, embed_dim=16, hidden_dim=8, n_filters=12,
@@ -49,9 +49,9 @@ class TestNeuralTraining:
     @pytest.mark.parametrize("kind", ["cnn", "han"])
     def test_fit_peak_memory_bounded_by_table_size(self, kind, splits):
         # The table itself is allocated before tracing. A fit adds Adam's two
-        # moments, the one batch accumulator and the best-epoch snapshot;
-        # Adam's scratch is slice-sized, and nothing table-sized may be made
-        # per document.
+        # moments, the one batch accumulator and the best-epoch snapshot, all
+        # over the rows the documents reach; Adam's scratch is slice-sized,
+        # and nothing table-sized may be made per document.
         docs = splits["train"][:8]
         table = _wide_table(docs)
         cfg = TrainConfig(epochs=1, embed_dim=64, vocab_min_freq=1, seed=7)
@@ -62,10 +62,10 @@ class TestNeuralTraining:
     def test_fit_holds_each_table_sized_array_once(self, kind, splits):
         # Two epochs of two batches, and a validation F1 that improves in the
         # second epoch, fitted on a 20,000- and an 80,000-row table. The
-        # documents, and so the tapes, are the same; the peak grows by the
-        # table-sized arrays held at once. Adam's two moments, the batch
-        # accumulator and the best-epoch snapshot are four; a second
-        # accumulator, snapshot or Adam scratch buffer would make five.
+        # documents, and so the tapes and the rows they reach, are the same;
+        # the peak grows by the table-sized arrays held at once. Adam's two
+        # moments, the batch accumulator and the best-epoch snapshot hold only
+        # the reached rows, so none is table-sized; one would make about 1.
         docs, validation = splits["train"][:8], splits["validation"][:4]
         cfg = TrainConfig(epochs=2, batch_size=4, embed_dim=64, vocab_min_freq=1, seed=3)
         table_bytes, peaks = [], []
@@ -76,7 +76,32 @@ class TestNeuralTraining:
             table_bytes.append(table.vectors.nbytes)
             peaks.append(peak)
         arrays_held = (peaks[1] - peaks[0]) / (table_bytes[1] - table_bytes[0])
-        assert arrays_held <= 4.5
+        assert arrays_held <= 0.5
+
+    def test_w2v_file_read_once(self, splits, tmp_path, monkeypatch):
+        from controkit import embeddings
+        from controkit.embeddings import write_w2v
+        from controkit.models import training
+
+        words = ["contro1", "mundane2", "notincorpus"]
+        vectors = np.arange(3 * 16, dtype=np.float32).reshape(3, 16)
+        path = tmp_path / "v.bin"
+        write_w2v(path, words, vectors, binary=True)
+        reads, read_w2v = [], embeddings.read_w2v
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return read_w2v(*args, **kwargs)
+
+        for module in (embeddings, training):
+            monkeypatch.setattr(module, "read_w2v", counted)
+        cfg = dataclasses.replace(CFG, epochs=1, embeddings_path=str(path),
+                                  fine_tune_embeddings=False)
+        result = fit("cnn", splits["train"][:20], splits["validation"][:6], cfg)
+        assert len(reads) == 1
+        table = result.classifier.model.embedding
+        for word, vec in zip(words, vectors):
+            assert np.array_equal(table.vectors[table.vocab.token_to_index[word]], vec)
 
     @pytest.mark.parametrize("kind", ["cnn", "han"])
     def test_separable_corpus_reaches_f1(self, kind, splits):
@@ -196,11 +221,11 @@ class TestBehaviourLock:
     """A seeded CNN and HAN fit reproduce the committed golden; regenerate
     it with ``python tests/golden_neural.py --write``."""
 
-    @pytest.mark.parametrize("kind", ["cnn", "han"])
-    def test_seeded_fit_matches_golden(self, kind):
+    @pytest.mark.parametrize("lock", LOCKS)
+    def test_seeded_fit_matches_golden(self, lock):
         golden = json.loads(LOCK_PATH.read_text())
         assert golden["config"] == CONFIG
-        got, want = build_neural_lock(kind), golden[kind]
+        got, want = build_neural_lock(lock), golden[lock]
         assert len(got["log"]) == len(want["log"])
         for epoch_got, epoch_want in zip(got["log"], want["log"]):
             assert epoch_got == pytest.approx(epoch_want, abs=TOLERANCE)
