@@ -19,10 +19,12 @@ wiki, seeds = random_wiki(rng_seed=42, n_seed_pages=4, n_random_pool=4)
 with FixtureServer(wiki) as server:
     print(f"fixture wiki: {len(wiki.pages)} pages served at {server.base_url}")
     fetcher = RewriteFetcher(policy, server.base_url, random_url=wiki.random_endpoint)
-    documents, edges, all_seeds = build_dataset(
+    result, all_seeds = build_dataset(
         seeds, policy, fetcher, snapshot_year=2018, n_random_negatives=2)
+documents, edges = result.documents, result.edges
 
-print(f"\ncrawled {len(documents)} documents, {len(edges)} qualifying link edges")
+print(f"\ncrawled {len(documents)} documents, {len(edges)} qualifying link edges, "
+      f"{len(result.failures)} failed fetches")
 for doc in sorted(documents, key=lambda d: (d.hop, d.url))[:8]:
     print(f"  hop {doc.hop}  {doc.label:17s}  {doc.source:11s}  {doc.url}"
           + (f"  [{doc.topic}]" if doc.topic else ""))

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .corpus import (
@@ -81,20 +82,28 @@ def cmd_crawl(args) -> int:
             fetcher = HttpFetcher(policy, random_url=args.random_url)
         from .crawl import build_dataset
 
-        docs, edges, all_seeds = build_dataset(
+        result, all_seeds = build_dataset(
             seeds, policy, fetcher, args.snapshot_year,
             n_random_negatives=args.negatives)
     finally:
         if server is not None:
             server.stop()
-    write_documents(args.out, docs)
+    write_documents(args.out, result.documents)
     edges_path = args.edges_out or args.out + ".edges.jsonl"
-    write_edges(edges_path, edges)
+    write_edges(edges_path, result.edges)
+    failures_path = args.out + ".failures.jsonl"
+    with open(failures_path, "w", encoding="utf-8") as f:
+        for url, reason in result.failures:
+            f.write(json.dumps({"url": url, "reason": reason}) + "\n")
     if args.seeds_out:
         from .corpus import write_seeds
 
         write_seeds(args.seeds_out, all_seeds)
-    print(f"crawled {len(docs)} documents ({len(edges)} edges) -> {args.out}")
+    print(f"crawled {len(result.documents)} documents ({len(result.edges)} edges) "
+          f"-> {args.out}")
+    by_reason = Counter(reason for _, reason in result.failures).most_common()
+    summary = ", ".join(f"{reason}: {count}" for reason, count in by_reason)
+    print(f"{len(result.failures)} failures ({summary or 'none'}) -> {failures_path}")
     return EXIT_OK
 
 

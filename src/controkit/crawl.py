@@ -43,7 +43,14 @@ _SECTION_NAMES = {
 
 
 class FetchFailure(ControkitError):
-    """A page could not be fetched; the crawl logs it and moves on."""
+    """A page could not be fetched; the crawl records ``(url, reason)`` and
+    moves on. ``reason`` names the cause without the URL: ``HTTP 404``,
+    ``disallowed by robots.txt`` or a network error's class name."""
+
+    def __init__(self, url: str, reason: str):
+        super().__init__(f"failed to fetch {url}: {reason}")
+        self.url = url
+        self.reason = reason
 
 
 @dataclass
@@ -190,14 +197,15 @@ class HttpFetcher:
 
     def fetch(self, url: str) -> FetchedPage:
         if not self.allowed(url):
-            raise FetchFailure(f"disallowed by robots.txt: {url}")
+            raise FetchFailure(url, "disallowed by robots.txt")
         self._wait_politely(host_of(url))
         last_error = None
         for _ in range(self.policy.retry_count + 1):
             try:
                 resp = self.session.get(self.real_url(url), timeout=self.policy.fetch_timeout)
             except requests.RequestException as exc:
-                last_error = str(exc)
+                logger.debug("fetching %s: %s", url, exc)
+                last_error = type(exc).__name__
                 continue
             if resp.status_code < 400:
                 return FetchedPage(url=normalize_url(url), status=resp.status_code,
@@ -205,7 +213,7 @@ class HttpFetcher:
             last_error = f"HTTP {resp.status_code}"
             if resp.status_code < 500 and resp.status_code not in (408, 429):
                 break  # a client error other than a timeout or rate limit is final
-        raise FetchFailure(f"failed to fetch {url}: {last_error}")
+        raise FetchFailure(url, last_error)
 
     def fetch_random(self) -> FetchedPage:
         """One article from the random endpoint (a redirect to the page)."""
@@ -217,13 +225,13 @@ class HttpFetcher:
                                     timeout=self.policy.fetch_timeout,
                                     allow_redirects=False)
         except requests.RequestException as exc:
-            raise FetchFailure(f"random endpoint failed: {exc}") from exc
+            raise FetchFailure(self.random_url, type(exc).__name__) from exc
         if resp.status_code in (301, 302, 303, 307, 308):
             target = urljoin(self.random_url, resp.headers.get("Location", ""))
             return self.fetch(self.virtual_url(target))
         if resp.status_code == 200:
             return FetchedPage(url=normalize_url(self.random_url), status=200, html=resp.text)
-        raise FetchFailure(f"random endpoint returned HTTP {resp.status_code}")
+        raise FetchFailure(self.random_url, f"HTTP {resp.status_code}")
 
 
 class RewriteFetcher(HttpFetcher):
@@ -302,8 +310,8 @@ def crawl_snowball(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
             try:
                 page = fetcher.fetch(url)
             except FetchFailure as exc:
-                logger.warning("skipping %s: %s", url, exc)
-                failures.append((url, str(exc)))
+                logger.warning("skipping %s: %s", url, exc.reason)
+                failures.append((url, exc.reason))
                 continue
             content = parse_page(page.html, url)
             documents[url] = Document(
@@ -337,7 +345,8 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
 
     Articles colliding with ``exclude_ids`` (e.g. already-crawled
     controversial pages) or with an earlier draw are resampled; when the
-    attempt budget runs out a :class:`UsageError` is raised.
+    attempt budget runs out a :class:`UsageError` is raised. Failed draws
+    come first in the result's failures.
     """
     if n <= 0:
         raise UsageError("need a positive number of negative seeds")
@@ -345,6 +354,7 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
     attempts_left = max_attempts if max_attempts is not None else max(5 * n, n + 20)
     chosen: list[Seed] = []
     chosen_ids: set[str] = set()
+    failures: list[tuple[str, str]] = []
     while len(chosen) < n:
         if attempts_left <= 0:
             raise UsageError(
@@ -356,6 +366,7 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
             page = fetcher.fetch_random()
         except FetchFailure as exc:
             logger.warning("random draw failed: %s", exc)
+            failures.append((exc.url, exc.reason))
             continue
         doc_id = document_id(page.url)
         if doc_id in exclude or doc_id in chosen_ids:
@@ -364,7 +375,7 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
         chosen_ids.add(doc_id)
         chosen.append(Seed(url=page.url, topic=None, polarity="random-negative"))
     result = crawl_snowball(chosen, policy, fetcher, snapshot_year, clock=clock)
-    return result, chosen
+    return CrawlResult(result.documents, result.edges, failures + result.failures), chosen
 
 
 def merge_crawls(*results: CrawlResult) -> CrawlResult:
@@ -391,7 +402,9 @@ def build_dataset(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
                   n_random_negatives: int = 0, clock=None):
     """Crawl seeds, optionally add random negatives, and propagate labels.
 
-    Returns (documents, edges, all_seeds) ready for splitting and writing.
+    Returns the merged :class:`CrawlResult`, with every failure of the
+    crawl and of the negative sampling, and all seeds, ready for splitting
+    and writing.
     """
     from .corpus import propagate_labels
 
@@ -406,7 +419,7 @@ def build_dataset(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
         result = merge_crawls(result, negatives)
         all_seeds.extend(negative_seeds)
     propagate_labels(result.documents, result.edges, all_seeds)
-    return result.documents, result.edges, all_seeds
+    return result, all_seeds
 
 
 def parse_seed_listing(html: str, base_url: str, polarity: str = "controversial") -> list[Seed]:

@@ -7,10 +7,10 @@ mean hinge loss plus an l2 penalty; the score is the raw margin w.x + b.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..corpus import CONTROVERSIAL
 from ..errors import UsageError
@@ -86,26 +86,22 @@ def tfidf_vector(tokens, model: TfIdfModel) -> np.ndarray:
     return vec
 
 
-def _feature_matrix(token_lists, model: TfIdfModel) -> sparse.csr_matrix:
-    data, indices, indptr = [], [], [0]
-    for tokens in token_lists:
-        counts: dict[int, float] = {}
-        for tok in tokens:
-            idx = model.term_index.get(tok)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-        cols = sorted(counts)
-        row = np.array([counts[c] * model.idf[c] for c in cols], dtype=np.float64)
+def _feature_matrix(doc_counts, model: TfIdfModel):
+    """CSR arrays ``(rows, cols, data)`` of the training documents' feature
+    vectors: columns ascend within each row, and each row is normalized on
+    its own as :func:`tfidf_vector` does."""
+    cols, data = [], []
+    for ids, counts in doc_counts:
+        order = np.argsort(ids)
+        row_cols = ids[order]
+        row = counts[order] * model.idf[row_cols]
         norm = np.linalg.norm(row)
         if norm > 0:
             row /= norm
-        data.extend(row)
-        indices.extend(cols)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(model.terms)),
-    )
+        cols.append(row_cols)
+        data.append(row)
+    rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+    return rows, np.concatenate(cols), np.concatenate(data)
 
 
 def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> TfIdfModel:
@@ -114,35 +110,58 @@ def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> T
     Deterministic full-batch subgradient descent on
     mean(max(0, 1 - y (w.x + b))) + l2 ||w||^2 with y in {-1, +1}
     (+1 = controversial).
+
+    The feature matrix is held as CSR arrays, and ``np.bincount`` computes
+    ``x @ w`` and ``x.T @ coeff``. It adds the products to each output in
+    the order it reads them, and both products read each output's terms in
+    CSR storage order, as scipy's CSR and CSC matrix-vector kernels do; so
+    the fit is bit-identical to one on a ``scipy.sparse`` matrix.
     """
     labels = np.array([1.0 if d.label == CONTROVERSIAL else -1.0 for d in docs])
     if not ((labels > 0).any() and (labels < 0).any()):
         raise UsageError("tf-idf training needs both classes in the corpus")
 
-    token_lists = [tokenize(d.text) for d in docs]
-    doc_freq_map: dict[str, int] = {}
-    for tokens in token_lists:
-        for tok in set(tokens):
-            doc_freq_map[tok] = doc_freq_map.get(tok, 0) + 1
-    terms = sorted(doc_freq_map)
+    # Each document is counted as it is tokenized; a token gets the next id
+    # when first looked up, and ids are remapped to sorted-term order below.
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    doc_counts = []
+    for d in docs:
+        counts = Counter(tokenize(d.text))
+        ids = np.fromiter(map(first_seen.__getitem__, counts), dtype=np.int64,
+                          count=len(counts))
+        doc_counts.append((ids, np.fromiter(counts.values(), dtype=np.float64,
+                                            count=len(counts))))
+    terms = sorted(first_seen)
+    rank = np.argsort([first_seen[t] for t in terms])  # first-seen id -> sorted position
+    doc_counts = [(rank[ids], counts) for ids, counts in doc_counts]
     n_docs = len(docs)
+    n_terms = len(terms)
     model = tfidf_from_counts(
         terms=terms,
-        doc_freq=[doc_freq_map[t] for t in terms],
+        doc_freq=np.bincount(np.concatenate([ids for ids, _ in doc_counts]),
+                             minlength=n_terms),
         n_docs=n_docs,
-        w=np.zeros(len(terms), dtype=np.float32),
+        w=np.zeros(n_terms, dtype=np.float32),
         b=0.0,
     )
 
-    x = _feature_matrix(token_lists, model)
-    w = np.zeros(len(terms), dtype=np.float64)
+    rows, cols, data = _feature_matrix(doc_counts, model)
+    del doc_counts
+    w = np.zeros(n_terms, dtype=np.float64)
     b = 0.0
+    hinge_violating = hinge_grad_w = None
     for _ in range(epochs):
-        margins = labels * (x @ w + b)
+        margins = labels * (np.bincount(rows, data * w[cols], minlength=n_docs) + b)
         violating = margins < 1.0
         if violating.any():
             coeff = -labels * violating / n_docs
-            grad_w = x.T @ coeff + 2.0 * l2 * w
+            # x.T @ coeff depends only on the violating set, which often
+            # stays the same from one epoch to the next.
+            if not np.array_equal(violating, hinge_violating):
+                hinge_violating = violating
+                hinge_grad_w = np.bincount(cols, data * coeff[rows], minlength=n_terms)
+            grad_w = hinge_grad_w + 2.0 * l2 * w
             grad_b = float(coeff.sum())
         else:
             grad_w = 2.0 * l2 * w

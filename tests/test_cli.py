@@ -5,8 +5,15 @@ import os
 import pytest
 
 from controkit.cli import main
-from controkit.corpus import read_documents, read_edges, write_documents, write_seeds
-from controkit.fixture_wiki import random_wiki
+from controkit.corpus import (
+    CONTROVERSIAL,
+    Seed,
+    read_documents,
+    read_edges,
+    write_documents,
+    write_seeds,
+)
+from controkit.fixture_wiki import FixturePage, FixtureWiki, random_wiki
 from controkit.synthetic import make_separable_corpus, split_simple
 
 
@@ -71,6 +78,39 @@ class TestCrawlAndSplit:
         table = (tmp / "splits" / "stats.txt").read_text()
         for column in ("Set", "Seeds", "Total", "Controversial", "General Web"):
             assert column in table
+
+    def test_failure_file_lists_dead_and_disallowed_urls(self, tmp_path, capsys):
+        wiki = FixtureWiki()
+        wiki.add(FixturePage(url="http://wiki.test/seed", title="seed",
+                             paragraphs=["A disputed seed page."],
+                             see_also=["http://wiki.test/gone", "http://wiki.test/private/x"]))
+        wiki.add(FixturePage(url="http://wiki.test/private/x", title="x"))
+        wiki.add(FixturePage(url="http://wiki.test/r0", title="r0",
+                             paragraphs=["A quiet random page."],
+                             references=["http://wiki.test/r0-gone"]))
+        wiki.robots["wiki.test"] = "User-agent: *\nDisallow: /private\n"
+        # The server hands out the pool in order: the first draw redirects
+        # to a page that does not exist, the second to r0.
+        wiki.random_pool = ["http://wiki.test/vanished", "http://wiki.test/r0"]
+        (tmp_path / "wiki.json").write_text(json.dumps(wiki_spec_json(wiki)))
+        write_seeds(tmp_path / "seeds.jsonl",
+                    [Seed("http://wiki.test/seed", "t", CONTROVERSIAL)])
+        out = tmp_path / "dataset.jsonl"
+        code = main(["crawl", "--seeds", str(tmp_path / "seeds.jsonl"),
+                     "--fixture-server", str(tmp_path / "wiki.json"),
+                     "--out", str(out), "--negatives", "1"])
+        assert code == 0
+        lines = (tmp_path / "dataset.jsonl.failures.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"url": "http://wiki.test/gone", "reason": "HTTP 404"},
+            {"url": "http://wiki.test/private/x", "reason": "disallowed by robots.txt"},
+            {"url": "http://wiki.test/vanished", "reason": "HTTP 404"},
+            {"url": "http://wiki.test/r0-gone", "reason": "HTTP 404"},
+        ]
+        assert {d.url for d in read_documents(out)} == {"http://wiki.test/seed",
+                                                         "http://wiki.test/r0"}
+        assert ("4 failures (HTTP 404: 3, disallowed by robots.txt: 1)"
+                in capsys.readouterr().out)
 
 
 @pytest.fixture(scope="module")

@@ -257,8 +257,9 @@ def crawl_oracle_check(rng_seed):
     policy = POLICY
     with FixtureServer(wiki) as server:
         fetcher = RewriteFetcher(policy, server.base_url, random_url=wiki.random_endpoint)
-        docs, edges, all_seeds = build_dataset(seeds, policy, fetcher, 2018,
-                                               n_random_negatives=2, clock=CLOCK)
+        result, all_seeds = build_dataset(seeds, policy, fetcher, 2018,
+                                          n_random_negatives=2, clock=CLOCK)
+    docs, edges = result.documents, result.edges
 
     truth_edges = [(src, dst) for src, dst, cls in wiki.qualifying_edges()
                    if cls in policy.link_classes]

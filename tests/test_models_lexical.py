@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from controkit.models import TrainConfig, fit
 from controkit.models.lm import lm_train
 from controkit.models.tfidf import tfidf_train, tfidf_vector
 from controkit.synthetic import make_separable_corpus
+from golden_lexical import CORPORA, LOCK_PATH, build_lexical_lock
 
 
 def doc(text, label=CONTROVERSIAL):
@@ -83,6 +86,60 @@ class TestTfIdf:
         base = tfidf_vector(["a", "a", "b"], model)
         tripled = tfidf_vector(["a"] * 6 + ["b"] * 3, model)
         assert np.allclose(base, tripled, atol=1e-12)
+
+    def test_bincount_adds_in_reading_order(self):
+        # tfidf_train matches scipy's CSR and CSC kernels bit for bit only
+        # because np.bincount adds each output's weights in the order it
+        # reads them. The final weights are float32, so the fit alone would
+        # hide a float64 summation-order change.
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, 5, 2000)
+        weights = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 8, 2000)
+        expected = [0.0] * 5
+        for i, v in zip(idx.tolist(), weights.tolist()):
+            expected[i] += v
+        assert np.array_equal(np.bincount(idx, weights, minlength=5), expected)
+
+    def test_fit_equals_storage_order_loop(self):
+        # The reference adds each output's terms in CSR storage order, as
+        # scipy's sparse kernels do, so the weights must match bit for bit.
+        rng = np.random.default_rng(7)
+        corpus = [doc(" ".join(f"t{k}" for k in rng.zipf(1.5, 30) % 40),
+                      CONTROVERSIAL if i % 3 else NON_CONTROVERSIAL) for i in range(24)]
+        corpus.append(doc("", NON_CONTROVERSIAL))
+        epochs, lr, l2 = 40, 0.5, 1e-4
+        model = tfidf_train(corpus, epochs=epochs, lr=lr, l2=l2)
+
+        rows = []
+        for d in corpus:
+            counts = Counter(d.text.split())
+            cols = sorted(model.term_index[t] for t in counts)
+            values = np.array([counts[model.terms[c]] * model.idf[c] for c in cols])
+            norm = np.linalg.norm(values)
+            if norm > 0:
+                values /= norm
+            rows.append(list(zip(cols, values)))
+        labels = [1.0 if d.label == CONTROVERSIAL else -1.0 for d in corpus]
+        n = len(corpus)
+        w, b = [0.0] * len(model.terms), 0.0
+        seen_violations = set()
+        for _ in range(epochs):
+            coeff = []
+            for y, row in zip(labels, rows):
+                total = 0.0
+                for c, v in row:
+                    total += v * w[c]
+                coeff.append(-y * float(y * (total + b) < 1.0) / n)
+            seen_violations.add(sum(c != 0.0 for c in coeff))
+            hinge = [0.0] * len(w)
+            for r, row in enumerate(rows):
+                for c, v in row:
+                    hinge[c] += v * coeff[r]
+            w = [wc - lr * (hc + 2.0 * l2 * wc) for wc, hc in zip(w, hinge)]
+            b -= lr * float(np.array(coeff).sum())
+        assert len(seen_violations) > 1  # the violating set changes
+        assert np.array_equal(model.w, np.array(w, dtype=np.float32))
+        assert model.b == float(np.float32(b))
 
 
 class TestLm:
@@ -181,3 +238,14 @@ class TestLm:
         path.write_text("\n   \n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="no terms"):
             fit("lm", corpus, [], TrainConfig(lm_lexicon_path=str(path)))
+
+
+class TestLexicalLock:
+    """Seeded fits against ``tests/data/golden/lexical_lock.json``, bit for
+    bit. Regenerate it after an intentional change to lexical training or
+    scoring with ``python tests/golden_lexical.py --write``."""
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_seeded_fit_matches_golden(self, corpus):
+        golden = json.loads(LOCK_PATH.read_text())[corpus]
+        assert build_lexical_lock(corpus) == golden
