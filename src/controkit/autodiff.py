@@ -32,12 +32,8 @@ from .errors import DimensionError, DomainError, NumericError, UsageError
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, safe for large-magnitude (even infinite) inputs."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
@@ -474,7 +470,9 @@ def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The gradient goes to each filter's first maximal window, which keeps
     backward deterministic under ties, and only where that maximum is
     positive. Only the winning positions are saved (``Graph.recompute``
-    refreshes them); ``w`` enters the products as in :func:`linear`.
+    refreshes them), and the backward pass multiplies only the windows
+    some filter won by ``w``; ``w`` enters the products as in
+    :func:`linear`.
     """
     if (x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[:1] or not x.shape[1]
             or not w.shape[1] or w.shape[1] % x.shape[1]):
@@ -498,13 +496,14 @@ def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g, out, x, w, b):
         winners = saved["winners"]
         gp = g[0] * (out[0] > 0)
-        g_act = np.zeros((positions, len(cols)), dtype=g.dtype)
-        g_act[winners, cols] = gp
+        rows, slot = np.unique(winners, return_inverse=True)  # every other window's gradient is 0
+        g_act = np.zeros((len(rows), len(cols)), dtype=g.dtype)
+        g_act[slot, cols] = gp
         g_win = g_act @ w.T.copy().T
         dx = np.zeros_like(x)
         # offsets from width-1 down to 0: each row adds its windows in position order
         for j in range(width - 1, -1, -1):
-            dx[j : j + positions] += g_win[:, j * dim : (j + 1) * dim]
+            dx[rows + j] += g_win[:, j * dim : (j + 1) * dim]
         return dx, gp[:, None] * windows(x)[winners], gp
 
     return _record("conv_max_pool", (x, w, b), fwd, bwd)

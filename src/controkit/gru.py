@@ -120,15 +120,16 @@ def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None, reverse: bool = Fal
 
     def fwd(x, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
         ax = (x @ np.concatenate((w_z, w_r, w_h)).T).reshape(n_rows, steps, 3, hidden)
-        u_zr = np.concatenate((u_z, u_r)).T
+        u_zr, b_zr = np.concatenate((u_z, u_r)).T, np.stack((b_z, b_r))
         # per step: the state before it, the gates z and r, the candidate, the state after it
-        saved["acts"] = prev, z, r, cand, out = np.empty((5, n_rows, steps, hidden), x.dtype)
+        saved["acts"] = acts = np.empty((5, n_rows, steps, hidden), x.dtype)
+        prev, z, r, cand, out = acts
         h = np.zeros((n_rows, hidden), dtype=x.dtype)
         for t in order:
             a = ax[:, t]
-            hu = h @ u_zr
-            z[:, t] = ad.stable_sigmoid(a[:, 0] + hu[:, :hidden] + b_z)
-            r[:, t] = ad.stable_sigmoid(a[:, 1] + hu[:, hidden:] + b_r)
+            # z and r in one sigmoid call over their (n_rows, 2, hidden) pre-activations
+            pre_zr = a[:, :2] + (h @ u_zr).reshape(n_rows, 2, hidden) + b_zr
+            acts[1:3, :, t] = ad.stable_sigmoid(pre_zr).transpose(1, 0, 2)
             cand[:, t] = np.tanh(a[:, 2] + (r[:, t] * h) @ u_h.T + b_h)
             prev[:, t] = h
             h = np.where(keep[:, t, None], (1 - z[:, t]) * h + z[:, t] * cand[:, t], h)

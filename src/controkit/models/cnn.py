@@ -4,7 +4,8 @@ For each window size, filters slide over consecutive embedding windows;
 each filter's per-position ReLU activations collapse to their maximum, so
 a matched n-gram contributes the same pooled value wherever it sits. The
 pooled features pass through dropout and a dense layer into a two-way
-softmax.
+softmax. The network reads a document's own tokens and one widest window
+of padding (``network_input``), not all ``max_tokens`` encoded rows.
 """
 
 from __future__ import annotations
@@ -65,11 +66,24 @@ class CnnParams(NeuralModel):
         return out
 
     def network_input(self, doc) -> list[int]:
-        """The token ids of an encoded document (or a token list)."""
+        """The token ids of an encoded document (or a token list) up to its
+        last non-padding id, then ``max(window_sizes)`` padding ids, capped
+        at the input's length.
+
+        The pooled features are those of the whole padded input: the padding
+        row is zero, so every all-padding window evaluates to ``relu(b)``,
+        and the trim keeps every window that reads a token, in front, and
+        one all-padding window wherever the input had one, so each filter's
+        first maximum is where it was. Only float rounding can differ: a
+        GEMM may round a row differently when the product has fewer rows.
+        """
         tokens = doc.tokens if isinstance(doc, EncodedDocument) else doc
-        if all(t == PAD_INDEX for t in tokens):
+        real = len(tokens)
+        while real and tokens[real - 1] == PAD_INDEX:
+            real -= 1
+        if not real:
             raise EmptyDocumentError(f"document {getattr(doc, 'doc_id', '')!r} has no tokens")
-        return tokens
+        return tokens[: real + max(self.window_sizes)]
 
     def logits(self, bound, tokens, mode: str = "eval", rng=None,
                dropout_rate: float = 0.5) -> ad.Tensor:

@@ -139,6 +139,36 @@ class TestConvMaxPool:
         live = g_live.backward(ad.sum_all(ad.mul(out_live, g_live.constant(weights[:, :1]))))
         assert np.array_equal(grads["x"], live["x"])
 
+    def test_winner_rows_backward_matches_the_full_product(self, rng):
+        # filters 0-2 share one winning window, filter 3 wins at the last
+        # position and filter 4's pre-activations are all below 0
+        width, dim, steps = 3, 4, 9
+        positions = steps - width + 1
+        x_val = rng.normal(size=(steps, dim))
+        x_val[-width:] *= 3.0
+        w_val = rng.normal(size=(5, width * dim))
+        w_val[1], w_val[2] = 2.0 * w_val[0], 0.5 * w_val[0]
+        w_val[3] = x_val[-width:].reshape(-1)
+        b_val = np.array([0.0, 0.0, 0.0, 0.0, -100.0])
+        weights = rng.normal(size=(1, 5))
+        g, out = self.conv(x_val, w_val, b_val)
+        loss = ad.sum_all(ad.mul(out, g.constant(weights)))
+        report = ad.grad_check(g, loss, 1e-6, 1e-6)
+        assert report.passed, report
+
+        acts = np.array([[w_val[f] @ x_val[p : p + width].reshape(-1) + b_val[f]
+                          for f in range(5)] for p in range(positions)])
+        winners = acts.argmax(axis=0)
+        assert winners[0] == winners[1] == winners[2] and acts[:, 0].max() > 0
+        assert winners[3] == positions - 1 and acts[:, 4].max() <= 0
+        expected = np.zeros_like(x_val)  # the whole (positions, F) product, term by term
+        for p in range(positions):
+            for f in range(5):
+                g_act = weights[0, f] if p == winners[f] and acts[p, f] > 0 else 0.0
+                for j in range(width):
+                    expected[p + j] += g_act * w_val[f, j * dim : (j + 1) * dim]
+        assert np.max(np.abs(g.backward(loss)["x"] - expected)) < 1e-12
+
     def test_shape_errors(self):
         g = ad.Graph()
         x = g.constant(np.zeros((2, 3)))
@@ -151,6 +181,31 @@ class TestConvMaxPool:
         with pytest.raises(DimensionError, match="conv_max_pool needs"):
             ad.conv_max_pool(g.constant(np.zeros(6)), g.constant(np.zeros((4, 6))),
                              g.constant(np.zeros(4)))
+
+
+class TestStableSigmoid:
+    @staticmethod
+    def two_branch(x):
+        """The textbook stable logistic: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_two_branch_formula(self, rng, dtype):
+        special = [np.inf, -np.inf, 0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 750.0, -750.0]
+        x = np.concatenate([special, *(rng.normal(scale=s, size=100) for s in (0.1, 3.0, 40.0))])
+        x = x.astype(dtype).reshape(10, 31)
+        got = ad.stable_sigmoid(x)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert got.tobytes() == self.two_branch(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_gives_nan(self, dtype):
+        assert np.all(np.isnan(ad.stable_sigmoid(np.array([np.nan, -np.nan], dtype=dtype))))
 
 
 class TestSoftmax:

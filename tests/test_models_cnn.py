@@ -72,6 +72,47 @@ def test_matches_scalar_loop_oracle(rng, small_embedding):
     assert np.max(np.abs(probs - oracle)) < 1e-5
 
 
+def favour_padding_cnn(rng, small_embedding):
+    """Positive embeddings, positive biases and a filter 0 of negative
+    weights: that filter's all-padding windows (relu(b) = b) beat every
+    window that reads a token."""
+    small_embedding.vectors[2:] = np.abs(small_embedding.vectors[2:])
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=3)
+    for h in params.window_sizes:
+        params.filters[h][0] = -np.abs(params.filters[h][0])
+        params.filter_biases[h][:] = [0.5, 0.25, 0.1]
+    return params
+
+
+@pytest.mark.parametrize("real_len", [400, 2, 57, None])  # None: a raw unpadded list
+def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_len):
+    params = favour_padding_cnn(rng, small_embedding)
+    if real_len is None:
+        doc = full = rng.integers(2, 7, size=9).tolist()
+    else:
+        full = rng.integers(2, 7, size=real_len).tolist() + [0] * (400 - real_len)
+        doc = EncodedDocument(doc_id="d", sentences=[], tokens=full, empty=False)
+    assert params.network_input(doc) == full[: (real_len or len(full)) + 4]
+    assert abs(params.score(doc) - cnn_scalar(full, params)[1]) < 1e-5
+    if real_len in (2, 57):  # an all-padding window is filter 0's first maximum
+        emb = params.embedding.vectors[full]
+        for h in params.window_sizes:
+            acts = [params.filters[h][0] @ emb[i : i + h].reshape(-1)
+                    for i in range(400 - h + 1)]
+            assert np.argmax(np.maximum(np.add(acts, 0.5), 0)) == real_len
+
+
+@pytest.mark.parametrize("real_len", [1, 57, 396, 400])
+def test_training_graph_reads_real_len_plus_widest_window_rows(rng, small_embedding, real_len):
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=2)
+    tokens = rng.integers(2, 7, size=real_len).tolist() + [0] * (400 - real_len)
+    net_input = params.network_input(EncodedDocument("d", [], tokens, False))
+    graph = ad.Graph(np.float32)
+    params.loss(graph, net_input, target=1, rng=np.random.default_rng(0))
+    (lookup,) = [node for node in graph.nodes if node.op == "lookup"]
+    assert lookup.shape == (min(real_len + 4, 400), small_embedding.dim)
+
+
 def test_short_document_padded_to_window(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2)
     probs = params.probabilities([3])  # shorter than the widest window
@@ -86,6 +127,9 @@ def test_empty_document_signals(rng, small_embedding):
         params.probabilities(encoded)
     with pytest.raises(EmptyDocumentError):
         params.probabilities([0, 0, 0])  # nothing but padding
+    for tokens in ([0] * 400, []):
+        with pytest.raises(EmptyDocumentError, match="'d'"):
+            params.network_input(EncodedDocument("d", [], tokens, empty=True))
 
 
 def test_probabilities_sum_to_one(rng, small_embedding):
