@@ -13,9 +13,10 @@ from controkit import autodiff as ad
 # --- a tiny expression graph -------------------------------------------------
 graph = ad.Graph(np.float64)
 w = graph.parameter("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
-x = graph.constant(np.array([[1.0], [2.0]]))
+b = graph.parameter("b", np.array([0.1, -0.2]))
+x = graph.constant(np.array([[1.0, 2.0]]))
 
-hidden = ad.tanh(ad.matmul(w, x))
+hidden = ad.linear(x, w, b)  # x @ w.T + b as one tape node
 loss = ad.sum_all(ad.mul(hidden, hidden))
 print("loss:", float(loss.data))
 
@@ -27,9 +28,8 @@ report = ad.grad_check(graph, loss, step=1e-5, tolerance=1e-6)
 print("gradient check:", report)
 
 # --- softmax stability: huge logits neither overflow nor lose normalization --
-big = graph.constant([1000.0, 1000.0, 999.0])
-probs = ad.softmax(big)
-print("softmax([1000, 1000, 999]) =", probs.data, "sum =", probs.data.sum())
+probs = ad.stable_softmax(np.array([1000.0, 1000.0, 999.0]))
+print("softmax([1000, 1000, 999]) =", probs, "sum =", probs.sum())
 
 # --- dropout: inverted scaling keeps the expected value ----------------------
 rng = np.random.default_rng(0)

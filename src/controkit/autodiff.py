@@ -10,6 +10,13 @@ a backward function, so a finalized graph supports three things:
 * ``grad_check(...)`` -- central finite differences against the analytic
   gradients (64-bit graphs only; 32-bit differences are too noisy).
 
+The ops are the layers the models need, each one node with a hand-written
+backward rule (:func:`lookup`, :func:`linear`, :func:`conv_max_pool`,
+:func:`attention_pool`, :func:`concat`, :func:`dropout`,
+:func:`cross_entropy`; the GRU's ``gru_sequence`` lives in ``gru.py``),
+plus :func:`add`, :func:`mul`, :func:`scale` and :func:`sum_all` for the
+l2 penalty.
+
 Values and most gradients are dense arrays. The gradient of a table read
 only through :func:`lookup` is a :class:`RowSparseGrad` holding just the
 gathered rows, so a document's backward pass never allocates a table-sized
@@ -34,6 +41,9 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below: never overflows
     return np.where(x >= 0, 1, e) / (1 + e)
+
+
+MASK_LOGIT = -1e9  # a masked attention score: weight exactly 0 after stable_softmax
 
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
@@ -124,23 +134,6 @@ class Tensor:
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
         return f"<Tensor #{self.index} op={self.op}{label} shape={self.data.shape}>"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Graph:
@@ -259,15 +252,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _coerce(a, b):
-    if not isinstance(b, Tensor):
-        b = a.graph.constant(b)
-    return b
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(a, b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def fwd(x, y):
         return x + y
 
@@ -297,24 +282,6 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _record("scale", (a,), fwd, bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two matrices, or of two stacks of n matrices (3-D
-    operands of equal first dimension), matrix by matrix."""
-    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"matmul needs 2-D operands or equal stacks of them, "
-                             f"got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-    def fwd(x, y):
-        return x @ y
-
-    def bwd(g, out, x, y):
-        return g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g
-
-    return _record("matmul", (a, b), fwd, bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The dense layer ``x @ w.T + b`` for x (n, k), w (m, k) and b (m,), as
     one node. ``w.T`` enters the products as a C-ordered copy: BLAS rounds
@@ -330,53 +297,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ w.T.copy().T, g.T @ x, g.sum(0)
 
     return _record("linear", (x, w, b), fwd, bwd)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def fwd(x):
-        return x.reshape(shape)
-
-    def bwd(g, out, x):
-        return (g.reshape(x.shape),)
-
-    return _record("reshape", (a,), fwd, bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    def fwd(x):
-        return np.tanh(x)
-
-    def bwd(g, out, x):
-        return (g * (1.0 - out * out),)
-
-    return _record("tanh", (a,), fwd, bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    def fwd(x):
-        return np.log(x)
-
-    def bwd(g, out, x):
-        return (g / x,)
-
-    return _record("log", (a,), fwd, bwd)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis (1-D vector or row-wise for 2-D)."""
-    if a.data.size == 0 or a.shape[-1] == 0:
-        raise DomainError("softmax of an empty vector")
-
-    def fwd(x):
-        return stable_softmax(x)
-
-    def bwd(g, out, x):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("softmax", (a,), fwd, bwd)
 
 
 def _log_probabilities(x: np.ndarray) -> np.ndarray:
@@ -507,6 +427,64 @@ def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return dx, gp[:, None] * windows(x)[winners], gp
 
     return _record("conv_max_pool", (x, w, b), fwd, bwd)
+
+
+def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor, n_groups: int,
+                   mask=None) -> tuple[Tensor, np.ndarray]:
+    """Additive attention pooling as one (n_groups, rep) node, plus the
+    weights of the forward pass that recorded it.
+
+    The rows of ``states`` (N, rep) form ``n_groups`` groups of L = N /
+    n_groups consecutive rows. Each row scores ``tanh(row @ w.T + b) @ u``
+    for w (m, rep), b (m,) and u (m,); a softmax within each group turns
+    the scores into weights (n_groups, L), and output row i is group i's
+    weighted sum of rows. ``mask`` (n_groups, L), true at real rows, adds
+    ``MASK_LOGIT`` to the other rows' scores, which gives them weight
+    exactly 0. ``w`` enters the products as in :func:`linear`.
+    """
+    if (states.ndim != 2 or w.ndim != 2 or w.shape[1] != states.shape[1]
+            or b.shape != w.shape[:1] or u.shape != w.shape[:1] or n_groups < 1
+            or states.shape[0] < n_groups or states.shape[0] % n_groups):
+        raise DimensionError(f"attention_pool needs states (n_groups * L, rep), w (m, rep), "
+                             f"b (m,) and u (m,), got {states.shape}, {w.shape}, {b.shape} "
+                             f"and {u.shape} for {n_groups} groups")
+    (n_rows, rep), m = states.shape, w.shape[0]
+    length = n_rows // n_groups
+    logit_mask = None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n_groups, length):
+            raise DimensionError(f"attention_pool mask has shape {mask.shape}, "
+                                 f"expected {(n_groups, length)}")
+        logit_mask = np.where(mask, 0.0, MASK_LOGIT).astype(states.data.dtype)
+    saved = {}
+
+    def fwd(x, w, b, u):
+        hidden = np.tanh(x @ w.T.copy() + b)
+        scores = (hidden @ u.reshape(m, 1)).reshape(n_groups, length)
+        if logit_mask is not None:
+            scores = scores + logit_mask
+        saved["hidden"] = hidden
+        saved["alpha"] = alpha = stable_softmax(scores)
+        return (alpha.reshape(n_groups, 1, length)
+                @ x.reshape(n_groups, length, rep)).reshape(n_groups, rep)
+
+    def bwd(g, out, x, w, b, u):
+        hidden, alpha = saved["hidden"], saved["alpha"]
+        # the weighted sum, to its weights and to the rows it adds
+        g3 = g.reshape(n_groups, 1, rep)
+        g_alpha = g3 @ np.swapaxes(x.reshape(n_groups, length, rep), -1, -2)
+        g_summed = np.swapaxes(alpha.reshape(n_groups, 1, length), -1, -2) @ g3
+        # the softmax, then the scores tanh(x @ w.T + b) @ u
+        g_alpha = g_alpha.reshape(n_groups, length)
+        dot = np.sum(g_alpha * alpha, axis=-1, keepdims=True)
+        g_scores = (alpha * (g_alpha - dot)).reshape(n_rows, 1)
+        g_pre = (g_scores @ u.reshape(m, 1).T) * (1.0 - hidden * hidden)
+        return (g_summed.reshape(n_rows, rep) + g_pre @ w.T.copy().T, g_pre.T @ x,
+                g_pre.sum(0), (hidden.T @ g_scores).reshape(m))
+
+    node = _record("attention_pool", (states, w, b, u), fwd, bwd)
+    return node, saved["alpha"]
 
 
 def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:

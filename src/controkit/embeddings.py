@@ -149,12 +149,6 @@ def write_w2v(path, words, vectors: np.ndarray, binary: bool = True) -> None:
                 f.write(f"{word} {values}\n".encode("utf-8"))
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int, rng=None,
-                    binary: bool | None = None, trainable: bool = True) -> EmbeddingTable:
-    """``table_from_vectors`` over the records of a w2v file."""
-    return table_from_vectors(*read_w2v(path, binary=binary), vocab, dim, rng, trainable)
-
-
 def table_from_vectors(words, file_vectors: np.ndarray, vocab: Vocabulary, dim: int,
                        rng=None, trainable: bool = True) -> EmbeddingTable:
     """Embedding table for ``vocab`` initialized from w2v records.
@@ -184,8 +178,3 @@ def table_from_vectors(words, file_vectors: np.ndarray, vocab: Vocabulary, dim: 
     n_words = len(vocab) - 2
     coverage = found / n_words if n_words else 0.0
     return EmbeddingTable(vocab=vocab, vectors=table, trainable=trainable, coverage=coverage)
-
-
-def save_embeddings(path, table: EmbeddingTable, binary: bool = True) -> None:
-    """Write the non-reserved rows back out in w2v format."""
-    write_w2v(path, table.vocab.words(), table.vectors[2:], binary=binary)

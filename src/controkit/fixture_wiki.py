@@ -177,22 +177,6 @@ def _paragraph(rng, topic_word: str) -> str:
     return " ".join(words).capitalize() + "."
 
 
-def chain_wiki(length: int = 4) -> tuple[FixtureWiki, list[Seed]]:
-    """A single see-also chain S -> A -> B -> ... for hop-limit tests."""
-    wiki = FixtureWiki()
-    names = ["chain0"] + [f"chain{i}" for i in range(1, length)]
-    for i, name in enumerate(names):
-        nxt = [f"http://wiki.test/{names[i + 1]}"] if i + 1 < len(names) else []
-        wiki.add(FixturePage(
-            url=f"http://wiki.test/{name}",
-            title=name,
-            paragraphs=[f"{name} is a page about {name}."],
-            see_also=nxt,
-        ))
-    seeds = [Seed(url="http://wiki.test/chain0", topic="chains", polarity="controversial")]
-    return wiki, seeds
-
-
 def random_wiki(rng_seed: int, n_seed_pages: int = 3, n_random_pool: int = 3,
                 depth: int = 4, fanout: int = 3) -> tuple[FixtureWiki, list[Seed]]:
     """A randomized layered wiki for crawler property tests.

@@ -329,9 +329,6 @@ class AgreementReport:
     disagreement: float
     flags: list = field(default_factory=list)
 
-    def as_row(self) -> tuple:
-        return (self.mean_annotation, self.certainty, self.disagreement)
-
 
 def agreement_report(preds: PredictionSet, annotations, scale_midpoint: float = 2.5,
                      min_scores: int = 3) -> AgreementReport:

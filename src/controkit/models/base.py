@@ -71,14 +71,14 @@ class NeuralModel:
         nll = ad.cross_entropy(self.logits(bound, net_input, mode, rng, dropout_rate), target)
         if l2 > 0:
             w = bound["dense.w"]
-            return ad.add(nll, ad.sum_all(ad.mul(w, w)) * l2)
+            return ad.add(nll, ad.scale(ad.sum_all(ad.mul(w, w)), l2))
         return nll
 
     def probabilities(self, doc) -> np.ndarray:
         """Eval-mode class probabilities [non-controversial, controversial]."""
         net_input = self.network_input(doc)
         graph = ad.Graph(np.float32)  # held here: nodes refer to their graph weakly
-        return ad.softmax(self.logits(self.bind(graph), net_input)).data[0]
+        return ad.stable_softmax(self.logits(self.bind(graph), net_input).data)[0]
 
     def score(self, doc) -> float:
         return float(self.probabilities(doc)[1])

@@ -4,13 +4,14 @@ document vector.
 
 Within a document all sentences run the word-level GRUs in lockstep,
 padded to the longest sentence; padded steps keep their previous hidden
-state and their attention logits are pushed to -1e9 so padded positions
-get zero weight. Every attention distribution is an explicit softmax, so
-word-attention rows and the sentence-attention vector each sum to 1.
+state, and ``attention_pool``'s mask gives them attention weight exactly
+zero. Every attention distribution is a softmax, so word-attention rows
+and the sentence-attention vector each sum to 1.
 
 A document's graph has the same nodes whatever its size: one lookup of
 the padded (S, L) word matrix, one ``gru_sequence`` node per GRU
-direction and level, and whole-array attention.
+direction and level, one ``attention_pool`` node per level (S groups of
+L words, then one group of S sentences) and the ``linear`` dense layer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..textprep import PAD_INDEX, EncodedDocument
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2
-MASK_LOGIT = -1e9
 
 
 @dataclass
@@ -108,18 +108,17 @@ def _cell(bound, prefix: str) -> tuple:
     return tuple(bound[f"{prefix}.{block.name}"] for block in fields(GruParams))
 
 
-def _attention_scores(bound, prefix: str, states: ad.Tensor) -> ad.Tensor:
-    """One attention logit per row of ``states``, as an (n, 1) column."""
-    hidden = ad.tanh(ad.linear(states, bound[f"{prefix}.w"], bound[f"{prefix}.b"]))
-    u = bound[f"{prefix}.u"]
-    return ad.matmul(hidden, ad.reshape(u, (u.shape[0], 1)))
+def _attention(bound, prefix: str) -> tuple:
+    """The bound ``w``, ``b`` and ``u`` blocks of one attention level, in the
+    order ``attention_pool`` takes."""
+    return tuple(bound[f"{prefix}.{name}"] for name in ("w", "b", "u"))
 
 
 def han_document_vector(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5):
     """Document vector plus both attention distributions.
 
     Returns (doc_vec (1, 2h), word_alpha (S, L) with padded positions at
-    zero weight, sent_alpha (1, S)).
+    zero weight, sent_alpha (1, S)), the two distributions as arrays.
     """
     n_sent = len(sentences)
     lengths = np.array([len(s) for s in sentences])
@@ -135,28 +134,19 @@ def han_document_vector(bound, sentences, mode: str, rng=None, dropout_rate: flo
     word_h = ad.concat((gru_sequence(x, _cell(bound, "word_fw"), n_sent, mask),
                         gru_sequence(x, _cell(bound, "word_bw"), n_sent, mask, reverse=True)),
                        axis=1)
-    rep = word_h.shape[1]
-    scores = ad.reshape(_attention_scores(bound, "word_att", word_h), (n_sent, max_len))
-    # -1e9 on padded positions forces their attention weight to exactly zero
-    # after the stabilized softmax; real positions add 0
-    word_alpha = ad.softmax(ad.add(scores, np.where(mask, 0.0, MASK_LOGIT)))
-    sent_vec = ad.reshape(ad.matmul(ad.reshape(word_alpha, (n_sent, 1, max_len)),
-                                    ad.reshape(word_h, (n_sent, max_len, rep))),
-                          (n_sent, rep))
+    sent_vec, word_alpha = ad.attention_pool(word_h, *_attention(bound, "word_att"), n_sent, mask)
 
     # sentence level: one sequence of S steps
     sent_h = ad.concat((gru_sequence(sent_vec, _cell(bound, "sent_fw"), 1),
                         gru_sequence(sent_vec, _cell(bound, "sent_bw"), 1, reverse=True)),
                        axis=1)
-    sent_alpha = ad.softmax(ad.reshape(_attention_scores(bound, "sent_att", sent_h),
-                                       (1, n_sent)))
-    doc_vec = ad.matmul(sent_alpha, sent_h)  # (1, 2h)
+    doc_vec, sent_alpha = ad.attention_pool(sent_h, *_attention(bound, "sent_att"), 1)  # (1, 2h)
     doc_vec = ad.dropout(doc_vec, dropout_rate, mode, rng)
     return doc_vec, word_alpha, sent_alpha
 
 
 def han_logits(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5):
-    """The (1, 2) logits node plus both attention distributions."""
+    """The (1, 2) logits node plus both attention distributions (arrays)."""
     doc_vec, word_alpha, sent_alpha = han_document_vector(bound, sentences, mode, rng,
                                                           dropout_rate)
     logits = ad.linear(doc_vec, bound["dense.w"], bound["dense.b"])
@@ -175,7 +165,5 @@ def han_forward(doc, params: HanParams, mode: str = "eval", rng=None,
     graph = ad.Graph(dtype)
     logits, word_alpha, sent_alpha = han_logits(params.bind(graph), sentences, mode, rng,
                                                 dropout_rate)
-    probs = ad.softmax(logits)
-    word_attention = [word_alpha.data[i, : len(sent)].copy()
-                      for i, sent in enumerate(sentences)]
-    return probs.data[0], word_attention, sent_alpha.data[0].copy()
+    word_attention = [word_alpha[i, : len(sent)].copy() for i, sent in enumerate(sentences)]
+    return ad.stable_softmax(logits.data)[0], word_attention, sent_alpha[0].copy()

@@ -1,22 +1,20 @@
 """Synthetic corpora with known structure, for testing and demonstrations.
 
-Three families:
+Two families:
 
 * separable: two disjoint content vocabularies plus shared noise, so a
   bag-of-words rule scores perfectly and any working classifier should
   approach it;
 * vocabulary drift: a second snapshot whose positive content words are
   replaced by synonyms that exist only in the embedding table, starving
-  exact-lexical features while embedding-based features survive;
-* boilerplate shift: general-web copies of wikipedia-style pages with
-  injected navigation chrome whose tokens lean negative in training.
+  exact-lexical features while embedding-based features survive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CONTROVERSIAL, GENERAL_WEB, NON_CONTROVERSIAL, WIKIPEDIA, Document
+from .corpus import CONTROVERSIAL, NON_CONTROVERSIAL, WIKIPEDIA, Document
 
 _TOPICS = ("politics", "religion", "science", "history", "media",
            "economy", "sports", "art", "health", "law", "energy", "food")
@@ -154,58 +152,6 @@ def make_drift_corpus(n_docs_per_year: int = 600, seed: int = 0,
         words.append(w)
         vectors.append(rng.normal(0.0, 0.5, size=embed_dim).astype(np.float32))
     return old_docs, new_docs, (words, np.stack(vectors))
-
-
-def make_boilerplate_corpus(n_docs: int = 600, seed: int = 0, n_class_words: int = 40,
-                            n_boilerplate_words: int = 30, n_sentences: int = 4,
-                            words_per_sentence: int = 8):
-    """Wikipedia-style training docs plus general-web test docs that are the
-    same content wrapped in heavy navigation boilerplate.
-
-    Boilerplate tokens appear in training mostly inside negatives (random
-    pages carry more chrome relative to content), so bag-of-token models
-    read boilerplate as negative evidence; every general-web page then
-    drowns its content in it, while max-pooled or attention features can
-    still lock onto the content words. Returns split dict with wikipedia
-    train/validation and a general-web test split.
-    """
-    rng = np.random.default_rng(seed)
-    pos_words = _word_pool("contro", n_class_words)
-    neg_words = _word_pool("mundane", n_class_words)
-    chrome = _word_pool("navbar", n_boilerplate_words)
-
-    docs = []
-    for i in range(n_docs):
-        positive = i % 2 == 0
-        words = pos_words if positive else neg_words
-        noise_rate = 0.08 if positive else 0.5
-        sentences = _compose(rng, words, chrome, n_sentences, words_per_sentence, noise_rate)
-        docs.append(_make_doc(
-            doc_id=f"wik{i:05d}", sentences=sentences,
-            label=CONTROVERSIAL if positive else NON_CONTROVERSIAL,
-            source=WIKIPEDIA,
-            topic=_TOPICS[i % len(_TOPICS)] if positive else None,
-            year=2018,
-        ))
-    splits = split_simple(docs, seed=seed + 1)
-
-    web_docs = []
-    for i in range(n_docs // 3):
-        positive = i % 2 == 0
-        words = pos_words if positive else neg_words
-        content = _compose(rng, words, chrome, n_sentences, words_per_sentence,
-                           noise_rate=0.1)
-        chrome_sentences = _compose(rng, chrome, [], 3, words_per_sentence, 0.0)
-        sentences = chrome_sentences[:2] + content + chrome_sentences[2:]
-        web_docs.append(_make_doc(
-            doc_id=f"web{i:05d}", sentences=sentences,
-            label=CONTROVERSIAL if positive else NON_CONTROVERSIAL,
-            source=GENERAL_WEB,
-            topic=_TOPICS[i % len(_TOPICS)] if positive else None,
-            year=2018,
-        ))
-    splits["test"] = web_docs
-    return splits
 
 
 def make_annotated_predictions(n_docs: int = 60, seed: int = 0, scale=(1, 2, 3, 4),

@@ -158,9 +158,3 @@ def encode_document(doc, vocab: Vocabulary, limits: EncodeLimits | None = None) 
     empty = not flat
     flat = flat + [PAD_INDEX] * (limits.max_tokens - len(flat))
     return EncodedDocument(doc_id=doc_id, sentences=sentences, tokens=flat, empty=empty)
-
-
-def decode_indices(indices, vocab: Vocabulary) -> list[str]:
-    """Indices back to tokens (padding dropped); inverse of encoding for
-    in-vocabulary tokens."""
-    return [vocab.index_to_token[i] for i in indices if i != PAD_INDEX]

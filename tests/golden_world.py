@@ -36,12 +36,9 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     from controkit.corpus import AnnotationRecord, write_annotations, write_documents, write_seeds
     from controkit.embeddings import write_w2v
     from controkit.fixture_wiki import random_wiki
-    from controkit.synthetic import (
-        make_boilerplate_corpus,
-        make_drift_corpus,
-        make_separable_corpus,
-        split_simple,
-    )
+    from controkit.synthetic import make_drift_corpus, make_separable_corpus, split_simple
+
+    from boilerplate import make_boilerplate_corpus
 
     tmp = Path(tmp)
     tables: dict[str, str] = {}

@@ -27,7 +27,6 @@ from controkit.fixture_wiki import (
     FixturePage,
     FixtureServer,
     FixtureWiki,
-    chain_wiki,
     random_wiki,
     render_page,
 )
@@ -36,6 +35,22 @@ from oracles import bfs_hops
 
 POLICY = CrawlPolicy(per_host_delay=0.0, wikipedia_hosts=("wiki.test",))
 CLOCK = lambda: "2020-01-01T00:00:00+00:00"  # noqa: E731
+
+
+def chain_wiki(length: int = 4) -> tuple[FixtureWiki, list[Seed]]:
+    """A single see-also chain S -> A -> B -> ... for hop-limit tests."""
+    wiki = FixtureWiki()
+    names = ["chain0"] + [f"chain{i}" for i in range(1, length)]
+    for i, name in enumerate(names):
+        nxt = [f"http://wiki.test/{names[i + 1]}"] if i + 1 < len(names) else []
+        wiki.add(FixturePage(
+            url=f"http://wiki.test/{name}",
+            title=name,
+            paragraphs=[f"{name} is a page about {name}."],
+            see_also=nxt,
+        ))
+    seeds = [Seed(url="http://wiki.test/chain0", topic="chains", polarity="controversial")]
+    return wiki, seeds
 
 
 @pytest.fixture(scope="module")

@@ -5,13 +5,17 @@ from controkit import embeddings
 from controkit.embeddings import (
     MISSING_WORD_SCALE,
     EmbeddingTable,
-    load_embeddings,
     read_w2v,
-    save_embeddings,
+    table_from_vectors,
     write_w2v,
 )
 from controkit.errors import DataFormatError
 from controkit.textprep import PAD_INDEX, Vocabulary
+
+
+def load_table(path, vocab, dim, rng):
+    """A table read from a w2v file the way training builds one."""
+    return table_from_vectors(*read_w2v(path), vocab, dim, rng=rng)
 
 
 @pytest.fixture
@@ -57,7 +61,7 @@ def test_full_coverage_load_copies_rows_bit_exactly(tmp_path, vocab, rng):
     vectors = rng.normal(size=(3, 4)).astype(np.float32)
     path = tmp_path / "v.bin"
     write_w2v(path, ["alpha", "beta", "gamma"], vectors, binary=True)
-    table = load_embeddings(path, vocab, dim=4, rng=rng)
+    table = load_table(path, vocab, dim=4, rng=rng)
     assert table.coverage == 1.0
     assert np.array_equal(table.vectors[2], vectors[0])
     assert np.array_equal(table.vectors[3], vectors[1])
@@ -68,7 +72,7 @@ def test_full_coverage_load_copies_rows_bit_exactly(tmp_path, vocab, rng):
 def test_zero_overlap_random_init_within_bounds(tmp_path, vocab, rng):
     path = tmp_path / "v.bin"
     write_w2v(path, ["other"], rng.normal(size=(1, 4)).astype(np.float32), binary=True)
-    table = load_embeddings(path, vocab, dim=4, rng=rng)
+    table = load_table(path, vocab, dim=4, rng=rng)
     assert table.coverage == 0.0
     non_pad = table.vectors[1:]
     assert np.all(np.abs(non_pad) <= 0.25)
@@ -78,8 +82,8 @@ def test_zero_overlap_random_init_within_bounds(tmp_path, vocab, rng):
 def test_table_save_reload_rows_identical(tmp_path, vocab, rng):
     table = EmbeddingTable.random(vocab, 6, rng)
     path = tmp_path / "v.bin"
-    save_embeddings(path, table, binary=True)
-    reloaded = load_embeddings(path, vocab, dim=6, rng=np.random.default_rng(99))
+    write_w2v(path, table.vocab.words(), table.vectors[2:], binary=True)
+    reloaded = load_table(path, vocab, dim=6, rng=np.random.default_rng(99))
     assert reloaded.coverage == 1.0
     assert np.array_equal(reloaded.vectors[2:], table.vectors[2:])
 
@@ -113,7 +117,7 @@ def test_dimension_mismatch(tmp_path, vocab, rng):
     path = tmp_path / "v.bin"
     write_w2v(path, ["alpha"], rng.normal(size=(1, 4)).astype(np.float32), binary=True)
     with pytest.raises(DataFormatError, match="dim"):
-        load_embeddings(path, vocab, dim=7, rng=rng)
+        load_table(path, vocab, dim=7, rng=rng)
 
 
 def test_truncated_binary_record(tmp_path, rng):
@@ -167,7 +171,7 @@ def test_draw_contract_load_embeddings(tmp_path, shape):
     path = tmp_path / "v.bin"
     write_w2v(path, found, file_vectors, binary=True)
     rng = np.random.default_rng(42)
-    table = load_embeddings(path, vocab, dim=shape[1], rng=rng)
+    table = load_table(path, vocab, dim=shape[1], rng=rng)
     expected, next_draw = _one_shot(42, (len(vocab), shape[1]))
     for word, vec in zip(found, file_vectors):
         expected[vocab.token_to_index[word]] = vec

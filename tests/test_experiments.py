@@ -23,12 +23,9 @@ from controkit.experiments import (
     run_topic_cv,
     topic_folds,
 )
-from controkit.synthetic import (
-    make_annotated_predictions,
-    make_boilerplate_corpus,
-    make_separable_corpus,
-    split_simple,
-)
+from controkit.synthetic import make_annotated_predictions, make_separable_corpus, split_simple
+
+from boilerplate import make_boilerplate_corpus
 
 LEXICAL = ("tfidf", "lm")
 FAST_CFG = {"epochs": 1, "vocab_min_freq": 1, "calibrate": True}
@@ -154,7 +151,7 @@ class TestAgreement:
                                                         informative=False)
         rows = run_agreement([preds], annotations, scale_midpoint=2.5)
         rep = rows[0][1]
-        for value in rep.as_row():
+        for value in (rep.mean_annotation, rep.certainty, rep.disagreement):
             if not np.isnan(value):
                 assert abs(value) < 0.2
 

@@ -139,7 +139,7 @@ class TestGruSequence:
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
         h = gru_sequence(x, params.register(g, "gru"), 3, mask=mask, reverse=reverse)
         weights = g.constant(rng.normal(size=(12, 2)))
-        report = ad.grad_check(g, ad.sum_all(ad.mul(ad.tanh(h), weights)), 1e-5, 1e-5)
+        report = ad.grad_check(g, ad.sum_all(ad.mul(ad.mul(h, h), weights)), 1e-5, 1e-5)
         assert report.passed, report
         # padded rows of the input get no gradient
         padded = ~mask.astype(bool).reshape(-1)

@@ -70,15 +70,15 @@ def test_padded_positions_get_zero_weight(han_params):
 
 
 def test_forced_one_hot_attention_returns_that_sentence_vector(rng):
-    # forcing one sentence's attention logit far above the others makes the
-    # document vector equal that sentence's annotation exactly
+    # masking every sentence but one forces its attention weight to 1, so the
+    # document vector equals that sentence's annotation exactly
     g = ad.Graph(np.float64)
     states = g.constant(rng.normal(size=(3, 4)))
-    scores = g.constant(np.array([[0.0, -1e9, -1e9]]))
-    alpha = ad.softmax(scores)
-    doc = ad.matmul(alpha, states)
-    assert np.array_equal(alpha.data, [[1.0, 0.0, 0.0]])
-    assert np.array_equal(doc.data[0], states.data[0])
+    w, b, u = (g.constant(rng.normal(size=shape)) for shape in ((4, 4), 4, 4))
+    for keep in range(3):
+        doc, alpha = ad.attention_pool(states, w, b, u, 1, mask=[np.arange(3) == keep])
+        assert np.array_equal(alpha, [np.arange(3) == keep])
+        assert np.array_equal(doc.data[0], states.data[keep])
 
 
 def test_empty_document_signals(han_params):
@@ -113,10 +113,12 @@ def test_tape_size_does_not_depend_on_the_document(han_params):
         han_params.loss(graph, sentences, target=1, mode="train", rng=np.random.default_rng(0))
         tapes.append(Counter(node.op for node in graph.nodes))
     assert tapes[0] == tapes[1]
-    assert sum(tapes[0].values()) == 79
+    assert sum(tapes[0].values()) == 62
+    assert tapes[0]["param"] == 45
     assert tapes[0]["lookup"] == 1
     assert tapes[0]["gru_sequence"] == 4
-    assert tapes[0]["linear"] == 3
+    assert tapes[0]["attention_pool"] == 2
+    assert tapes[0]["linear"] == 1
 
 
 def test_frozen_table_gets_no_gradient(small_embedding, rng):
