@@ -18,28 +18,30 @@ from controkit.textprep import Vocabulary
 rng = np.random.default_rng(7)
 
 # --- a GRU over a short sequence ---------------------------------------------
-# gru_sequence runs the cell over every step of a batch of sequences as one
-# tape node; row i * T + t of the input is step t of sequence i.
+# gru_sequence runs both directions of the layer over every step of a batch of
+# sequences as one tape node; row i * T + t of the input is step t of sequence
+# i, and row i * T + t of the output is direction 0's state after reading steps
+# 0..t next to direction 1's after reading steps T-1..t.
 params = GruParams.random(input_dim=3, hidden_dim=4, rng=rng, scale=0.4)
 xs = rng.normal(size=(5, 3))
 graph = ad.Graph(np.float64)
 states = gru_sequence(graph.constant(xs), params.register(graph, "demo"), n_rows=1)
-print("states after each of 5 steps:\n", np.round(states.data, 3))
-print("tape nodes: 9 parameters + input + 1 GRU node =", len(graph.nodes))
+print("forward | backward states after each of 5 steps:\n", np.round(states.data, 3))
+print("tape nodes: 3 parameters (w, u, b) + input + 1 GRU node =", len(graph.nodes))
 
 # a masked step keeps the state it had
 graph = ad.Graph(np.float64)
 masked = gru_sequence(graph.constant(xs), params.register(graph, "masked"), n_rows=1,
                       mask=np.array([[1, 1, 0, 0, 1]]))
-print("masked steps 2 and 3 (counting from 0) keep step 1's state:",
-      np.array_equal(masked.data[1], masked.data[2]) and
-      np.array_equal(masked.data[1], masked.data[3]))
+forward = masked.data[:, :4]
+print("masked steps 2 and 3 (counting from 0) keep step 1's forward state:",
+      np.array_equal(forward[1], forward[2]) and np.array_equal(forward[1], forward[3]))
 
-# force the update gate shut: the state never leaves its zero start
-params.b_z[:] = -np.inf
+# force the update gate shut through z's rows of b: the state never leaves its zero start
+params.b[:, :4] = -np.inf
 graph = ad.Graph(np.float64)
 frozen = gru_sequence(graph.constant(xs), params.register(graph, "frozen"), n_rows=1)
-print("z=0 keeps h exactly:", np.array_equal(frozen.data, np.zeros((5, 4))))
+print("z=0 keeps h exactly:", np.array_equal(frozen.data, np.zeros((5, 8))))
 
 # --- attention on a toy document ---------------------------------------------
 vocab = Vocabulary.from_tokens(

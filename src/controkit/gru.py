@@ -1,4 +1,5 @@
-"""Gated recurrent unit: the cell's parameters and a whole-sequence op.
+"""Bidirectional gated recurrent unit: a layer's parameters and a
+whole-sequence op.
 
 Gate convention, fixed so that checkpoints are unambiguous:
 
@@ -9,8 +10,9 @@ Gate convention, fixed so that checkpoints are unambiguous:
 
 so forcing z to 0 returns h_prev exactly and forcing z to 1 returns h~.
 
-:func:`gru_sequence` runs the cell over a batch of padded sequences as one
-tape node with a hand-written backpropagation-through-time rule.
+:func:`gru_sequence` runs both directions of the layer over a batch of
+padded sequences as one tape node with a hand-written
+backpropagation-through-time rule.
 """
 
 from __future__ import annotations
@@ -25,86 +27,64 @@ from .errors import DimensionError
 
 @dataclass
 class GruParams:
-    """The nine parameter blocks of one GRU cell.
+    """Both directions of one GRU layer in three arrays.
 
-    Input-to-hidden matrices are (hidden_dim, input_dim), hidden-to-hidden
-    are (hidden_dim, hidden_dim), biases are (hidden_dim,).
+    Each array is stacked first by direction (0 reads a sequence forward,
+    1 backward), then by gate in z, r, h order: ``w`` is
+    (2, 3 * hidden_dim, input_dim), ``u`` is (2, 3 * hidden_dim, hidden_dim)
+    and ``b`` is (2, 3 * hidden_dim). ``w[d, :hidden_dim]`` is direction d's
+    W_z, ``b[d, 2 * hidden_dim:]`` its b_h.
     """
 
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_z.shape[1]
+        return self.u.shape[2]
 
     @classmethod
     def random(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.1):
-        """Uniform [-scale, scale] initialization for all nine blocks."""
-
-        def u(*shape):
-            return rng.uniform(-scale, scale, size=shape).astype(np.float32)
-
-        return cls(
-            w_z=u(hidden_dim, input_dim),
-            w_r=u(hidden_dim, input_dim),
-            w_h=u(hidden_dim, input_dim),
-            u_z=u(hidden_dim, hidden_dim),
-            u_r=u(hidden_dim, hidden_dim),
-            u_h=u(hidden_dim, hidden_dim),
-            b_z=u(hidden_dim),
-            b_r=u(hidden_dim),
-            b_h=u(hidden_dim),
-        )
+        """Uniform [-scale, scale] initialization, drawn one direction at a
+        time as w, then u, then b."""
+        gates = 3 * hidden_dim
+        draws = [[rng.uniform(-scale, scale, size=shape).astype(np.float32)
+                  for shape in ((gates, input_dim), (gates, hidden_dim), (gates,))]
+                 for _direction in range(2)]
+        return cls(*(np.stack(arrays) for arrays in zip(*draws)))
 
     def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.w_z": self.w_z,
-            f"{prefix}.w_r": self.w_r,
-            f"{prefix}.w_h": self.w_h,
-            f"{prefix}.u_z": self.u_z,
-            f"{prefix}.u_r": self.u_r,
-            f"{prefix}.u_h": self.u_h,
-            f"{prefix}.b_z": self.b_z,
-            f"{prefix}.b_r": self.b_r,
-            f"{prefix}.b_h": self.b_h,
-        }
+        return {f"{prefix}.{name}": getattr(self, name) for name in ("w", "u", "b")}
 
     def register(self, graph: ad.Graph, prefix: str) -> tuple[ad.Tensor, ...]:
-        """The nine blocks as parameters of ``graph``, in ``named_arrays``
-        order; this tuple is the ``cell`` of :func:`gru_sequence`."""
+        """``w``, ``u`` and ``b`` as parameters of ``graph``; this tuple is
+        the ``cell`` of :func:`gru_sequence`."""
         return tuple(graph.parameter(name, arr)
                      for name, arr in self.named_arrays(prefix).items())
 
 
-def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None, reverse: bool = False) -> ad.Tensor:
-    """The GRU state after every step of ``n_rows`` sequences, from a zero
-    initial state, as one tape node.
+def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None) -> ad.Tensor:
+    """The forward and backward GRU states at every step of ``n_rows``
+    sequences, each direction from a zero initial state, as one tape node.
 
     ``x`` is (n_rows * T, input_dim) with row ``i * T + t`` holding step t
-    of sequence i; the result is (n_rows * T, hidden_dim) in the same row
-    order. ``cell`` is the tuple :meth:`GruParams.register` returns.
-    ``mask`` is an optional (n_rows, T) 0/1 array: a step whose mask is 0
-    keeps the previous state. ``reverse`` runs each sequence from step T-1
-    down to step 0.
+    of sequence i; the result is (n_rows * T, 2 * hidden_dim) in the same
+    row order, direction 0's state (after reading steps 0..t) then
+    direction 1's (after reading steps T-1..t). ``cell`` is the tuple
+    :meth:`GruParams.register` returns. ``mask`` is an optional (n_rows, T)
+    0/1 array: a step whose mask is 0 keeps the previous state.
 
-    The backward pass is backpropagation through time over the gates the
-    forward pass saved (``Graph.recompute`` re-runs the forward pass, so
-    they always match the current inputs); each weight gradient is one
-    matmul over the stacked per-step gate gradients.
+    Both directions run in one step loop: direction 1's gate inputs are
+    flipped into its reading order once on the way in, and its states and
+    gate gradients are flipped back once, so every weight product sums its
+    rows in step order. The backward pass is backpropagation through time
+    over the gates the forward pass saved (``Graph.recompute`` re-runs the
+    forward pass, so they always match the current inputs); each weight
+    gradient is one stacked matmul over the per-step gate gradients.
     """
-    hidden, input_dim = cell[0].shape
+    _, gates, input_dim = cell[0].shape
+    hidden = gates // 3
     if x.ndim != 2 or x.shape[1] != input_dim:
         raise DimensionError(f"gru_sequence input {x.shape} does not match the cell's "
                              f"input_dim {input_dim}")
@@ -115,48 +95,60 @@ def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None, reverse: bool = Fal
     keep = np.ones((n_rows, steps), dtype=bool) if mask is None else np.asarray(mask) != 0
     if keep.shape != (n_rows, steps):
         raise DimensionError(f"gru_sequence mask {keep.shape} != ({n_rows}, {steps})")
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # (direction, sequence, step in reading order, 1)
+    keep = np.stack((keep, keep[:, ::-1]))[..., None]
     saved = {}
 
-    def fwd(x, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
-        ax = (x @ np.concatenate((w_z, w_r, w_h)).T).reshape(n_rows, steps, 3, hidden)
-        u_zr, b_zr = np.concatenate((u_z, u_r)).T, np.stack((b_z, b_r))
-        # per step: the state before it, the gates z and r, the candidate, the state after it
-        saved["acts"] = acts = np.empty((5, n_rows, steps, hidden), x.dtype)
+    def fwd(x, w, u, b):
+        ax = (x @ w.transpose(0, 2, 1)).reshape(2, n_rows, steps, 3, hidden)
+        ax[1] = ax[1, :, ::-1]
+        u_zr, u_h = u[:, : 2 * hidden].transpose(0, 2, 1), u[:, 2 * hidden :].transpose(0, 2, 1)
+        b_zr, b_h = b.reshape(2, 1, 3, hidden)[:, :, :2], b[:, None, 2 * hidden :]
+        # per direction and reading step: the state before it, the gates z
+        # and r, the candidate, the state after it
+        saved["acts"] = acts = np.empty((5, 2, n_rows, steps, hidden), x.dtype)
         prev, z, r, cand, out = acts
-        h = np.zeros((n_rows, hidden), dtype=x.dtype)
-        for t in order:
-            a = ax[:, t]
-            # z and r in one sigmoid call over their (n_rows, 2, hidden) pre-activations
-            pre_zr = a[:, :2] + (h @ u_zr).reshape(n_rows, 2, hidden) + b_zr
-            acts[1:3, :, t] = ad.stable_sigmoid(pre_zr).transpose(1, 0, 2)
-            cand[:, t] = np.tanh(a[:, 2] + (r[:, t] * h) @ u_h.T + b_h)
-            prev[:, t] = h
-            h = np.where(keep[:, t, None], (1 - z[:, t]) * h + z[:, t] * cand[:, t], h)
-            out[:, t] = h
-        return out.reshape(n_rows * steps, hidden)
+        h = np.zeros((2, n_rows, hidden), dtype=x.dtype)
+        for t in range(steps):
+            a = ax[:, :, t]
+            # z and r in one sigmoid call over their (2, n_rows, 2, hidden) pre-activations
+            pre_zr = a[:, :, :2] + (h @ u_zr).reshape(2, n_rows, 2, hidden) + b_zr
+            acts[1:3, :, :, t] = ad.stable_sigmoid(pre_zr).transpose(2, 0, 1, 3)
+            cand[:, :, t] = np.tanh(a[:, :, 2] + (r[:, :, t] * h) @ u_h + b_h)
+            prev[:, :, t] = h
+            h = np.where(keep[:, :, t], (1 - z[:, :, t]) * h + z[:, :, t] * cand[:, :, t], h)
+            out[:, :, t] = h
+        return np.concatenate((out[0], out[1, :, ::-1]), axis=2).reshape(n_rows * steps,
+                                                                          2 * hidden)
 
-    def bwd(g, out, x, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+    def bwd(g, out, x, w, u, b):
         prev, z, r, cand, _ = saved["acts"]
-        g = g.reshape(n_rows, steps, hidden)
-        u_zr = np.concatenate((u_z, u_r))
-        # gradients of the z, r and candidate pre-activations
-        d_pre = np.empty((3, n_rows, steps, hidden), dtype=g.dtype)
-        dh = np.zeros((n_rows, hidden), dtype=g.dtype)
-        for t in reversed(order):
-            dh = dh + g[:, t]
-            zt, rt, ct, hp = z[:, t], r[:, t], cand[:, t], prev[:, t]
+        g = g.reshape(n_rows, steps, 2, hidden)
+        g = np.stack((g[:, :, 0], g[:, ::-1, 1]))
+        u_zr, u_h = u[:, : 2 * hidden], u[:, 2 * hidden :]
+        # gradients of the z, r and candidate pre-activations, by direction and gate
+        d_pre = np.empty((2, 3, n_rows, steps, hidden), dtype=g.dtype)
+        dh = np.zeros((2, n_rows, hidden), dtype=g.dtype)
+        for t in reversed(range(steps)):
+            dh = dh + g[:, :, t]
+            zt, rt, ct, hp = z[:, :, t], r[:, :, t], cand[:, :, t], prev[:, :, t]
             dz = dh * (ct - hp) * zt * (1 - zt)
             dc = dh * zt * (1 - ct * ct)
             d_rh = dc @ u_h
             dr = d_rh * hp * rt * (1 - rt)
-            m = keep[:, t, None]
-            d_pre[:, :, t] = np.where(m, (dz, dr, dc), 0)
-            dh = np.where(m, dh * (1 - zt) + d_rh * rt + np.concatenate((dz, dr), 1) @ u_zr, dh)
-        dz, dr, dc = d_pre.reshape(3, n_rows * steps, hidden)
-        prev = prev.reshape(n_rows * steps, hidden)
-        rh = r.reshape(n_rows * steps, hidden) * prev
-        return (dz @ w_z + dr @ w_r + dc @ w_h, dz.T @ x, dr.T @ x, dc.T @ x,
-                dz.T @ prev, dr.T @ prev, dc.T @ rh, dz.sum(0), dr.sum(0), dc.sum(0))
+            m = keep[:, :, t]
+            d_pre.swapaxes(0, 1)[:, :, :, t] = np.where(m, (dz, dr, dc), 0)
+            dh = np.where(m, dh * (1 - zt) + d_rh * rt + np.concatenate((dz, dr), 2) @ u_zr, dh)
+        # back to step order
+        d_pre[1] = d_pre[1, :, :, ::-1]
+        prev, r = (np.stack((a[0], a[1, :, ::-1])).reshape(2, n_rows * steps, hidden)
+                   for a in (prev, r))
+        d_pre = d_pre.reshape(2, 3, n_rows * steps, hidden)
+        d_pre_t = d_pre.swapaxes(2, 3)
+        dx = d_pre @ w.reshape(2, 3, hidden, input_dim)
+        dx = dx[:, 0] + dx[:, 1] + dx[:, 2]
+        return (dx[0] + dx[1], (d_pre_t @ x).reshape(w.shape),
+                (d_pre_t @ np.stack((prev, prev, r * prev), 1)).reshape(u.shape),
+                d_pre.sum(2).reshape(b.shape))
 
     return ad._record("gru_sequence", (x, *cell), fwd, bwd)

@@ -9,14 +9,14 @@ zero. Every attention distribution is a softmax, so word-attention rows
 and the sentence-attention vector each sum to 1.
 
 A document's graph has the same nodes whatever its size: one lookup of
-the padded (S, L) word matrix, one ``gru_sequence`` node per GRU
-direction and level, one ``attention_pool`` node per level (S groups of
-L words, then one group of S sentences) and the ``linear`` dense layer.
+the padded (S, L) word matrix, one bidirectional ``gru_sequence`` node
+per level, one ``attention_pool`` node per level (S groups of L words,
+then one group of S sentences) and the ``linear`` dense layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,11 @@ N_CLASSES = 2
 @dataclass
 class HanParams(NeuralModel):
     embedding: EmbeddingTable
-    word_fw: GruParams
-    word_bw: GruParams
+    word_gru: GruParams
     word_att_w: np.ndarray   # (2h, 2h)
     word_att_b: np.ndarray   # (2h,)
     word_att_u: np.ndarray   # (2h,) context vector
-    sent_fw: GruParams
-    sent_bw: GruParams
+    sent_gru: GruParams
     sent_att_w: np.ndarray
     sent_att_b: np.ndarray
     sent_att_u: np.ndarray
@@ -49,7 +47,7 @@ class HanParams(NeuralModel):
 
     @property
     def hidden_dim(self) -> int:
-        return self.word_fw.hidden_dim
+        return self.word_gru.hidden_dim
 
     @classmethod
     def random(cls, embedding: EmbeddingTable, rng, hidden_dim: int = 50, scale: float = 0.1):
@@ -61,13 +59,11 @@ class HanParams(NeuralModel):
 
         return cls(
             embedding=embedding,
-            word_fw=GruParams.random(dim, hidden_dim, rng, scale),
-            word_bw=GruParams.random(dim, hidden_dim, rng, scale),
+            word_gru=GruParams.random(dim, hidden_dim, rng, scale),
             word_att_w=u(rep, rep),
             word_att_b=u(rep),
             word_att_u=u(rep),
-            sent_fw=GruParams.random(rep, hidden_dim, rng, scale),
-            sent_bw=GruParams.random(rep, hidden_dim, rng, scale),
+            sent_gru=GruParams.random(rep, hidden_dim, rng, scale),
             sent_att_w=u(rep, rep),
             sent_att_b=u(rep),
             sent_att_u=u(rep),
@@ -77,13 +73,11 @@ class HanParams(NeuralModel):
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         out = {"embedding": self.embedding.vectors}
-        out.update(self.word_fw.named_arrays("word_fw"))
-        out.update(self.word_bw.named_arrays("word_bw"))
+        out.update(self.word_gru.named_arrays("word_gru"))
         out["word_att.w"] = self.word_att_w
         out["word_att.b"] = self.word_att_b
         out["word_att.u"] = self.word_att_u
-        out.update(self.sent_fw.named_arrays("sent_fw"))
-        out.update(self.sent_bw.named_arrays("sent_bw"))
+        out.update(self.sent_gru.named_arrays("sent_gru"))
         out["sent_att.w"] = self.sent_att_w
         out["sent_att.b"] = self.sent_att_b
         out["sent_att.u"] = self.sent_att_u
@@ -103,15 +97,9 @@ class HanParams(NeuralModel):
         return han_logits(bound, sentences, mode, rng, dropout_rate)[0]
 
 
-def _cell(bound, prefix: str) -> tuple:
-    """The nine bound blocks of one GRU, in the order ``gru_sequence`` takes."""
-    return tuple(bound[f"{prefix}.{block.name}"] for block in fields(GruParams))
-
-
-def _attention(bound, prefix: str) -> tuple:
-    """The bound ``w``, ``b`` and ``u`` blocks of one attention level, in the
-    order ``attention_pool`` takes."""
-    return tuple(bound[f"{prefix}.{name}"] for name in ("w", "b", "u"))
+def _nodes(bound, prefix: str, names: str) -> tuple:
+    """The bound ``prefix.<name>`` arrays, one per letter of ``names``."""
+    return tuple(bound[f"{prefix}.{name}"] for name in names)
 
 
 def han_document_vector(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5):
@@ -131,16 +119,13 @@ def han_document_vector(bound, sentences, mode: str, rng=None, dropout_rate: flo
 
     # word level: row i * L + t of every (S * L, .) node is word t of sentence i
     x = ad.lookup(bound["embedding"], padded.reshape(-1), pad_index=PAD_INDEX)
-    word_h = ad.concat((gru_sequence(x, _cell(bound, "word_fw"), n_sent, mask),
-                        gru_sequence(x, _cell(bound, "word_bw"), n_sent, mask, reverse=True)),
-                       axis=1)
-    sent_vec, word_alpha = ad.attention_pool(word_h, *_attention(bound, "word_att"), n_sent, mask)
+    word_h = gru_sequence(x, _nodes(bound, "word_gru", "wub"), n_sent, mask)
+    sent_vec, word_alpha = ad.attention_pool(word_h, *_nodes(bound, "word_att", "wbu"), n_sent,
+                                             mask)
 
     # sentence level: one sequence of S steps
-    sent_h = ad.concat((gru_sequence(sent_vec, _cell(bound, "sent_fw"), 1),
-                        gru_sequence(sent_vec, _cell(bound, "sent_bw"), 1, reverse=True)),
-                       axis=1)
-    doc_vec, sent_alpha = ad.attention_pool(sent_h, *_attention(bound, "sent_att"), 1)  # (1, 2h)
+    sent_h = gru_sequence(sent_vec, _nodes(bound, "sent_gru", "wub"), 1)
+    doc_vec, sent_alpha = ad.attention_pool(sent_h, *_nodes(bound, "sent_att", "wbu"), 1)  # (1, 2h)
     doc_vec = ad.dropout(doc_vec, dropout_rate, mode, rng)
     return doc_vec, word_alpha, sent_alpha
 

@@ -276,6 +276,9 @@ def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = Non
     model_class = MODEL_CLASSES.get(kind)
     if model_class is None:
         raise UsageError(f"unknown model kind {kind!r}; expected {'|'.join(MODEL_CLASSES)}")
+    if config.calibrate and len({label_to_int(d.label) for d in validation_docs}) == 1:
+        # the same refusal calibrate_threshold makes, before any training
+        raise UsageError("threshold calibration needs both classes in validation")
     if issubclass(model_class, NeuralModel):
         return train_neural(kind, train_docs, validation_docs, config, pretrained)
     return _train_lexical(kind, train_docs, validation_docs, config)

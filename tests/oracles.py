@@ -42,27 +42,38 @@ def sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
-def gru_scalar(x, h_prev, p) -> np.ndarray:
-    """One GRU step computed coordinate by coordinate from the equations."""
+def gru_scalar(x, h_prev, w, u, b) -> np.ndarray:
+    """One GRU step computed coordinate by coordinate from the equations.
+
+    ``w``, ``u`` and ``b`` are one direction's stacked arrays; their row
+    blocks are read here in z, r, h order.
+    """
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    hidden = p.w_z.shape[0]
+    hidden = len(h_prev)
+    gate = {name: slice(k * hidden, (k + 1) * hidden) for k, name in enumerate("zrh")}
 
-    def affine(w, u, b, gated_h):
+    def affine(name, gated_h):
+        w_g, u_g, b_g = w[gate[name]], u[gate[name]], b[gate[name]]
         out = np.zeros(hidden)
         for i in range(hidden):
-            s = float(b[i])
+            s = float(b_g[i])
             for j in range(len(x)):
-                s += float(w[i, j]) * x[j]
+                s += float(w_g[i, j]) * x[j]
             for j in range(hidden):
-                s += float(u[i, j]) * gated_h[j]
+                s += float(u_g[i, j]) * gated_h[j]
             out[i] = s
         return out
 
-    z = np.array([sigmoid_scalar(v) for v in affine(p.w_z, p.u_z, p.b_z, h_prev)])
-    r = np.array([sigmoid_scalar(v) for v in affine(p.w_r, p.u_r, p.b_r, h_prev)])
-    h_cand = np.tanh(affine(p.w_h, p.u_h, p.b_h, r * h_prev))
+    z = np.array([sigmoid_scalar(v) for v in affine("z", h_prev)])
+    r = np.array([sigmoid_scalar(v) for v in affine("r", h_prev)])
+    h_cand = np.tanh(affine("h", r * h_prev))
     return (1.0 - z) * h_prev + z * h_cand
+
+
+def direction(p, d: int):
+    """Direction ``d``'s (w, u, b) of a bidirectional ``GruParams``."""
+    return p.w[d], p.u[d], p.b[d]
 
 
 def adam_trace(gradients, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0):
@@ -110,7 +121,7 @@ def han_scalar(sentences, params):
     """Explicit re-implementation of the hierarchical attention forward
     pass (eval mode), sentence by sentence, word by word."""
     vectors = np.asarray(params.embedding.vectors, dtype=np.float64)
-    hidden = params.word_fw.hidden_dim
+    hidden = params.word_gru.hidden_dim
 
     def attention(states, w, b, u):
         scores = []
@@ -123,37 +134,30 @@ def han_scalar(sentences, params):
             pooled += a * h
         return pooled, alpha
 
-    sent_vectors = []
-    word_alphas = []
-    for sent in sentences:
-        xs = [vectors[t] for t in sent]
+    def bidirectional(xs, gru):
+        """Direction 0 read forward and direction 1 backward, concatenated per step."""
         h = np.zeros(hidden)
         fw = []
         for x in xs:
-            h = gru_scalar(x, h, params.word_fw)
+            h = gru_scalar(x, h, *direction(gru, 0))
             fw.append(h)
         h = np.zeros(hidden)
         bw = [None] * len(xs)
         for t in reversed(range(len(xs))):
-            h = gru_scalar(xs[t], h, params.word_bw)
+            h = gru_scalar(xs[t], h, *direction(gru, 1))
             bw[t] = h
-        states = [np.concatenate([fw[t], bw[t]]) for t in range(len(xs))]
+        return [np.concatenate([fw[t], bw[t]]) for t in range(len(xs))]
+
+    sent_vectors = []
+    word_alphas = []
+    for sent in sentences:
+        states = bidirectional([vectors[t] for t in sent], params.word_gru)
         pooled, alpha = attention(states, params.word_att_w, params.word_att_b,
                                   params.word_att_u)
         sent_vectors.append(pooled)
         word_alphas.append(alpha)
 
-    h = np.zeros(hidden)
-    fw = []
-    for s in sent_vectors:
-        h = gru_scalar(s, h, params.sent_fw)
-        fw.append(h)
-    h = np.zeros(hidden)
-    bw = [None] * len(sent_vectors)
-    for t in reversed(range(len(sent_vectors))):
-        h = gru_scalar(sent_vectors[t], h, params.sent_bw)
-        bw[t] = h
-    states = [np.concatenate([fw[t], bw[t]]) for t in range(len(sent_vectors))]
+    states = bidirectional(sent_vectors, params.sent_gru)
     doc_vec, sent_alpha = attention(states, params.sent_att_w, params.sent_att_b,
                                     params.sent_att_u)
     dense_w = np.asarray(params.dense_w, dtype=np.float64)

@@ -258,6 +258,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ctrv")])
         assert code == 2
 
+    def test_one_class_validation_with_calibration_is_exit_2(self, tmp_path, capsys):
+        splits = split_simple(make_separable_corpus(n_docs=60, seed=93), seed=94)
+        data_dir = tmp_path / "data"
+        os.makedirs(data_dir)
+        write_documents(data_dir / "train.jsonl", splits["train"])
+        write_documents(data_dir / "validation.jsonl",
+                        [d for d in splits["validation"] if d.label == CONTROVERSIAL])
+        (tmp_path / "config.json").write_text(json.dumps({"epochs": 1, "calibrate": True}))
+        out = tmp_path / "han.ctrv"
+        code = main(["train", "--model", "han", "--config", str(tmp_path / "config.json"),
+                     "--data", str(data_dir), "--out", str(out)])
+        assert code == 2
+        assert "needs both classes in validation" in capsys.readouterr().err
+        assert not out.exists() and not os.path.exists(f"{out}.log.json")
+
     def test_empty_lexicon_file_is_data_error(self, trained, tmp_path):
         _, data_dir = trained
         (tmp_path / "lexicon.txt").write_text("\n")

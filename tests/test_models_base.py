@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from controkit.checkpoint import load_checkpoint, save_checkpoint
-from controkit.corpus import NON_CONTROVERSIAL
+from controkit.cli import main
+from controkit.corpus import NON_CONTROVERSIAL, write_documents
 from controkit.errors import DataFormatError, UsageError
 from controkit.models import (
     TrainConfig,
@@ -227,6 +229,32 @@ class TestMalformedCheckpoint:
             max_tokens=max_tokens))
         with pytest.raises(DataFormatError, match="must be positive integers"):
             load_classifier(path)
+
+    def test_han_checkpoint_with_nine_gate_blocks_per_direction(self, corpus_splits, tmp_path,
+                                                                capsys):
+        # the layout that stored each GRU direction as nine blocks (word_fw.w_z, ...)
+        han = fit("han", corpus_splits["train"][:20], corpus_splits["validation"][:10],
+                  dataclasses.replace(NEURAL_CFG, epochs=0)).classifier
+        path = tmp_path / "han.ctrv"
+        save_classifier(path, han)
+
+        def nine_blocks(arrays):
+            for level in ("word", "sent"):
+                gru = {leaf: arrays.pop(f"{level}_gru.{leaf}") for leaf in "wub"}
+                for d, direction in enumerate(("fw", "bw")):
+                    for leaf, arr in gru.items():
+                        for gate, block in zip("zrh", np.split(arr[d], 3)):
+                            arrays[f"{level}_{direction}.{leaf}_{gate}"] = block
+
+        _edit_arrays(path, nine_blocks)
+        assert "word_fw.w_z" in load_checkpoint(path).arrays
+        with pytest.raises(DataFormatError, match=r"parameters \[.*'word_fw\.w_z'.*\] do not "
+                                                  r"belong to a han model"):
+            load_classifier(path)
+        data = tmp_path / "test.jsonl"
+        write_documents(data, corpus_splits["test"][:5])
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+        assert "'word_fw.w_z'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["cnn", "tfidf"])
     def test_vocabulary_edited_after_saving(self, kind, copy):

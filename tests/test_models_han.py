@@ -33,9 +33,8 @@ def test_duplicate_sentences_share_attention(han_params):
     assert np.allclose(word_att[0], word_att[1], atol=1e-6)
     assert np.allclose(sent_att, [0.5, 0.5], atol=5e-3)
 
-    for block in (han_params.sent_fw, han_params.sent_bw):
-        for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-            getattr(block, name)[...] = 0.0
+    for arr in (han_params.sent_gru.w, han_params.sent_gru.u, han_params.sent_gru.b):
+        arr[...] = 0.0
     _, _, sent_att = han_forward(sentences, han_params)
     assert np.array_equal(sent_att, [0.5, 0.5])
 
@@ -113,10 +112,11 @@ def test_tape_size_does_not_depend_on_the_document(han_params):
         han_params.loss(graph, sentences, target=1, mode="train", rng=np.random.default_rng(0))
         tapes.append(Counter(node.op for node in graph.nodes))
     assert tapes[0] == tapes[1]
-    assert sum(tapes[0].values()) == 62
-    assert tapes[0]["param"] == 45
+    assert sum(tapes[0].values()) == 28
+    assert tapes[0]["param"] == 15
     assert tapes[0]["lookup"] == 1
-    assert tapes[0]["gru_sequence"] == 4
+    assert tapes[0]["gru_sequence"] == 2
+    assert tapes[0]["concat"] == 0
     assert tapes[0]["attention_pool"] == 2
     assert tapes[0]["linear"] == 1
 

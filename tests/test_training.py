@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from controkit.embeddings import EmbeddingTable
+from controkit.errors import UsageError
 from controkit.models import TrainConfig, calibrate_threshold, fit, predict
 from controkit.models.base import label_to_int
 from controkit.metrics import prediction_set, prf
@@ -202,6 +203,32 @@ class TestNeuralTraining:
         cfg_plain = TrainConfig(**{**CFG.__dict__, "epochs": 1})
         plain = fit("tfidf", splits["train"][:100], splits["validation"][:40], cfg_plain)
         assert plain.classifier.threshold == 0.0
+
+    @pytest.mark.parametrize("kind", ["cnn", "han", "tfidf"])
+    def test_one_class_validation_stops_a_calibrated_fit_before_training(self, kind, splits,
+                                                                         monkeypatch):
+        from controkit.models import training
+        from controkit.models.tfidf import TfIdfModel
+
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((training, "adam_step"), (training, "build_vocabulary"),
+                            (TfIdfModel, "train")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        validation = [d for d in splits["validation"] if label_to_int(d.label) == 1][:10]
+        cfg = dataclasses.replace(CFG, epochs=2, calibrate=True)
+        with pytest.raises(UsageError, match="needs both classes in validation"):
+            fit(kind, splits["train"][:40], validation, cfg)
+        assert calls == []
+        # without calibration the same split trains
+        fit(kind, splits["train"][:40], validation, dataclasses.replace(cfg, calibrate=False))
+        assert calls
 
     def test_grad_clip_config_knob(self, splits):
         cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "grad_clip": 0.5})
