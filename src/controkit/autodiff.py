@@ -10,12 +10,11 @@ a backward function, so a finalized graph supports three things:
 * ``grad_check(...)`` -- central finite differences against the analytic
   gradients (64-bit graphs only; 32-bit differences are too noisy).
 
-The ops are the layers the models need, each one node with a hand-written
-backward rule (:func:`lookup`, :func:`linear`, :func:`conv_max_pool`,
-:func:`attention_pool`, :func:`concat`, :func:`dropout`,
-:func:`cross_entropy`; the GRU's ``gru_sequence`` lives in ``gru.py``),
-plus :func:`add`, :func:`mul`, :func:`scale` and :func:`sum_all` for the
-l2 penalty.
+Every op is a layer of the models, one node with a hand-written backward
+rule: :func:`lookup`, :func:`conv_max_pool` (all filter widths),
+:func:`attention_pool`, :func:`dropout`, :func:`linear`,
+:func:`cross_entropy` and :func:`l2_penalty`; the GRU's ``gru_sequence``
+lives in ``gru.py``.
 
 Values and most gradients are dense arrays. The gradient of a table read
 only through :func:`lookup` is a :class:`RowSparseGrad` holding just the
@@ -170,9 +169,9 @@ class Graph:
         :func:`lookup` gets a :class:`RowSparseGrad` of the rows it gathered;
         every other gradient is a dense array. Only nodes some parameter
         feeds run their backward rule and receive gradients; the ``grad`` of
-        every other node (constants, frozen tables, dropout masks) stays
-        None. Raises :class:`NumericError` on the first non-finite gradient,
-        naming the node that produced it.
+        every other node (constants, frozen tables) stays None. Raises
+        :class:`NumericError` on the first non-finite gradient, naming the
+        node that produced it.
         """
         if loss.graph is not self:
             raise UsageError("loss node belongs to a different graph")
@@ -242,46 +241,6 @@ def _record(op, inputs, fwd, bwd, name=None) -> Tensor:
     return Tensor(graph, data, op=op, inputs=tuple(inputs), fwd=fwd, bwd=bwd, name=name)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def fwd(x, y):
-        return x + y
-
-    def bwd(g, out, x, y):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
-
-    return _record("add", (a, b), fwd, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def fwd(x, y):
-        return x * y
-
-    def bwd(g, out, x, y):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
-
-    return _record("mul", (a, b), fwd, bwd)
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    def fwd(x):
-        return x * k
-
-    def bwd(g, out, x):
-        return (g * k,)
-
-    return _record("scale", (a,), fwd, bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The dense layer ``x @ w.T + b`` for x (n, k), w (m, k) and b (m,), as
     one node. ``w.T`` enters the products as a C-ordered copy: BLAS rounds
@@ -328,36 +287,19 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     return _record("cross_entropy", (logits,), fwd, bwd)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def fwd(x):
-        return np.asarray(x.sum(), dtype=x.dtype)
+def l2_penalty(loss: Tensor, w: Tensor, k: float) -> Tensor:
+    """The scalar ``loss + k * sum(w * w)`` as one node."""
+    if loss.data.size != 1:
+        raise DimensionError(f"l2_penalty needs a scalar loss, got shape {loss.shape}")
 
-    def bwd(g, out, x):
-        return (np.full_like(x, g),)
+    def fwd(loss, w):
+        return loss + np.asarray((w * w).sum(), dtype=w.dtype) * k
 
-    return _record("sum_all", (a,), fwd, bwd)
+    def bwd(g, out, loss, w):
+        t = (g * k) * w
+        return g, t + t
 
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise UsageError("concat of zero tensors")
-    sizes = [t.shape[axis] for t in tensors]
-
-    def fwd(*xs):
-        return np.concatenate(xs, axis=axis)
-
-    def bwd(g, out, *xs):
-        pieces = []
-        start = 0
-        for n in sizes:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + n)
-            pieces.append(g[tuple(sl)])
-            start += n
-        return tuple(pieces)
-
-    return _record("concat", tensors, fwd, bwd)
+    return _record("l2_penalty", (loss, w), fwd, bwd)
 
 
 def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
@@ -381,52 +323,71 @@ def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
     return _record("lookup", (table,), fwd, bwd)
 
 
-def conv_max_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Text convolution, ReLU and max-over-time pooling as one (1, F) node:
-    ``out[f]`` is the largest ``relu(window @ w[f] + b[f])`` over the
-    windows of ``width`` consecutive rows of x (T, d), for w (F, width * d)
-    and b (F,).
+def conv_max_pool(x: Tensor, banks) -> Tensor:
+    """A convolutional layer of several filter widths as one (1, sum F)
+    node: for each bank (w, b) in ``banks``, w (F, width * d) and b (F,),
+    text convolution, ReLU and max-over-time pooling, ``out[f]`` being the
+    largest ``relu(window @ w[f] + b[f])`` over the windows of ``width``
+    consecutive rows of x (T, d); the banks' pooled rows are concatenated
+    in order.
 
     The gradient goes to each filter's first maximal window, which keeps
     backward deterministic under ties, and only where that maximum is
     positive. Only the winning positions are saved (``Graph.recompute``
     refreshes them), and the backward pass multiplies only the windows
     some filter won by ``w``; ``w`` enters the products as in
-    :func:`linear`.
+    :func:`linear`. The banks' gradients of x are added from the last bank
+    to the first.
     """
-    if (x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[:1] or not x.shape[1]
-            or not w.shape[1] or w.shape[1] % x.shape[1]):
-        raise DimensionError(f"conv_max_pool needs x (T, d), w (F, width * d) and b (F,), "
-                             f"got {x.shape}, {w.shape} and {b.shape}")
-    (steps, dim), width = x.shape, w.shape[1] // x.shape[1]
-    if steps < width:
-        raise DimensionError(f"sequence of length {steps} shorter than window {width}")
-    positions = steps - width + 1
-    cols = np.arange(w.shape[0])
-    saved = {}
+    banks = tuple(banks)
+    if not banks:
+        raise DimensionError("conv_max_pool needs at least one (w, b) bank")
+    for w, b in banks:
+        if (x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[:1] or not x.shape[1]
+                or not w.shape[1] or w.shape[1] % x.shape[1]):
+            raise DimensionError(f"conv_max_pool needs x (T, d), w (F, width * d) and "
+                                 f"b (F,), got {x.shape}, {w.shape} and {b.shape}")
+    steps, dim = x.shape
+    widths = [w.shape[1] // dim for w, _ in banks]
+    if steps < max(widths):
+        raise DimensionError(f"sequence of length {steps} shorter than window {max(widths)}")
+    splits = np.cumsum([w.shape[0] for w, _ in banks])[:-1]  # bank boundaries in the row
+    saved = []
 
-    def windows(x):  # row i is x[i : i + width] flattened, a view
-        return np.lib.stride_tricks.sliding_window_view(x, (width, dim)).reshape(positions, -1)
+    def windows(x, width):  # row i is x[i : i + width] flattened, a view
+        return np.lib.stride_tricks.sliding_window_view(x, (width, dim)).reshape(
+            steps - width + 1, -1)
 
-    def fwd(x, w, b):
-        act = np.maximum(windows(x).copy() @ w.T.copy() + b, 0.0)
-        saved["winners"] = winners = np.argmax(act, axis=0)
-        return act[winners, cols][None]
+    def fwd(x, *wb):
+        saved.clear()
+        pooled = []
+        for width, w, b in zip(widths, wb[::2], wb[1::2]):
+            act = np.maximum(windows(x, width).copy() @ w.T.copy() + b, 0.0)
+            saved.append(np.argmax(act, axis=0))
+            pooled.append(act[saved[-1], np.arange(len(w))])
+        return np.concatenate(pooled)[None]
 
-    def bwd(g, out, x, w, b):
-        winners = saved["winners"]
-        gp = g[0] * (out[0] > 0)
-        rows, slot = np.unique(winners, return_inverse=True)  # every other window's gradient is 0
-        g_act = np.zeros((len(rows), len(cols)), dtype=g.dtype)
-        g_act[slot, cols] = gp
-        g_win = g_act @ w.T.copy().T
-        dx = np.zeros_like(x)
-        # offsets from width-1 down to 0: each row adds its windows in position order
-        for j in range(width - 1, -1, -1):
-            dx[rows + j] += g_win[:, j * dim : (j + 1) * dim]
-        return dx, gp[:, None] * windows(x)[winners], gp
+    def bwd(g, out, x, *wb):
+        dx, grads = None, []
+        g_rows, live = np.split(g[0], splits), np.split(out[0] > 0, splits)
+        for k in reversed(range(len(banks))):
+            width, w, winners = widths[k], wb[2 * k], saved[k]
+            cols = np.arange(len(w))
+            gp = g_rows[k] * live[k]
+            # only the winning windows get a gradient
+            rows, slot = np.unique(winners, return_inverse=True)
+            g_act = np.zeros((len(rows), len(cols)), dtype=g.dtype)
+            g_act[slot, cols] = gp
+            g_win = g_act @ w.T.copy().T
+            dx_k = np.zeros_like(x)
+            # offsets from width-1 down to 0: each row adds its windows in position order
+            for j in range(width - 1, -1, -1):
+                dx_k[rows + j] += g_win[:, j * dim : (j + 1) * dim]
+            dx = dx_k if dx is None else dx + dx_k
+            grads = [gp[:, None] * windows(x, width)[winners], gp, *grads]
+        return (dx, *grads)
 
-    return _record("conv_max_pool", (x, w, b), fwd, bwd)
+    return _record("conv_max_pool", (x, *(t for bank in banks for t in bank)), fwd, bwd)
 
 
 def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor, n_groups: int,
@@ -491,8 +452,8 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate`` and scale
     survivors by 1/(1-rate) in train mode; identity in eval mode.
 
-    The sampled mask is frozen into the graph as a constant so recomputing
-    (for gradient checks) reuses it.
+    The train-mode node keeps the mask it sampled, so recomputing (for
+    gradient checks) reuses it.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
@@ -502,9 +463,15 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
         return a
     if rng is None:
         raise UsageError("dropout in train mode needs an rng")
-    keep = (rng.random(a.shape) >= rate).astype(a.graph.dtype.type)
-    mask = a.graph.constant(keep / (1.0 - rate), name="dropout_mask")
-    return mul(a, mask)
+    mask = (rng.random(a.shape) >= rate).astype(a.graph.dtype.type) / (1.0 - rate)
+
+    def fwd(x):
+        return x * mask
+
+    def bwd(g, out, x):
+        return (g * mask,)
+
+    return _record("dropout", (a,), fwd, bwd)
 
 
 class GradCheckReport:

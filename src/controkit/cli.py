@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_experiment
 from .metrics import eval_report_from_json, evaluate_predictions, prediction_set
 from .models import MODEL_KINDS, TrainConfig, fit, load_classifier, predict, save_classifier
 from .reports import (
@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full experiment from a spec file")
-    p.add_argument("--kind", choices=["comparison", "temporal", "topic", "domain", "agreement"],
-                   help="override the spec's kind")
+    p.add_argument("--kind", choices=EXPERIMENT_KINDS, help="override the spec's kind")
     p.add_argument("--spec", required=True, help="experiment spec JSON")
     p.add_argument("--out-dir", help="override the spec's output directory")
     p.add_argument("--seed", type=int, default=None)

@@ -31,6 +31,7 @@ from .metrics import (
     prediction_set,
     prf,
     auc,
+    roc_points,
 )
 from .models import TrainConfig, fit, predict
 from .reports import (
@@ -46,13 +47,14 @@ from .reports import (
 from .seeding import derive_seed
 
 DEFAULT_MODELS = ("tfidf", "lm", "cnn", "han")
+EXPERIMENT_KINDS = ("comparison", "temporal", "topic", "domain", "agreement")
 
 
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment run."""
 
-    kind: str  # comparison | temporal | topic | domain | agreement
+    kind: str  # one of EXPERIMENT_KINDS
     datasets: dict = field(default_factory=dict)  # role -> path
     models: tuple = DEFAULT_MODELS
     config: dict = field(default_factory=dict)    # TrainConfig overrides
@@ -315,8 +317,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         tables.append(("comparison.txt",
                        render_metrics_table(report, "Model comparison")
                        + "\n" + render_interval_table(report, "Bootstrap intervals")))
-        from .metrics import roc_points
-
         for preds in pred_sets:
             try:
                 write_roc_csv(os.path.join(spec.out_dir, f"roc_{preds.model_name}.csv"),
@@ -380,10 +380,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         }
         tables.append(("agreement.txt", render_agreement_table(rows)))
     else:
-        raise UsageError(
-            f"unknown experiment kind {spec.kind!r}; "
-            "expected comparison|temporal|topic|domain|agreement"
-        )
+        raise UsageError(f"unknown experiment kind {spec.kind!r}; "
+                         f"expected {'|'.join(EXPERIMENT_KINDS)}")
 
     dump_json(os.path.join(spec.out_dir, "report.json"), payload)
     for name, text in tables:

@@ -69,10 +69,7 @@ class NeuralModel:
         """Cross-entropy plus the l2 penalty on the dense prediction weights."""
         bound = self.bind(graph)
         nll = ad.cross_entropy(self.logits(bound, net_input, mode, rng, dropout_rate), target)
-        if l2 > 0:
-            w = bound["dense.w"]
-            return ad.add(nll, ad.scale(ad.sum_all(ad.mul(w, w)), l2))
-        return nll
+        return ad.l2_penalty(nll, bound["dense.w"], l2) if l2 > 0 else nll
 
     def probabilities(self, doc) -> np.ndarray:
         """Eval-mode class probabilities [non-controversial, controversial]."""

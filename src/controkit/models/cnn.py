@@ -91,7 +91,7 @@ class CnnParams(NeuralModel):
         than the widest window is padded to it."""
         tokens = list(tokens) + [PAD_INDEX] * (max(self.window_sizes) - len(tokens))
         embedded = ad.lookup(bound["embedding"], tokens, pad_index=PAD_INDEX)
-        pooled = [ad.conv_max_pool(embedded, bound[f"conv{h}.w"], bound[f"conv{h}.b"])
-                  for h in self.window_sizes]
-        features = ad.dropout(ad.concat(pooled, axis=1), dropout_rate, mode, rng)
+        pooled = ad.conv_max_pool(embedded, [(bound[f"conv{h}.w"], bound[f"conv{h}.b"])
+                                             for h in self.window_sizes])
+        features = ad.dropout(pooled, dropout_rate, mode, rng)
         return ad.linear(features, bound["dense.w"], bound["dense.b"])

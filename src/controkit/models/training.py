@@ -38,6 +38,11 @@ from .base import (
 
 logger = logging.getLogger(__name__)
 
+# TrainConfig fields that must be positive integers, and those that may be 0
+_SIZE_FIELDS = ("batch_size", "embed_dim", "hidden_dim", "n_filters", "vocab_max_size",
+                "max_sentences", "max_words_per_sentence", "max_tokens")
+_COUNT_FIELDS = ("epochs", "patience", "vocab_min_freq")
+
 
 @dataclass
 class TrainConfig:
@@ -68,16 +73,32 @@ class TrainConfig:
     tfidf_lr: float = 0.5
     tfidf_l2: float = 1e-4
 
+    def __post_init__(self):
+        """Refuse a config that no fit can run (or whose checkpoint could not
+        be loaded), before anything is built; ``window_sizes`` becomes a tuple."""
+        for name in _SIZE_FIELDS + _COUNT_FIELDS:
+            value, least = getattr(self, name), int(name in _SIZE_FIELDS)
+            if type(value) is not int or value < least:
+                kind = "a positive" if least else "a non-negative"
+                raise UsageError(f"training config {name} must be {kind} integer, "
+                                 f"got {value!r}")
+        sizes = self.window_sizes
+        if not isinstance(sizes, (list, tuple)) or not sizes or not all(
+                type(h) is int and h > 0 for h in sizes):
+            raise UsageError(f"training config window_sizes must be a non-empty list of "
+                             f"positive integers, got {sizes!r}")
+        self.window_sizes = tuple(sizes)
+        rate = self.dropout
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
+            raise UsageError(f"training config dropout must lie in [0, 1), got {rate!r}")
+
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
         allowed = set(cls.__dataclass_fields__)
         unknown = set(data) - allowed
         if unknown:
             raise UsageError(f"unknown training config keys: {sorted(unknown)}")
-        merged = dict(data)
-        if "window_sizes" in merged:
-            merged["window_sizes"] = tuple(merged["window_sizes"])
-        return cls(**merged)
+        return cls(**data)
 
     def to_json(self) -> dict:
         data = asdict(self)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the definitions (explicit
 loops, pair enumeration, hand-rolled recurrences) and never calls the
-code paths it checks.
+code paths it checks. The exceptions are the two scalar heads at the end,
+``weighted_sum`` and ``total``, which record test-only tape nodes so that
+a single op's output can be made into a loss.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from collections import deque
 
 import numpy as np
+
+from controkit import autodiff as ad
 
 
 def matmul_loops(a, b):
@@ -292,3 +296,33 @@ def sweep_threshold(scores, labels):
         if f1 > best_f1:
             best_t, best_f1 = t, f1
     return best_t, best_f1
+
+
+def weighted_sum(out, weights=None):
+    """The scalar ``sum(out * weights)`` as one tape node (all-ones weights
+    by default). Its backward hands ``out`` exactly ``weights`` (in the
+    graph's dtype) as the upstream gradient of a unit loss."""
+    w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=out.data.dtype),
+                        out.shape)
+
+    def fwd(x):
+        return np.asarray((x * w).sum(), dtype=x.dtype)
+
+    def bwd(g, _, x):
+        return (g * w,)
+
+    return ad._record("weighted_sum", (out,), fwd, bwd)
+
+
+def total(terms):
+    """The sum of scalar nodes as one tape node; each term's upstream
+    gradient is the total's."""
+    terms = tuple(terms)
+
+    def fwd(*xs):
+        return np.asarray(sum(xs), dtype=xs[0].dtype)
+
+    def bwd(g, _, *xs):
+        return (g,) * len(xs)
+
+    return ad._record("total", terms, fwd, bwd)

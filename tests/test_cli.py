@@ -273,6 +273,33 @@ class TestExitCodes:
         assert "needs both classes in validation" in capsys.readouterr().err
         assert not out.exists() and not os.path.exists(f"{out}.log.json")
 
+    @pytest.mark.parametrize("model, config", [
+        ("cnn", {"batch_size": 0}),
+        ("cnn", {"batch_size": "8"}),
+        ("han", {"batch_size": True}),
+        ("cnn", {"window_sizes": []}),
+        ("cnn", {"window_sizes": [2, 0]}),
+        ("han", {"embed_dim": 0}),
+        ("han", {"hidden_dim": 0}),
+        ("cnn", {"n_filters": 0}),
+        ("cnn", {"max_tokens": 2.5}),
+        ("tfidf", {"vocab_max_size": -5}),
+        ("cnn", {"epochs": -1}),
+        ("han", {"patience": -1}),
+        ("lm", {"vocab_min_freq": -1}),
+        ("cnn", {"dropout": 1.0}),
+        ("han", {"dropout": -0.1}),
+    ], ids=lambda v: v if isinstance(v, str) else "{}={!r}".format(*next(iter(v.items()))))
+    def test_config_no_fit_can_run_is_exit_2(self, trained, tmp_path, capsys, model, config):
+        _, data_dir = trained
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "m.ctrv"
+        code = main(["train", "--model", model, "--config", str(tmp_path / "config.json"),
+                     "--data", str(data_dir), "--out", str(out)])
+        assert code == 2
+        assert f"training config {next(iter(config))}" in capsys.readouterr().err
+        assert not out.exists() and not os.path.exists(f"{out}.log.json")
+
     def test_empty_lexicon_file_is_data_error(self, trained, tmp_path):
         _, data_dir = trained
         (tmp_path / "lexicon.txt").write_text("\n")

@@ -7,7 +7,7 @@ from controkit import autodiff as ad
 from controkit.errors import DimensionError
 from controkit.gru import GruParams, gru_sequence
 
-from oracles import direction, gru_scalar
+from oracles import direction, gru_scalar, weighted_sum
 
 
 def zero_params(input_dim, hidden_dim):
@@ -125,7 +125,7 @@ class TestGruStep:
         g = ad.Graph(np.float64)
         x = g.parameter("x", rng.normal(size=(3, 3)))
         h = gru_sequence(x, params.register(g, "gru"), 1)
-        report = ad.grad_check(g, ad.sum_all(ad.mul(h, h)), 1e-5, 1e-5)
+        report = ad.grad_check(g, weighted_sum(h, rng.normal(size=h.shape)), 1e-5, 1e-5)
         assert report.passed, report
 
 
@@ -225,8 +225,7 @@ class TestGruSequence:
         h = gru_sequence(x, params.register(g, "gru"), 3, mask=mask)
         weights = np.zeros((12, 4))
         weights[:, 2 * d:2 * d + 2] = rng.normal(size=(12, 2))
-        report = ad.grad_check(g, ad.sum_all(ad.mul(ad.mul(h, h), g.constant(weights))),
-                               1e-5, 1e-5)
+        report = ad.grad_check(g, weighted_sum(h, weights), 1e-5, 1e-5)
         assert report.passed, report
         # the other direction's arrays get no gradient
         for name in ("gru.w", "gru.u", "gru.b"):
@@ -257,7 +256,7 @@ class TestGruSequence:
         x = g.parameter("x", rng.normal(size=(n_rows * steps, input_dim)))
         out = gru_sequence(x, params.register(g, "gru"), n_rows, mask)
         upstream = rng.normal(size=out.shape).astype(np.float32)
-        grads = g.backward(ad.sum_all(ad.mul(out, g.constant(upstream))))
+        grads = g.backward(weighted_sum(out, upstream))
         names = ("x", "gru.w", "gru.u", "gru.b")
         want_out, want_grads = replay(*(g.params[n].data for n in names), n_rows, keep, upstream)
         assert out.data.dtype == np.float32

@@ -41,7 +41,7 @@ def test_max_over_time_position_invariance(rng):
         graph = ad.Graph(np.float64)
         bound = params.bind(graph)
         emb = ad.lookup(bound["embedding"], tokens, pad_index=0)
-        return float(ad.conv_max_pool(emb, bound["conv3.w"], bound["conv3.b"]).data[0, 0])
+        return float(ad.conv_max_pool(emb, [(bound["conv3.w"], bound["conv3.b"])]).data[0, 0])
 
     early = pooled_activation([2, 3, 4, 5, 5, 5, 5])
     late = pooled_activation([5, 5, 5, 5, 2, 3, 4])
@@ -49,8 +49,9 @@ def test_max_over_time_position_invariance(rng):
 
 
 def test_tape_size_does_not_depend_on_the_document(rng, small_embedding):
-    # one lookup, one conv_max_pool per width and one linear layer: no op
-    # is recorded per token or per window position
+    # 9 parameters and one node per layer: lookup, one conv_max_pool for
+    # all widths, dropout, linear, cross_entropy and the l2 penalty; no op
+    # is recorded per token, window position or width
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=4)
     tapes = []
     for n_tokens in (5, 400):
@@ -59,9 +60,11 @@ def test_tape_size_does_not_depend_on_the_document(rng, small_embedding):
                     rng=np.random.default_rng(0), l2=1e-3)
         tapes.append(Counter(node.op for node in graph.nodes))
     assert tapes[0] == tapes[1]
-    assert sum(tapes[0].values()) == 22
-    assert tapes[0]["conv_max_pool"] == 3 and tapes[0]["linear"] == 1
-    assert tapes[0]["lookup"] == 1
+    assert sum(tapes[0].values()) == 15
+    assert tapes[0]["param"] == 9
+    for op in ("lookup", "conv_max_pool", "dropout", "linear", "cross_entropy", "l2_penalty"):
+        assert tapes[0][op] == 1, op
+    assert tapes[0]["concat"] == tapes[0]["mul"] == tapes[0]["const"] == 0
 
 
 def test_matches_scalar_loop_oracle(rng, small_embedding):
