@@ -1,15 +1,17 @@
 """Snowball-crawl a synthetic wiki served over real local HTTP.
 
-The fixture server hosts virtual domains (wiki.test plus external sites),
-a robots.txt, and a seeded random-article endpoint, so the whole crawl
-stack runs exactly as it would against the live web: breadth-first
+The fixture server is an HTTP proxy for virtual domains (wiki.test plus
+external sites) with a robots.txt and a seeded random-article endpoint.
+The crawler is the production HttpFetcher with the server as its proxy,
+so the whole crawl stack runs exactly as it would against the live web
+without leaving the machine: breadth-first
 expansion up to two hops through the 'See also', 'References' and
 'External links' sections, label propagation from the controversial
 seeds, random-negative sampling, and leakage-free seed-based splits.
 """
 
 from controkit.corpus import CrawlPolicy, split_dataset
-from controkit.crawl import RewriteFetcher, build_dataset
+from controkit.crawl import build_dataset
 from controkit.fixture_wiki import FixtureServer, random_wiki
 from controkit.reports import render_split_stats_table
 
@@ -18,7 +20,7 @@ wiki, seeds = random_wiki(rng_seed=42, n_seed_pages=4, n_random_pool=4)
 
 with FixtureServer(wiki) as server:
     print(f"fixture wiki: {len(wiki.pages)} pages served at {server.base_url}")
-    fetcher = RewriteFetcher(policy, server.base_url, random_url=wiki.random_endpoint)
+    fetcher = server.fetcher(policy)
     result, all_seeds = build_dataset(
         seeds, policy, fetcher, snapshot_year=2018, n_random_negatives=2)
 documents, edges = result.documents, result.edges

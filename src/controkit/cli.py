@@ -65,7 +65,6 @@ def cmd_crawl(args) -> int:
     server = None
     try:
         if args.fixture_server:
-            from .crawl import RewriteFetcher
             from .fixture_wiki import FixtureServer, wiki_from_json
 
             wiki = wiki_from_json(_load_json(args.fixture_server))
@@ -73,8 +72,7 @@ def cmd_crawl(args) -> int:
             policy_data.setdefault("per_host_delay", 0.0)
             policy = CrawlPolicy.from_json(policy_data)
             server = FixtureServer(wiki).start()
-            fetcher = RewriteFetcher(policy, server.base_url,
-                                     random_url=wiki.random_endpoint)
+            fetcher = server.fetcher(policy)
         else:
             from .crawl import HttpFetcher
 
@@ -135,9 +133,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig.from_json(_load_json(args.config)) if args.config else TrainConfig()
+    config_data = _load_json(args.config) if args.config else {}
     if args.seed is not None:
-        config.seed = args.seed
+        config_data["seed"] = args.seed
+    config = TrainConfig.from_json(config_data)
     train_docs = read_documents(os.path.join(args.data, "train.jsonl"))
     validation_docs = read_documents(os.path.join(args.data, "validation.jsonl"))
     result = fit(args.model, train_docs, validation_docs, config)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from html.parser import HTMLParser
-from urllib.parse import quote, urljoin, urlsplit
+from urllib.parse import urljoin, urlsplit
 from urllib import robotparser
 
 import requests
@@ -155,12 +155,6 @@ class HttpFetcher:
         self._last_fetch: dict[str, float] = {}
         self._robots: dict[str, robotparser.RobotFileParser | None] = {}
 
-    def real_url(self, url: str) -> str:
-        return url
-
-    def virtual_url(self, url: str) -> str:
-        return url
-
     def _wait_politely(self, host: str) -> None:
         if self.policy.per_host_delay <= 0:
             return
@@ -178,8 +172,7 @@ class HttpFetcher:
             robots_url = f"{parts.scheme}://{parts.netloc}/robots.txt"
             parser = robotparser.RobotFileParser()
             try:
-                resp = self.session.get(self.real_url(robots_url),
-                                        timeout=self.policy.fetch_timeout)
+                resp = self.session.get(robots_url, timeout=self.policy.fetch_timeout)
                 if resp.status_code == 200:
                     parser.parse(resp.text.splitlines())
                 else:
@@ -202,7 +195,7 @@ class HttpFetcher:
         last_error = None
         for _ in range(self.policy.retry_count + 1):
             try:
-                resp = self.session.get(self.real_url(url), timeout=self.policy.fetch_timeout)
+                resp = self.session.get(url, timeout=self.policy.fetch_timeout)
             except requests.RequestException as exc:
                 logger.debug("fetching %s: %s", url, exc)
                 last_error = type(exc).__name__
@@ -221,48 +214,16 @@ class HttpFetcher:
             raise UsageError("fetcher has no random-article endpoint configured")
         self._wait_politely(host_of(self.random_url))
         try:
-            resp = self.session.get(self.real_url(self.random_url),
-                                    timeout=self.policy.fetch_timeout,
+            resp = self.session.get(self.random_url, timeout=self.policy.fetch_timeout,
                                     allow_redirects=False)
         except requests.RequestException as exc:
             raise FetchFailure(self.random_url, type(exc).__name__) from exc
         if resp.status_code in (301, 302, 303, 307, 308):
             target = urljoin(self.random_url, resp.headers.get("Location", ""))
-            return self.fetch(self.virtual_url(target))
+            return self.fetch(target)
         if resp.status_code == 200:
             return FetchedPage(url=normalize_url(self.random_url), status=200, html=resp.text)
         raise FetchFailure(self.random_url, f"HTTP {resp.status_code}")
-
-
-class RewriteFetcher(HttpFetcher):
-    """Fetcher for the local fixture server.
-
-    Virtual URLs such as ``http://wiki.test/A`` are served by one local
-    HTTP server at ``<server_base>/<host>/<path>``, so crawl logic,
-    politeness and robots all run against real HTTP while tests stay
-    hermetic.
-    """
-
-    def __init__(self, policy: CrawlPolicy, server_base: str, **kwargs):
-        kwargs.setdefault("sleep", lambda s: None)
-        super().__init__(policy, **kwargs)
-        self.server_base = server_base.rstrip("/")
-
-    def real_url(self, url: str) -> str:
-        parts = urlsplit(url)
-        if parts.netloc and parts.netloc in urlsplit(self.server_base).netloc:
-            return url
-        path = parts.path or "/"
-        suffix = f"?{parts.query}" if parts.query else ""
-        return f"{self.server_base}/{parts.netloc}{quote(path)}{suffix}"
-
-    def virtual_url(self, url: str) -> str:
-        base = urlsplit(self.server_base)
-        parts = urlsplit(url)
-        if parts.netloc == base.netloc:
-            host, _, rest = parts.path.lstrip("/").partition("/")
-            return normalize_url(f"http://{host}/{rest}")
-        return url
 
 
 @dataclass
@@ -295,7 +256,7 @@ def crawl_snowball(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
     level: list[str] = []
     seen: set[str] = set()
     for s in seeds:
-        url = normalize_url(s.url if isinstance(s, Seed) else s)
+        url = normalize_url(s.url)
         if url not in seen:
             seen.add(url)
             level.append(url)

@@ -1,11 +1,15 @@
 """Deterministic local HTTP fixture serving a small synthetic wiki.
 
-One local server hosts any number of virtual hosts: the path
-``/<host>/<page-path>`` serves the page at ``http://<host>/<page-path>``.
-Together with :class:`controkit.crawl.RewriteFetcher` this exercises the
-real fetching stack (HTTP, robots, redirects) without touching the
-network. A ``Special:Random`` endpoint 302-redirects through a seeded,
-cycling pool so negative sampling is reproducible.
+The server is an HTTP forward proxy for any number of virtual hosts: a
+client sends it the absolute URL (``GET http://wiki.test/A HTTP/1.1``,
+RFC 9112 section 3.2.2) and it answers with that page.
+:meth:`FixtureServer.fetcher` returns the production
+:class:`controkit.crawl.HttpFetcher` with this server as its proxy, so
+crawl logic, politeness, robots and redirects all run over real HTTP
+without touching the network. Fixture URLs are ``http``: the server
+answers ``CONNECT`` with 501, so an ``https`` fetch fails. A
+``Special:Random`` endpoint 302-redirects through a seeded, cycling pool
+so negative sampling is reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
-from .corpus import Seed, normalize_url
+from .corpus import CrawlPolicy, Seed, normalize_url
+from .crawl import HttpFetcher
 
 RANDOM_ENDPOINT = "http://wiki.test/special:random"
 
@@ -105,18 +110,21 @@ class FixtureServer:
                 pass
 
             def do_GET(self):
-                host, _, rest = unquote(self.path).lstrip("/").partition("/")
-                if not host:
-                    self._respond(404, "no virtual host in path")
+                # CONNECT, the only way to ask for https, is answered 501
+                # by the base class
+                url = unquote(self.path)
+                parts = urlsplit(url)
+                if parts.scheme != "http" or not parts.netloc:
+                    self._respond(404, "not an absolute http URL")
                     return
-                virtual = normalize_url(f"http://{host}/{rest}")
-                if rest == "robots.txt":
-                    body = outer.wiki.robots.get(host)
+                if parts.path == "/robots.txt":
+                    body = outer.wiki.robots.get(parts.netloc)
                     if body is None:
                         self._respond(404, "no robots.txt")
                     else:
                         self._respond(200, body, content_type="text/plain")
                     return
+                virtual = normalize_url(url)
                 if virtual == normalize_url(outer.wiki.random_endpoint):
                     target = outer._next_random()
                     if target is None:
@@ -156,6 +164,17 @@ class FixtureServer:
     def base_url(self) -> str:
         host, port = self._server.server_address
         return f"http://{host}:{port}"
+
+    def fetcher(self, policy: CrawlPolicy, **kwargs) -> HttpFetcher:
+        """A plain :class:`HttpFetcher` that sends every request, ``http``
+        or ``https``, to this server as its proxy and ignores the
+        environment's proxy settings; ``random_url`` defaults to the
+        wiki's random endpoint."""
+        kwargs.setdefault("random_url", self.wiki.random_endpoint)
+        fetcher = HttpFetcher(policy, **kwargs)
+        fetcher.session.proxies = {"http": self.base_url, "https": self.base_url}
+        fetcher.session.trust_env = False
+        return fetcher
 
     def start(self) -> "FixtureServer":
         self._thread.start()

@@ -15,6 +15,7 @@ not change it. Lexical models fit in one deterministic pass of ``train``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -41,7 +42,9 @@ logger = logging.getLogger(__name__)
 # TrainConfig fields that must be positive integers, and those that may be 0
 _SIZE_FIELDS = ("batch_size", "embed_dim", "hidden_dim", "n_filters", "vocab_max_size",
                 "max_sentences", "max_words_per_sentence", "max_tokens")
-_COUNT_FIELDS = ("epochs", "patience", "vocab_min_freq")
+_COUNT_FIELDS = ("epochs", "patience", "vocab_min_freq", "tfidf_epochs", "seed")
+# TrainConfig fields that must be finite numbers >= 0
+_RATE_FIELDS = ("learning_rate", "l2", "tfidf_lr", "tfidf_l2")
 
 
 @dataclass
@@ -88,6 +91,16 @@ class TrainConfig:
             raise UsageError(f"training config window_sizes must be a non-empty list of "
                              f"positive integers, got {sizes!r}")
         self.window_sizes = tuple(sizes)
+        reals = [(name, False) for name in _RATE_FIELDS] + [("lm_mu", True)]
+        if self.grad_clip is not None:
+            reals.append(("grad_clip", True))
+        for name, positive in reals:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+                bound = "> 0" if positive else ">= 0"
+                raise UsageError(f"training config {name} must be a finite number {bound}, "
+                                 f"got {value!r}")
         rate = self.dropout
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
             raise UsageError(f"training config dropout must lie in [0, 1), got {rate!r}")

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import socket
 
 import pytest
 
@@ -111,6 +112,40 @@ class TestCrawlAndSplit:
                                                          "http://wiki.test/r0"}
         assert ("4 failures (HTTP 404: 3, disallowed by robots.txt: 1)"
                 in capsys.readouterr().out)
+
+    def test_environment_proxy_is_ignored(self, tmp_path, monkeypatch):
+        # the environment names a proxy on a closed local port; a fixture
+        # crawl talks to the fixture server alone and stores every page
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            proxy = f"http://127.0.0.1:{closed.getsockname()[1]}"
+        for name in ("HTTP_PROXY", "HTTPS_PROXY"):
+            monkeypatch.setenv(name, proxy)
+        for name in ("NO_PROXY", "no_proxy", "http_proxy", "https_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        wiki = FixtureWiki()
+        wiki.add(FixturePage(url="http://wiki.test/seed", title="seed",
+                             paragraphs=["A disputed seed page."],
+                             see_also=["http://wiki.test/a"],
+                             references=["http://ext.example/b", "http://wiki.test/gone"]))
+        wiki.add(FixturePage(url="http://wiki.test/a", title="a", paragraphs=["Linked."]))
+        wiki.add(FixturePage(url="http://ext.example/b", title="b", paragraphs=["Web."]))
+        wiki.add(FixturePage(url="http://wiki.test/r0", title="r0", paragraphs=["Quiet."]))
+        wiki.random_pool = ["http://wiki.test/r0"]
+        (tmp_path / "wiki.json").write_text(json.dumps(wiki_spec_json(wiki)))
+        write_seeds(tmp_path / "seeds.jsonl",
+                    [Seed("http://wiki.test/seed", "t", CONTROVERSIAL)])
+        out = tmp_path / "dataset.jsonl"
+        code = main(["crawl", "--seeds", str(tmp_path / "seeds.jsonl"),
+                     "--fixture-server", str(tmp_path / "wiki.json"),
+                     "--out", str(out), "--negatives", "1"])
+        assert code == 0
+        assert {d.url for d in read_documents(out)} == {
+            "http://wiki.test/seed", "http://wiki.test/a", "http://ext.example/b",
+            "http://wiki.test/r0"}
+        lines = (tmp_path / "dataset.jsonl.failures.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"url": "http://wiki.test/gone", "reason": "HTTP 404"}]
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +324,20 @@ class TestExitCodes:
         ("lm", {"vocab_min_freq": -1}),
         ("cnn", {"dropout": 1.0}),
         ("han", {"dropout": -0.1}),
+        ("cnn", {"learning_rate": "0.01"}),
+        ("cnn", {"learning_rate": -1.0}),
+        ("cnn", {"l2": float("nan")}),
+        ("cnn", {"l2": "0.001"}),
+        ("tfidf", {"tfidf_lr": float("inf")}),
+        ("tfidf", {"tfidf_l2": -1e-4}),
+        ("tfidf", {"tfidf_epochs": -3}),
+        ("lm", {"lm_mu": -1}),
+        ("lm", {"lm_mu": 0}),
+        ("cnn", {"grad_clip": -1.0}),
+        ("cnn", {"grad_clip": 0}),
+        ("han", {"seed": "3"}),
+        ("han", {"seed": -1}),
+        ("cnn", {"seed": 1.5}),
     ], ids=lambda v: v if isinstance(v, str) else "{}={!r}".format(*next(iter(v.items()))))
     def test_config_no_fit_can_run_is_exit_2(self, trained, tmp_path, capsys, model, config):
         _, data_dir = trained
@@ -299,6 +348,15 @@ class TestExitCodes:
         assert code == 2
         assert f"training config {next(iter(config))}" in capsys.readouterr().err
         assert not out.exists() and not os.path.exists(f"{out}.log.json")
+
+    def test_negative_seed_flag_is_exit_2(self, trained, tmp_path, capsys):
+        _, data_dir = trained
+        out = tmp_path / "m.ctrv"
+        code = main(["train", "--model", "tfidf", "--data", str(data_dir), "--out", str(out),
+                     "--seed", "-1"])
+        assert code == 2
+        assert "training config seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_lexicon_file_is_data_error(self, trained, tmp_path):
         _, data_dir = trained

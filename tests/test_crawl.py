@@ -14,7 +14,6 @@ from controkit.corpus import (
 from controkit.crawl import (
     FetchFailure,
     HttpFetcher,
-    RewriteFetcher,
     build_dataset,
     crawl_snowball,
     merge_crawls,
@@ -108,7 +107,7 @@ class TestPageParsing:
 class TestChainCrawl:
     def test_hop_limit_two(self, chain_server):
         server, wiki, seeds = chain_server
-        fetcher = RewriteFetcher(POLICY, server.base_url)
+        fetcher = server.fetcher(POLICY)
         result = crawl_snowball(seeds, POLICY, fetcher, 2018, clock=CLOCK)
         urls = {d.url: d.hop for d in result.documents}
         assert urls == {
@@ -123,7 +122,7 @@ class TestChainCrawl:
                              paragraphs=["Nothing links out."]))
         seeds = [Seed("http://wiki.test/lonely", "t", CONTROVERSIAL)]
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url)
+            fetcher = server.fetcher(POLICY)
             result = crawl_snowball(seeds, POLICY, fetcher, 2018, clock=CLOCK)
         assert [d.url for d in result.documents] == ["http://wiki.test/lonely"]
         assert result.documents[0].hop == 0
@@ -140,7 +139,7 @@ class TestChainCrawl:
         seeds = [Seed("http://wiki.test/s1", "a", CONTROVERSIAL),
                  Seed("http://wiki.test/s2", "b", CONTROVERSIAL)]
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url)
+            fetcher = server.fetcher(POLICY)
             result = crawl_snowball(seeds, POLICY, fetcher, 2018, clock=CLOCK)
         hops = {d.url: d.hop for d in result.documents}
         assert hops["http://wiki.test/mid"] == 1
@@ -152,10 +151,22 @@ class TestChainCrawl:
                              see_also=["http://wiki.test/gone"]))
         seeds = [Seed("http://wiki.test/s", "t", CONTROVERSIAL)]
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url)
+            fetcher = server.fetcher(POLICY)
             result = crawl_snowball(seeds, POLICY, fetcher, 2018, clock=CLOCK)
         assert len(result.documents) == 1
         assert result.failures and "gone" in result.failures[0][0]
+
+    def test_https_link_is_a_recorded_failure(self):
+        # the fixture serves http only: it refuses the https tunnel
+        wiki = FixtureWiki()
+        wiki.add(FixturePage(url="http://wiki.test/s", title="s",
+                             see_also=["https://wiki.test/secure"]))
+        wiki.add(FixturePage(url="https://wiki.test/secure", title="secure"))
+        seeds = [Seed("http://wiki.test/s", "t", CONTROVERSIAL)]
+        with FixtureServer(wiki) as server:
+            result = crawl_snowball(seeds, POLICY, server.fetcher(POLICY), 2018, clock=CLOCK)
+        assert [d.url for d in result.documents] == ["http://wiki.test/s"]
+        assert result.failures == [("https://wiki.test/secure", "ProxyError")]
 
     def test_robots_disallow_honored(self):
         wiki = FixtureWiki()
@@ -165,7 +176,7 @@ class TestChainCrawl:
         wiki.robots["wiki.test"] = "User-agent: *\nDisallow: /private\n"
         seeds = [Seed("http://wiki.test/s", "t", CONTROVERSIAL)]
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url)
+            fetcher = server.fetcher(POLICY)
             result = crawl_snowball(seeds, POLICY, fetcher, 2018, clock=CLOCK)
         assert all("private" not in d.url for d in result.documents)
         assert any("robots" in reason for _, reason in result.failures)
@@ -173,7 +184,7 @@ class TestChainCrawl:
     def test_max_pages_budget(self, chain_server):
         server, wiki, seeds = chain_server
         policy = CrawlPolicy(per_host_delay=0.0, wikipedia_hosts=("wiki.test",), max_pages=2)
-        fetcher = RewriteFetcher(policy, server.base_url)
+        fetcher = server.fetcher(policy)
         result = crawl_snowball(seeds, policy, fetcher, 2018, clock=CLOCK)
         assert len(result.documents) == 2
 
@@ -183,8 +194,8 @@ class TestChainCrawl:
         policy = CrawlPolicy(per_host_delay=0.5, wikipedia_hosts=("wiki.test",))
         times = iter(np.arange(0, 100, 0.01))
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(policy, server.base_url,
-                                     sleep=sleeps.append, clock=lambda: float(next(times)))
+            fetcher = server.fetcher(policy, sleep=sleeps.append,
+                                     clock=lambda: float(next(times)))
             crawl_snowball(seeds, policy, fetcher, 2018, clock=CLOCK)
         assert sleeps and all(s > 0.4 for s in sleeps)
 
@@ -214,6 +225,7 @@ class TestFetchRetries:
         try:
             host, port = server.server_address
             fetcher = HttpFetcher(POLICY)
+            fetcher.session.trust_env = False  # no proxy the environment names
             retried = POLICY.retry_count + 1
             for status, gets in ((404, 1), (403, 1), (408, retried), (429, retried),
                                  (500, retried)):
@@ -238,7 +250,7 @@ class TestNegativeSampling:
     def test_single_negative_with_neighborhood(self):
         wiki, _ = self._server()
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url, random_url=wiki.random_endpoint)
+            fetcher = server.fetcher(POLICY)
             result, chosen = sample_negatives(fetcher, 1, POLICY, 2018, clock=CLOCK)
         assert len(chosen) == 1
         assert all(d.hop <= 2 for d in result.documents)
@@ -249,7 +261,7 @@ class TestNegativeSampling:
         from controkit.corpus import document_id
 
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url, random_url=wiki.random_endpoint)
+            fetcher = server.fetcher(POLICY)
             result, chosen = sample_negatives(
                 fetcher, 2, POLICY, 2018,
                 exclude_ids={document_id(first_random)}, clock=CLOCK)
@@ -260,7 +272,7 @@ class TestNegativeSampling:
     def test_exhaustion_is_usage_error(self):
         wiki, _ = self._server()
         with FixtureServer(wiki) as server:
-            fetcher = RewriteFetcher(POLICY, server.base_url, random_url=wiki.random_endpoint)
+            fetcher = server.fetcher(POLICY)
             with pytest.raises(UsageError, match="random negatives"):
                 sample_negatives(fetcher, len(wiki.random_pool) + 1, POLICY, 2018,
                                  clock=CLOCK, max_attempts=12)
@@ -271,7 +283,7 @@ def crawl_oracle_check(rng_seed):
     wiki, seeds = random_wiki(rng_seed)
     policy = POLICY
     with FixtureServer(wiki) as server:
-        fetcher = RewriteFetcher(policy, server.base_url, random_url=wiki.random_endpoint)
+        fetcher = server.fetcher(policy)
         result, all_seeds = build_dataset(seeds, policy, fetcher, 2018,
                                           n_random_negatives=2, clock=CLOCK)
     docs, edges = result.documents, result.edges

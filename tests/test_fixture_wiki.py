@@ -1,7 +1,6 @@
 import requests
 
 from controkit.corpus import CrawlPolicy
-from controkit.crawl import RewriteFetcher
 from controkit.fixture_wiki import (
     FixturePage,
     FixtureServer,
@@ -17,11 +16,16 @@ def test_serves_pages_and_404s():
     wiki = FixtureWiki()
     wiki.add(FixturePage(url="http://wiki.test/a", title="A", paragraphs=["Hello."]))
     with FixtureServer(wiki) as server:
-        ok = requests.get(f"{server.base_url}/wiki.test/a")
+        proxies = {"http": server.base_url}
+        ok = requests.get("http://wiki.test/a", proxies=proxies)
         assert ok.status_code == 200
         assert "Hello." in ok.text
-        missing = requests.get(f"{server.base_url}/wiki.test/zzz")
+        missing = requests.get("http://wiki.test/zzz", proxies=proxies)
         assert missing.status_code == 404
+        # the server is a proxy: only an absolute URL names a page
+        with requests.Session() as direct:
+            direct.trust_env = False  # no proxy the environment names
+            assert direct.get(f"{server.base_url}/wiki.test/a").status_code == 404
 
 
 def test_random_endpoint_cycles_deterministically():
@@ -30,7 +34,7 @@ def test_random_endpoint_cycles_deterministically():
         wiki.add(FixturePage(url=f"http://wiki.test/r{i}", title=f"r{i}"))
         wiki.random_pool.append(f"http://wiki.test/r{i}")
     with FixtureServer(wiki) as server:
-        fetcher = RewriteFetcher(POLICY, server.base_url, random_url=wiki.random_endpoint)
+        fetcher = server.fetcher(POLICY)
         urls = [fetcher.fetch_random().url for _ in range(4)]
     assert urls == [
         "http://wiki.test/r0", "http://wiki.test/r1",
@@ -38,14 +42,26 @@ def test_random_endpoint_cycles_deterministically():
     ]
 
 
+def test_fetch_follows_the_random_redirect_through_the_server():
+    wiki = FixtureWiki()
+    wiki.add(FixturePage(url="http://wiki.test/r0", title="r0", paragraphs=["Pool page."]))
+    wiki.random_pool.append("http://wiki.test/r0")
+    with FixtureServer(wiki) as server:
+        page = server.fetcher(POLICY).fetch(wiki.random_endpoint)
+    assert page.status == 200
+    assert "<title>r0</title>" in page.html and "Pool page." in page.html
+
+
 def test_robots_served_per_host():
     wiki = FixtureWiki()
     wiki.robots["wiki.test"] = "User-agent: *\nDisallow: /x\n"
     with FixtureServer(wiki) as server:
-        resp = requests.get(f"{server.base_url}/wiki.test/robots.txt")
+        proxies = {"http": server.base_url}
+        resp = requests.get("http://wiki.test/robots.txt", proxies=proxies)
         assert resp.status_code == 200
         assert "Disallow: /x" in resp.text
-        assert requests.get(f"{server.base_url}/other.test/robots.txt").status_code == 404
+        assert requests.get("http://other.test/robots.txt",
+                            proxies=proxies).status_code == 404
 
 
 def test_wiki_json_round_trip():
