@@ -19,21 +19,3 @@ from .errors import (  # noqa: F401
     NumericError,
     UsageError,
 )
-
-from . import (  # noqa: F401,E402
-    autodiff,
-    checkpoint,
-    corpus,
-    crawl,
-    embeddings,
-    experiments,
-    fixture_wiki,
-    gru,
-    metrics,
-    models,
-    optim,
-    reports,
-    seeding,
-    synthetic,
-    textprep,
-)

@@ -32,9 +32,10 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 from .metrics import eval_report_from_json, evaluate_predictions, prediction_set
-from .models import MODEL_KINDS, TrainConfig, fit, load_classifier, predict, save_classifier
+from .models import (MODEL_KINDS, TrainConfig, fit, load_classifier, predict, require_int,
+                     save_classifier)
 from .reports import (
     dump_json,
     render_averaged_metrics_table,
@@ -152,6 +153,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    require_int("--n-resamples", args.n_resamples, 1)
     classifier = load_classifier(args.checkpoint)
     docs = read_documents(args.data)
     predictions = predict(classifier, docs)
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full experiment from a spec file")
-    p.add_argument("--kind", choices=EXPERIMENT_KINDS, help="override the spec's kind")
+    p.add_argument("--kind", choices=tuple(EXPERIMENTS), help="override the spec's kind")
     p.add_argument("--spec", required=True, help="experiment spec JSON")
     p.add_argument("--out-dir", help="override the spec's output directory")
     p.add_argument("--seed", type=int, default=None)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .metrics import (
     auc,
     roc_points,
 )
-from .models import TrainConfig, fit, predict
+from .models import MODEL_KINDS, TrainConfig, fit, predict, require_int
 from .reports import (
     dump_json,
     format_delta,
@@ -41,22 +43,22 @@ from .reports import (
     render_averaged_metrics_table,
     render_interval_table,
     render_metrics_table,
+    render_roc_csv,
     render_temporal_table,
-    write_roc_csv,
 )
 from .seeding import derive_seed
 
-DEFAULT_MODELS = ("tfidf", "lm", "cnn", "han")
-EXPERIMENT_KINDS = ("comparison", "temporal", "topic", "domain", "agreement")
-
-
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
 
-    kind: str  # one of EXPERIMENT_KINDS
+    A spec that no run could use is refused with ``UsageError`` when it is
+    built, before any dataset is read or ``out_dir`` is made.
+    """
+
+    kind: str  # a key of EXPERIMENTS
     datasets: dict = field(default_factory=dict)  # role -> path
-    models: tuple = DEFAULT_MODELS
+    models: tuple = ("tfidf", "lm", "cnn", "han")
     config: dict = field(default_factory=dict)    # TrainConfig overrides
     seed: int = 0
     out_dir: str = "."
@@ -64,16 +66,36 @@ class ExperimentSpec:
     k_topics: int = 10
     scale_midpoint: float = 2.5
 
+    def __post_init__(self):
+        experiment = EXPERIMENTS.get(self.kind) if isinstance(self.kind, str) else None
+        if experiment is None:
+            raise UsageError(f"unknown experiment kind {self.kind!r}; "
+                             f"expected {'|'.join(EXPERIMENTS)}")
+        datasets = self.datasets
+        if not isinstance(datasets, dict) or not all(
+                isinstance(s, str) for item in datasets.items() for s in item):
+            raise UsageError(f"experiment spec datasets must map roles to paths, got {datasets!r}")
+        for role in experiment.roles:
+            if role not in datasets:
+                raise UsageError(f"{self.kind} experiment needs datasets[{role!r}]")
+        models = self.models
+        if (not isinstance(models, (list, tuple)) or not models
+                or not all(m in MODEL_KINDS for m in models) or len(set(models)) < len(models)):
+            raise UsageError(f"experiment spec models must be a non-empty list of distinct "
+                             f"model kinds ({'|'.join(MODEL_KINDS)}), got {models!r}")
+        self.models = tuple(models)
+        for name, least in (("seed", 0), ("n_resamples", 1), ("k_topics", 2)):
+            require_int(f"experiment spec {name}", getattr(self, name), least)
+        midpoint = self.scale_midpoint
+        if type(midpoint) not in (int, float) or not math.isfinite(midpoint):
+            raise UsageError(f"experiment spec scale_midpoint must be finite, got {midpoint!r}")
+
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentSpec":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown experiment spec keys: {sorted(unknown)}")
-        merged = dict(data)
-        if "models" in merged:
-            merged["models"] = tuple(merged["models"])
-        return cls(**merged)
+        return cls(**data)
 
 
 def _config_for(spec_config: dict, kind: str, master_seed: int) -> TrainConfig:
@@ -292,10 +314,85 @@ def run_agreement(pred_sets, annotations, scale_midpoint: float = 2.5,
 # Spec-driven dispatch (the `experiment` CLI subcommand)
 # ---------------------------------------------------------------------------
 
-def _require(spec: ExperimentSpec, *roles):
-    for role in roles:
-        if role not in spec.datasets:
-            raise UsageError(f"{spec.kind} experiment needs datasets[{role!r}]")
+def _comparison(spec: ExperimentSpec):
+    report, pred_sets, _ = run_baseline_comparison(
+        _split_dir(spec.datasets["train_dir"]), read_documents(spec.datasets["external_test"]),
+        spec.models, spec.config, spec.seed, spec.n_resamples)
+    files = [("comparison.txt", render_metrics_table(report, "Model comparison")
+              + "\n" + render_interval_table(report, "Bootstrap intervals"))]
+    for preds in pred_sets:
+        try:
+            points = roc_points(preds.scores, preds.true_labels)
+        except UsageError:
+            continue
+        files.append((f"roc_{preds.model_name}.csv", render_roc_csv(points)))
+    return {"report": report.to_json()}, files
+
+
+def _temporal(spec: ExperimentSpec):
+    train_year_splits = _split_dir(spec.datasets["train_year_dir"])
+    test_year_splits = _split_dir(spec.datasets["test_year_dir"])
+    within, between, delta = run_temporal(train_year_splits, test_year_splits, spec.models,
+                                          spec.config, spec.seed, spec.n_resamples)
+    test_tag, train_tag = (f"'{docs[0].snapshot_year % 100:02d}" if docs else "'?"
+                           for docs in (test_year_splits["test"], train_year_splits["train"]))
+    table = render_temporal_table(within, between, f"{test_tag}/{test_tag}",
+                                  f"{train_tag}/{test_tag}", "Temporal stability")
+    report = {"within": within.to_json(), "between": between.to_json(), "delta": delta}
+    return {"report": report}, [("temporal.txt", table)]
+
+
+def _topic(spec: ExperimentSpec):
+    per_fold, averaged = run_topic_cv(read_documents(spec.datasets["dataset"]), spec.models,
+                                      spec.config, spec.seed, spec.k_topics)
+    table = render_averaged_metrics_table(averaged, "Cross-topic stability (averaged over folds)")
+    report = {"folds": per_fold, "averaged": averaged, "model_names": list(spec.models)}
+    return {"report": report}, [("topic.txt", table)]
+
+
+def _domain(spec: ExperimentSpec):
+    report, sizes, _ = run_domain(_split_dir(spec.datasets["train_dir"]), spec.models,
+                                  spec.config, spec.seed, spec.n_resamples)
+    table = (render_metrics_table(report, "Cross-domain stability")
+             + f"\n(train wikipedia: {sizes['train_wikipedia']}, "
+             f"test general-web: {sizes['test_general_web']})\n")
+    return {"report": report.to_json(), "filtered_sizes": sizes}, [("domain.txt", table)]
+
+
+def _agreement(spec: ExperimentSpec):
+    splits = _split_dir(spec.datasets["train_dir"])
+    test_docs = read_documents(spec.datasets["test"])
+    annotations = read_annotations(spec.datasets["annotations"])
+    pred_sets, _ = _train_and_predict(spec.models, splits["train"], splits["validation"],
+                                      test_docs, spec.config, spec.seed, tag="agreement")
+    rows = run_agreement(pred_sets, annotations, spec.scale_midpoint)
+    report = {model: {"n": rep.n, "mean_annotation": _nan_to_none(rep.mean_annotation),
+                      "certainty": _nan_to_none(rep.certainty),
+                      "disagreement": _nan_to_none(rep.disagreement), "flags": rep.flags}
+              for model, rep in rows}
+    return {"report": report}, [("agreement.txt", render_agreement_table(rows))]
+
+
+def _nan_to_none(value: float):
+    return None if value != value else value
+
+
+class ExperimentKind(NamedTuple):
+    """The dataset roles a kind's spec must name, and its runner:
+    spec -> (report.json fields, [(file name in out_dir, text)])."""
+
+    roles: tuple
+    run: Callable
+
+
+# The only list of experiment kinds; the spec check and `experiment --kind` read it.
+EXPERIMENTS = {
+    "comparison": ExperimentKind(("train_dir", "external_test"), _comparison),
+    "temporal": ExperimentKind(("train_year_dir", "test_year_dir"), _temporal),
+    "topic": ExperimentKind(("dataset",), _topic),
+    "domain": ExperimentKind(("train_dir",), _domain),
+    "agreement": ExperimentKind(("train_dir", "test", "annotations"), _agreement),
+}
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -305,90 +402,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     payload = _provenance(spec)
-    tables: list[tuple[str, str]] = []
-
-    if spec.kind == "comparison":
-        _require(spec, "train_dir", "external_test")
-        splits = _split_dir(spec.datasets["train_dir"])
-        external = read_documents(spec.datasets["external_test"])
-        report, pred_sets, _ = run_baseline_comparison(
-            splits, external, spec.models, spec.config, spec.seed, spec.n_resamples)
-        payload["report"] = report.to_json()
-        tables.append(("comparison.txt",
-                       render_metrics_table(report, "Model comparison")
-                       + "\n" + render_interval_table(report, "Bootstrap intervals")))
-        for preds in pred_sets:
-            try:
-                write_roc_csv(os.path.join(spec.out_dir, f"roc_{preds.model_name}.csv"),
-                              roc_points(preds.scores, preds.true_labels))
-            except UsageError:
-                pass
-    elif spec.kind == "temporal":
-        _require(spec, "train_year_dir", "test_year_dir")
-        train_year_splits = _split_dir(spec.datasets["train_year_dir"])
-        test_year_splits = _split_dir(spec.datasets["test_year_dir"])
-        within, between, delta = run_temporal(
-            train_year_splits, test_year_splits,
-            spec.models, spec.config, spec.seed, spec.n_resamples)
-        payload["report"] = {"within": within.to_json(), "between": between.to_json(),
-                             "delta": delta}
-
-        def _tag(docs):
-            return f"'{docs[0].snapshot_year % 100:02d}" if docs else "'?"
-
-        test_tag = _tag(test_year_splits["test"])
-        train_tag = _tag(train_year_splits["train"])
-        tables.append(("temporal.txt",
-                       render_temporal_table(within, between,
-                                             f"{test_tag}/{test_tag}",
-                                             f"{train_tag}/{test_tag}",
-                                             "Temporal stability")))
-    elif spec.kind == "topic":
-        _require(spec, "dataset")
-        docs = read_documents(spec.datasets["dataset"])
-        per_fold, averaged = run_topic_cv(docs, spec.models, spec.config, spec.seed, spec.k_topics)
-        payload["report"] = {"folds": per_fold, "averaged": averaged,
-                             "model_names": list(spec.models)}
-        tables.append(("topic.txt",
-                       render_averaged_metrics_table(
-                           averaged, "Cross-topic stability (averaged over folds)")))
-    elif spec.kind == "domain":
-        _require(spec, "train_dir")
-        report, sizes, pred_sets = run_domain(_split_dir(spec.datasets["train_dir"]),
-                                              spec.models, spec.config, spec.seed,
-                                              spec.n_resamples)
-        payload["report"] = report.to_json()
-        payload["filtered_sizes"] = sizes
-        tables.append(("domain.txt",
-                       render_metrics_table(report, "Cross-domain stability")
-                       + f"\n(train wikipedia: {sizes['train_wikipedia']}, "
-                       f"test general-web: {sizes['test_general_web']})\n"))
-    elif spec.kind == "agreement":
-        _require(spec, "train_dir", "test", "annotations")
-        splits = _split_dir(spec.datasets["train_dir"])
-        test_docs = read_documents(spec.datasets["test"])
-        annotations = read_annotations(spec.datasets["annotations"])
-        pred_sets, _ = _train_and_predict(
-            spec.models, splits["train"], splits["validation"], test_docs,
-            spec.config, spec.seed, tag="agreement")
-        rows = run_agreement(pred_sets, annotations, spec.scale_midpoint)
-        payload["report"] = {
-            model: {"n": rep.n, "mean_annotation": _nan_to_none(rep.mean_annotation),
-                    "certainty": _nan_to_none(rep.certainty),
-                    "disagreement": _nan_to_none(rep.disagreement), "flags": rep.flags}
-            for model, rep in rows
-        }
-        tables.append(("agreement.txt", render_agreement_table(rows)))
-    else:
-        raise UsageError(f"unknown experiment kind {spec.kind!r}; "
-                         f"expected {'|'.join(EXPERIMENT_KINDS)}")
-
+    fields, files = EXPERIMENTS[spec.kind].run(spec)
+    payload.update(fields)
     dump_json(os.path.join(spec.out_dir, "report.json"), payload)
-    for name, text in tables:
+    for name, text in files:
         with open(os.path.join(spec.out_dir, name), "w", encoding="utf-8") as f:
             f.write(text)
     return payload
-
-
-def _nan_to_none(value: float):
-    return None if value != value else value

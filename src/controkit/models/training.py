@@ -47,6 +47,12 @@ _COUNT_FIELDS = ("epochs", "patience", "vocab_min_freq", "tfidf_epochs", "seed")
 _RATE_FIELDS = ("learning_rate", "l2", "tfidf_lr", "tfidf_l2")
 
 
+def require_int(what: str, value, least: int) -> None:
+    """Refuse with ``UsageError`` a value that is not an int (bools refused) >= ``least``."""
+    if type(value) is not int or value < least:
+        raise UsageError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 5
@@ -80,11 +86,7 @@ class TrainConfig:
         """Refuse a config that no fit can run (or whose checkpoint could not
         be loaded), before anything is built; ``window_sizes`` becomes a tuple."""
         for name in _SIZE_FIELDS + _COUNT_FIELDS:
-            value, least = getattr(self, name), int(name in _SIZE_FIELDS)
-            if type(value) is not int or value < least:
-                kind = "a positive" if least else "a non-negative"
-                raise UsageError(f"training config {name} must be {kind} integer, "
-                                 f"got {value!r}")
+            require_int(f"training config {name}", getattr(self, name), int(name in _SIZE_FIELDS))
         sizes = self.window_sizes
         if not isinstance(sizes, (list, tuple)) or not sizes or not all(
                 type(h) is int and h > 0 for h in sizes):

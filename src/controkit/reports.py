@@ -133,11 +133,8 @@ def render_agreement_table(rows, title: str = "Human agreement") -> str:
     return f"{title}\n" + _table(headers, body)
 
 
-def write_roc_csv(path, points) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("fpr,tpr\n")
-        for fpr, tpr in points:
-            f.write(f"{fpr:.6f},{tpr:.6f}\n")
+def render_roc_csv(points) -> str:
+    return "fpr,tpr\n" + "".join(f"{fpr:.6f},{tpr:.6f}\n" for fpr, tpr in points)
 
 
 def dump_json(path, payload: dict) -> None:

@@ -358,6 +358,56 @@ class TestExitCodes:
         assert "training config seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        {"kind": "nope"},
+        {"kind": ["topic"]},
+        {"datasets": {}},
+        {"datasets": ["topics.jsonl"]},
+        {"datasets": {"dataset": 3}},
+        {"models": []},
+        {"models": "tfidf"},
+        {"models": ["tfidf", "tfidf"]},
+        {"models": ["bert"]},
+        {"n_resamples": 0},
+        {"n_resamples": -3},
+        {"n_resamples": "20"},
+        {"k_topics": 0},
+        {"k_topics": 1},
+        {"k_topics": -2},
+        {"k_topics": "3"},
+        {"scale_midpoint": float("nan")},
+        {"scale_midpoint": float("inf")},
+        {"scale_midpoint": "2.5"},
+        {"seed": "1"},
+        {"seed": -1},
+        {"seed": True},
+    ], ids=lambda v: "{}={!r}".format(*next(iter(v.items()))))
+    def test_spec_no_run_can_use_is_exit_2(self, tmp_path, capsys, override):
+        # the base spec runs (TestExperimentCommand); each override alone is refused
+        # before any dataset is read or the output directory is made
+        write_documents(tmp_path / "topics.jsonl", make_separable_corpus(n_docs=150, seed=44))
+        spec = {"kind": "topic", "datasets": {"dataset": str(tmp_path / "topics.jsonl")},
+                "models": ["tfidf", "lm"], "config": {"epochs": 1, "vocab_min_freq": 1},
+                "k_topics": 3, "n_resamples": 20, **override}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out_dir = tmp_path / "exp"
+        code = main(["experiment", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert next(iter(override)) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n_resamples", ["0", "-5"])
+    def test_eval_without_resamples_is_exit_2(self, trained, tmp_path, capsys, n_resamples):
+        tmp, data_dir = trained
+        out = tmp_path / "report.json"
+        code = main(["eval", "--checkpoint", str(tmp / "tfidf.ctrv"),
+                     "--data", str(data_dir / "test.jsonl"), "--out", str(out),
+                     "--n-resamples", n_resamples])
+        assert code == 2
+        assert "--n-resamples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_lexicon_file_is_data_error(self, trained, tmp_path):
         _, data_dir = trained
         (tmp_path / "lexicon.txt").write_text("\n")

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from controkit.corpus import (
     write_annotations,
     write_documents,
 )
+from controkit.cli import build_parser
 from controkit.errors import UsageError
 from controkit.experiments import (
+    EXPERIMENTS,
     ExperimentSpec,
     run_agreement,
     run_baseline_comparison,
@@ -302,9 +306,26 @@ class TestRunExperiment:
         with pytest.raises(UsageError, match="unknown experiment kind"):
             run_experiment(ExperimentSpec(kind="nope", out_dir=str(tmp_path)))
 
-    def test_missing_dataset_role_rejected(self, tmp_path):
-        with pytest.raises(UsageError, match="train_dir"):
-            run_experiment(ExperimentSpec(kind="comparison", out_dir=str(tmp_path)))
+    def test_missing_dataset_role_rejected(self, tmp_path, monkeypatch):
+        # refused when the spec is built: no dataset is read and out_dir is not made
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("controkit.experiments.read_documents", no_read)
+        out = tmp_path / "out"
+        for kind, experiment in EXPERIMENTS.items():
+            for role in experiment.roles:
+                datasets = {r: str(tmp_path / r) for r in experiment.roles if r != role}
+                with pytest.raises(UsageError, match=re.escape(f"datasets[{role!r}]")):
+                    run_experiment(ExperimentSpec(kind=kind, datasets=datasets,
+                                                  out_dir=str(out)))
+        assert not out.exists()
+
+    def test_cli_kind_choices_are_the_registry(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        (kind,) = [a for a in commands.choices["experiment"]._actions if a.dest == "kind"]
+        assert tuple(kind.choices) == tuple(EXPERIMENTS)
 
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(UsageError, match="unknown experiment spec"):

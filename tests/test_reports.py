@@ -5,9 +5,9 @@ from controkit.reports import (
     render_agreement_table,
     render_interval_table,
     render_metrics_table,
+    render_roc_csv,
     render_split_stats_table,
     render_temporal_table,
-    write_roc_csv,
 )
 
 
@@ -96,10 +96,8 @@ def test_agreement_table_columns():
     assert "0.277" in table and "-0.390" in table and "128" in table
 
 
-def test_roc_csv(tmp_path):
-    path = tmp_path / "roc.csv"
-    write_roc_csv(path, [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)])
-    lines = path.read_text().splitlines()
+def test_roc_csv():
+    lines = render_roc_csv([(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]).splitlines()
     assert lines[0] == "fpr,tpr"
     assert lines[1] == "0.000000,0.000000"
     assert len(lines) == 4
