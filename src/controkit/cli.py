@@ -53,11 +53,15 @@ EXIT_NUMERIC = 4
 
 
 def _load_json(path) -> dict:
+    """The JSON object a file holds; anything else is a ``DataFormatError``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            data = json.load(f)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def cmd_crawl(args) -> int:
@@ -225,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=0,
                    help="number of random negative seeds to sample")
     p.add_argument("--snapshot-year", type=int, default=2018)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser("split", help="partition a dataset by seed neighborhoods")

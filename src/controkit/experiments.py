@@ -84,6 +84,10 @@ class ExperimentSpec:
             raise UsageError(f"experiment spec models must be a non-empty list of distinct "
                              f"model kinds ({'|'.join(MODEL_KINDS)}), got {models!r}")
         self.models = tuple(models)
+        if not isinstance(self.config, dict):
+            raise UsageError(f"experiment spec config must map training config keys to "
+                             f"values, got {self.config!r}")
+        TrainConfig.from_json(self.config)
         for name, least in (("seed", 0), ("n_resamples", 1), ("k_topics", 2)):
             require_int(f"experiment spec {name}", getattr(self, name), least)
         midpoint = self.scale_midpoint

@@ -1,10 +1,11 @@
 """Shared classifier interface: scoring, thresholding, checkpoints.
 
-A model kind is one ``MODEL_CLASSES`` entry: a ``NeuralModel`` (scores an
-encoded document) or ``LexicalModel`` (scores tokens) with ``score``,
+A model kind is one ``MODEL_CLASSES`` entry: a ``NeuralModel`` or a
+``LexicalModel`` with ``network_input(doc, limits)``, which encodes a
+document once into the one form the kind reads, ``score`` of that input,
 ``checkpoint_parts`` and ``from_checkpoint``. A neural kind adds only its
-input check (``network_input``) and its forward pass (``logits``); binding,
-the loss and eval scoring are shared. A lexical kind adds ``train``.
+input (``network_input``, ``input_ids``) and its forward pass (``logits``);
+binding, the loss and eval scoring are shared. A lexical kind adds ``train``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..corpus import CONTROVERSIAL
 from ..embeddings import EmbeddingTable
 from ..errors import ControkitError, DataFormatError, UsageError
 from ..metrics import prf_from_counts
-from ..textprep import EncodeLimits, Vocabulary, encode_document, tokenize
+from ..textprep import EncodeLimits, Vocabulary, tokenize
 
 EMPTY_DOC_SCORE = 0.5
 
@@ -42,19 +43,17 @@ class NeuralModel:
     the ``dense.w`` prediction weights), ``random(embedding, rng, **shape)``,
     ``SHAPE``, which maps each shape keyword (stored with checkpoints) to
     its type (``int`` for a positive integer, ``list`` for a non-empty list
-    of them), and two methods:
+    of them), and three methods:
 
-    * ``network_input(doc)``: the network's input from an
-      ``EncodedDocument`` (or that input itself); raises
-      ``EmptyDocumentError`` when there is nothing to read.
+    * ``network_input(doc, limits)``: the network's input, encoded from a
+      ``Document`` (or a text); raises ``EmptyDocumentError`` when there is
+      nothing to read. ``loss``, ``probabilities`` and ``score`` take it.
+    * ``input_ids(net_input)``: the table rows that input looks up.
     * ``logits(bound, net_input, mode, rng, dropout_rate)``: the (1, 2)
       logits node over ``bind``'s nodes.
     """
 
     SHAPE: dict = {}
-
-    def document_input(self, doc, limits: EncodeLimits | None):
-        return encode_document(doc, self.embedding.vocab, limits)
 
     def bind(self, graph: ad.Graph) -> dict[str, ad.Tensor]:
         """``named_arrays`` as nodes of ``graph``: parameters, except a
@@ -71,14 +70,13 @@ class NeuralModel:
         nll = ad.cross_entropy(self.logits(bound, net_input, mode, rng, dropout_rate), target)
         return ad.l2_penalty(nll, bound["dense.w"], l2) if l2 > 0 else nll
 
-    def probabilities(self, doc) -> np.ndarray:
+    def probabilities(self, net_input) -> np.ndarray:
         """Eval-mode class probabilities [non-controversial, controversial]."""
-        net_input = self.network_input(doc)
         graph = ad.Graph(np.float32)  # held here: nodes refer to their graph weakly
         return ad.stable_softmax(self.logits(self.bind(graph), net_input).data)[0]
 
-    def score(self, doc) -> float:
-        return float(self.probabilities(doc)[1])
+    def score(self, net_input) -> float:
+        return float(self.probabilities(net_input)[1])
 
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         arrays = self.named_arrays()
@@ -136,7 +134,8 @@ class LexicalModel:
     A subclass fits in one deterministic pass through the classmethod
     ``train(docs, config)``, reading its settings off a ``TrainConfig``."""
 
-    def document_input(self, doc, limits: EncodeLimits | None):
+    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[str]:
+        """The tokens of a document (or a text); a lexical model reads no limits."""
         tokens = tokenize(doc.text if hasattr(doc, "text") else doc)
         if not tokens:
             raise EmptyDocumentError("document has no tokens")
@@ -159,7 +158,7 @@ class Classifier:
     hyperparameters: dict = field(default_factory=dict)
 
     def score_document(self, doc) -> float:
-        return self.model.score(self.model.document_input(doc, self.limits))
+        return self.model.score(self.model.network_input(doc, self.limits))
 
 
 @dataclass

@@ -5,7 +5,7 @@ each filter's per-position ReLU activations collapse to their maximum, so
 a matched n-gram contributes the same pooled value wherever it sits. The
 pooled features pass through dropout and a dense layer into a two-way
 softmax. The network reads a document's own tokens and one widest window
-of padding (``network_input``), not all ``max_tokens`` encoded rows.
+of padding, built while encoding (``network_input``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
-from ..textprep import PAD_INDEX, EncodedDocument
+from ..textprep import PAD_INDEX, EncodeLimits, encode_tokens
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2  # index 0 non-controversial, index 1 controversial
@@ -65,25 +65,24 @@ class CnnParams(NeuralModel):
         out["dense.b"] = self.dense_b
         return out
 
-    def network_input(self, doc) -> list[int]:
-        """The token ids of an encoded document (or a token list) up to its
-        last non-padding id, then ``max(window_sizes)`` padding ids, capped
-        at the input's length.
+    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[int]:
+        """The ids of the first ``max_tokens`` tokens of a document (or a
+        text), then ``max(window_sizes)`` padding ids, capped at ``max_tokens``.
 
-        The pooled features are those of the whole padded input: the padding
-        row is zero, so every all-padding window evaluates to ``relu(b)``,
-        and the trim keeps every window that reads a token, in front, and
-        one all-padding window wherever the input had one, so each filter's
-        first maximum is where it was. Only float rounding can differ: a
-        GEMM may round a row differently when the product has fewer rows.
+        The pooled features are those of the input padded to ``max_tokens``:
+        the padding row is zero, so every all-padding window evaluates to
+        ``relu(b)``, and this input keeps every window that reads a token, in
+        front, and one all-padding window wherever the padded input had one,
+        so each filter's first maximum is where it was. Only float rounding
+        can differ: a GEMM may round a row differently in a shorter product.
         """
-        tokens = doc.tokens if isinstance(doc, EncodedDocument) else doc
-        real = len(tokens)
-        while real and tokens[real - 1] == PAD_INDEX:
-            real -= 1
-        if not real:
-            raise EmptyDocumentError(f"document {getattr(doc, 'doc_id', '')!r} has no tokens")
-        return tokens[: real + max(self.window_sizes)]
+        limits = limits or EncodeLimits()
+        tokens = encode_tokens(doc, self.embedding.vocab, limits)
+        if not tokens:
+            raise EmptyDocumentError(f"document {getattr(doc, 'id', '')!r} has no tokens")
+        return tokens + [PAD_INDEX] * min(max(self.window_sizes), limits.max_tokens - len(tokens))
+
+    input_ids = staticmethod(iter)
 
     def logits(self, bound, tokens, mode: str = "eval", rng=None,
                dropout_rate: float = 0.5) -> ad.Tensor:

@@ -17,13 +17,14 @@ then one group of S sentences) and the ``linear`` dense layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
 from ..gru import GruParams, gru_sequence
-from ..textprep import PAD_INDEX, EncodedDocument
+from ..textprep import PAD_INDEX, EncodeLimits, encode_sentences
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2
@@ -85,12 +86,14 @@ class HanParams(NeuralModel):
         out["dense.b"] = self.dense_b
         return out
 
-    def network_input(self, doc) -> list[list[int]]:
-        """The sentences of an encoded document (or a sentence list)."""
-        sentences = doc.sentences if isinstance(doc, EncodedDocument) else doc
+    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[list[int]]:
+        """The non-empty sentence id lists of a document (or a text)."""
+        sentences = encode_sentences(doc, self.embedding.vocab, limits)
         if not sentences:
-            raise EmptyDocumentError(f"document {getattr(doc, 'doc_id', '')!r} has no sentences")
+            raise EmptyDocumentError(f"document {getattr(doc, 'id', '')!r} has no sentences")
         return sentences
+
+    input_ids = staticmethod(chain.from_iterable)
 
     def logits(self, bound, sentences, mode: str = "eval", rng=None,
                dropout_rate: float = 0.5) -> ad.Tensor:
@@ -138,15 +141,15 @@ def han_logits(bound, sentences, mode: str, rng=None, dropout_rate: float = 0.5)
     return logits, word_alpha, sent_alpha
 
 
-def han_forward(doc, params: HanParams, mode: str = "eval", rng=None,
+def han_forward(sentences, params: HanParams, mode: str = "eval", rng=None,
                 dropout_rate: float = 0.5, dtype=np.float32):
-    """Class probabilities plus attention weights for one document.
+    """Class probabilities plus attention weights for one document's
+    sentences (``HanParams.network_input``).
 
     Returns (probs[2], word_attention, sentence_attention): word attention
     is a list per sentence trimmed to the sentence's true length; sentence
     attention is a 1-D array over sentences. Each distribution sums to 1.
     """
-    sentences = params.network_input(doc)
     graph = ad.Graph(dtype)
     logits, word_alpha, sent_alpha = han_logits(params.bind(graph), sentences, mode, rng,
                                                 dropout_rate)

@@ -35,9 +35,8 @@ class LmModel(LexicalModel):
     p_neg: np.ndarray
     log_ratio: np.ndarray
 
-    def score(self, tokens_or_text) -> float:
+    def score(self, tokens) -> float:
         """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none."""
-        tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
         total = 0.0
         n = 0
         for tok in tokens:

@@ -28,9 +28,8 @@ class TfIdfModel(LexicalModel):
     w: np.ndarray  # float32, one weight per term
     b: float
 
-    def score(self, tokens_or_text) -> float:
+    def score(self, tokens) -> float:
         """Margin w.x + b; positive favors controversial."""
-        tokens = tokenize(tokens_or_text) if isinstance(tokens_or_text, str) else tokens_or_text
         vec = tfidf_vector(tokens, self)
         return float(vec @ self.w.astype(np.float64) + self.b)
 

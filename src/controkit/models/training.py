@@ -6,7 +6,7 @@ gradient accumulation over each mini-batch followed by a single Adam apply,
 epoch-wise seeded shuffling, and early stopping on validation F1
 (best-validation parameters are restored at the end). A fit allocates Adam's
 moments, the best-epoch snapshot and the gradient accumulator once; for the
-table they hold only the rows ``U`` the training encodings reach (a gradient
+table they hold only the rows ``U`` the training inputs look up (a gradient
 row outside ``U`` is an error). Exact, not lazy Adam: any other row keeps a
 zero gradient and zero moments, so its update ``p -= 0 / (0 + eps)`` would
 not change it. Lexical models fit in one deterministic pass of ``train``.
@@ -25,8 +25,7 @@ from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
 from ..errors import NumericError, UsageError
 from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step, clip_gradients
-from ..textprep import (PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary,
-                        encode_document, tokenize)
+from ..textprep import PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary, tokenize
 from .base import (
     EMPTY_DOC_SCORE,
     MODEL_CLASSES,
@@ -159,13 +158,6 @@ def _build_embedding(train_docs, config: TrainConfig, rng,
                                  trainable=config.fine_tune_embeddings)
 
 
-def _score_or_sentinel(model: NeuralModel, encoded) -> float:
-    try:
-        return model.score(encoded)
-    except EmptyDocumentError:
-        return EMPTY_DOC_SCORE
-
-
 def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                  pretrained: EmbeddingTable | None = None) -> TrainResult:
     """Train the CNN or HAN; returns the best-validation checkpoint.
@@ -184,20 +176,24 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
                                 **{name: getattr(config, name) for name in model_class.SHAPE})
 
     limits = config.limits()
-    encoded_train = []
-    ids = set()  # every id a training document can look up
-    for doc in train_docs:
-        encoded = encode_document(doc, embedding.vocab, limits)
+
+    def encode(doc):
+        """A document's network input, or None for an empty document."""
         try:
-            net_input = params.network_input(encoded)
+            return params.network_input(doc, limits)
         except EmptyDocumentError:
-            continue
-        encoded_train.append((net_input, label_to_int(doc.label)))
-        ids.update(encoded.tokens, *encoded.sentences)
-    encoded_val = [encode_document(d, embedding.vocab, limits) for d in validation_docs]
-    val_labels = [label_to_int(d.label) for d in validation_docs]
+            return None
+
+    encoded_train = [(x, label_to_int(d.label)) for d in train_docs
+                     if (x := encode(d)) is not None]
     if not encoded_train:
         raise UsageError("no usable training documents after encoding")
+    encoded_val = [encode(d) for d in validation_docs]
+    val_labels = [label_to_int(d.label) for d in validation_docs]
+    ids = set().union(*(params.input_ids(x) for x, _ in encoded_train))  # every id looked up
+
+    def validation_scores() -> list[float]:
+        return [EMPTY_DOC_SCORE if x is None else params.score(x) for x in encoded_val]
 
     trainable = params.trainable_arrays()
     table_rows = np.array(sorted(ids - {PAD_INDEX}), dtype=np.int64)  # all a fit can change
@@ -258,7 +254,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
             logger.error("training diverged, keeping last good checkpoint: %s", diagnostic)
             break
 
-        val_scores = [_score_or_sentinel(params, enc) for enc in encoded_val]
+        val_scores = validation_scores()
         precision, recall, f1 = precision_recall_f1(np.asarray(val_scores) >= 0.5, val_labels)
         log.append({
             "epoch": epoch,
@@ -284,8 +280,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
 
     threshold = 0.5
     if config.calibrate and encoded_val:
-        val_scores = [_score_or_sentinel(params, enc) for enc in encoded_val]
-        threshold = calibrate_threshold(val_scores, val_labels)
+        threshold = calibrate_threshold(validation_scores(), val_labels)
 
     clf = Classifier(kind=kind, model=params, threshold=threshold, limits=limits,
                      hyperparameters={"config": config.to_json()})

@@ -100,8 +100,7 @@ def build_vocabulary(corpus, max_size: int = 50_000, min_freq: int = 2) -> Vocab
     empty = True
     for doc in corpus:
         empty = False
-        text = doc.text if hasattr(doc, "text") else doc
-        for tok in tokenize(text):
+        for tok in tokenize(_text(doc)):
             counts[tok] = counts.get(tok, 0) + 1
     if empty:
         raise UsageError("cannot build a vocabulary from an empty corpus")
@@ -126,35 +125,26 @@ class EncodeLimits:
         return self
 
 
-@dataclass
-class EncodedDocument:
-    """Model-ready index form of one document.
-
-    ``sentences`` is the hierarchical form (empty sentences dropped, prefix
-    truncation); ``tokens`` is the flat form right-padded with the padding
-    index to exactly ``max_tokens``. ``empty`` marks documents with no
-    tokens at all; those are excluded from training and scored 0.5 at
-    inference.
-    """
-
-    doc_id: str
-    sentences: list[list[int]]
-    tokens: list[int]
-    empty: bool
-
-
-def encode_document(doc, vocab: Vocabulary, limits: EncodeLimits | None = None) -> EncodedDocument:
+def encode_tokens(doc, vocab: Vocabulary, limits: EncodeLimits | None = None) -> list[int]:
+    """The ids of a document's (or a text's) first ``max_tokens`` tokens,
+    unpadded; empty when it has no tokens."""
     limits = (limits or EncodeLimits()).validated()
-    text = doc.text if hasattr(doc, "text") else doc
-    doc_id = getattr(doc, "id", "")
+    return [vocab.index(t) for t in tokenize(_text(doc))[: limits.max_tokens]]
 
+
+def encode_sentences(doc, vocab: Vocabulary,
+                     limits: EncodeLimits | None = None) -> list[list[int]]:
+    """The id lists of a document's (or a text's) first ``max_sentences``
+    sentences, each cut to ``max_words_per_sentence`` ids and unpadded;
+    sentences without a token are dropped."""
+    limits = (limits or EncodeLimits()).validated()
     sentences = []
-    for sent in split_sentences(text)[: limits.max_sentences]:
+    for sent in split_sentences(_text(doc))[: limits.max_sentences]:
         idx = [vocab.index(t) for t in tokenize(sent)[: limits.max_words_per_sentence]]
         if idx:
             sentences.append(idx)
+    return sentences
 
-    flat = [vocab.index(t) for t in tokenize(text)[: limits.max_tokens]]
-    empty = not flat
-    flat = flat + [PAD_INDEX] * (limits.max_tokens - len(flat))
-    return EncodedDocument(doc_id=doc_id, sentences=sentences, tokens=flat, empty=empty)
+
+def _text(doc) -> str:
+    return doc.text if hasattr(doc, "text") else doc

@@ -61,6 +61,7 @@ def lock_corpus(name: str):
 def build_lexical_lock(name: str) -> dict:
     from controkit.models.lm import lm_train
     from controkit.models.tfidf import tfidf_train
+    from controkit.textprep import tokenize
 
     train, test = lock_corpus(name)
     tfidf = tfidf_train(train)
@@ -72,9 +73,9 @@ def build_lexical_lock(name: str) -> dict:
             "b": tfidf.b.hex(),
             "idf_sha256": _sha256(tfidf.idf),
             "doc_freq_sha256": _sha256(tfidf.doc_freq),
-            "test_scores": [tfidf.score(d.text).hex() for d in test],
+            "test_scores": [tfidf.score(tokenize(d.text)).hex() for d in test],
         },
-        "lm": {"test_scores": [float(lm.score(d.text)).hex() for d in test]},
+        "lm": {"test_scores": [float(lm.score(tokenize(d.text))).hex() for d in test]},
     }
 
 

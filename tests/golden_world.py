@@ -58,7 +58,7 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
         "--fixture-server", str(tmp / "wiki.json"),
         "--out", str(tmp / "dataset.jsonl"),
         "--seeds-out", str(tmp / "all_seeds.jsonl"),
-        "--negatives", "2", "--snapshot-year", "2018", "--seed", "0",
+        "--negatives", "2", "--snapshot-year", "2018",
     ]) == 0
     assert main([
         "split", "--data", str(tmp / "dataset.jsonl"),

@@ -47,7 +47,7 @@ def crawl_artifacts(tmp_path_factory):
         "--fixture-server", str(tmp / "wiki.json"),
         "--out", str(tmp / "dataset.jsonl"),
         "--seeds-out", str(tmp / "all_seeds.jsonl"),
-        "--negatives", "2", "--snapshot-year", "2018", "--seed", "0",
+        "--negatives", "2", "--snapshot-year", "2018",
     ])
     assert code == 0
     code = main([
@@ -381,11 +381,19 @@ class TestExitCodes:
         {"seed": "1"},
         {"seed": -1},
         {"seed": True},
+        {"config": {"epochs": -1}},
+        {"config": [["a"]]},
+        {"config": {"learning_rates": 0.1}},
     ], ids=lambda v: "{}={!r}".format(*next(iter(v.items()))))
-    def test_spec_no_run_can_use_is_exit_2(self, tmp_path, capsys, override):
+    def test_spec_no_run_can_use_is_exit_2(self, tmp_path, capsys, monkeypatch, override):
         # the base spec runs (TestExperimentCommand); each override alone is refused
         # before any dataset is read or the output directory is made
+        from controkit import experiments
+
         write_documents(tmp_path / "topics.jsonl", make_separable_corpus(n_docs=150, seed=44))
+        read = []
+        for name in ("read_documents", "dataset_fingerprint"):
+            monkeypatch.setattr(experiments, name, read.append)
         spec = {"kind": "topic", "datasets": {"dataset": str(tmp_path / "topics.jsonl")},
                 "models": ["tfidf", "lm"], "config": {"epochs": 1, "vocab_min_freq": 1},
                 "k_topics": 3, "n_resamples": 20, **override}
@@ -396,6 +404,25 @@ class TestExitCodes:
         assert code == 2
         assert next(iter(override)) in capsys.readouterr().err
         assert not out_dir.exists()
+        assert read == []
+
+    @pytest.mark.parametrize("command, content", [
+        ("experiment --spec", ["kind"]),
+        ("experiment --out-dir exp --spec", ["kind"]),
+        ("report --in", []),
+        ("train --model tfidf --data data --out m.ctrv --config", [1]),
+        ("crawl --seeds seeds.jsonl --out out.jsonl --policy", [1]),
+    ], ids=["experiment", "experiment-out-dir", "report", "train", "crawl"])
+    def test_json_file_without_an_object_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                       command, content):
+        monkeypatch.chdir(tmp_path)
+        write_seeds("seeds.jsonl", [Seed(url="http://wiki.test/wiki/A", topic="a",
+                                         polarity=CONTROVERSIAL)])
+        (tmp_path / "file.json").write_text(json.dumps(content))
+        code = main(command.split() + ["file.json"])
+        assert code == 3
+        assert "file.json: expected a JSON object, got list" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["file.json", "seeds.jsonl"]
 
     @pytest.mark.parametrize("n_resamples", ["0", "-5"])
     def test_eval_without_resamples_is_exit_2(self, trained, tmp_path, capsys, n_resamples):

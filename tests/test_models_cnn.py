@@ -1,13 +1,15 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
+from controkit.errors import UsageError
 from controkit.models.base import EmptyDocumentError
 from controkit.models.cnn import CnnParams
-from controkit.textprep import EncodedDocument, Vocabulary
+from controkit.textprep import EncodeLimits, Vocabulary
 
 from oracles import cnn_scalar
 
@@ -87,16 +89,22 @@ def favour_padding_cnn(rng, small_embedding):
     return params
 
 
+def text_of(ids, vocab) -> str:
+    return " ".join(vocab.index_to_token[i] for i in ids)
+
+
 @pytest.mark.parametrize("real_len", [400, 2, 57, None])  # None: a raw unpadded list
 def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_len):
     params = favour_padding_cnn(rng, small_embedding)
     if real_len is None:
-        doc = full = rng.integers(2, 7, size=9).tolist()
+        net_input = full = rng.integers(2, 7, size=9).tolist()
     else:
         full = rng.integers(2, 7, size=real_len).tolist() + [0] * (400 - real_len)
-        doc = EncodedDocument(doc_id="d", sentences=[], tokens=full, empty=False)
-    assert params.network_input(doc) == full[: (real_len or len(full)) + 4]
-    assert abs(params.score(doc) - cnn_scalar(full, params)[1]) < 1e-5
+        past_cap = [2, 3] if real_len == 400 else []  # cut to max_tokens ids
+        text = text_of(full[:real_len] + past_cap, small_embedding.vocab)
+        net_input = params.network_input(text, EncodeLimits(max_tokens=400))
+        assert net_input == full[: real_len + 4]
+    assert abs(params.score(net_input) - cnn_scalar(full, params)[1]) < 1e-5
     if real_len in (2, 57):  # an all-padding window is filter 0's first maximum
         emb = params.embedding.vectors[full]
         for h in params.window_sizes:
@@ -108,8 +116,8 @@ def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_
 @pytest.mark.parametrize("real_len", [1, 57, 396, 400])
 def test_training_graph_reads_real_len_plus_widest_window_rows(rng, small_embedding, real_len):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=2)
-    tokens = rng.integers(2, 7, size=real_len).tolist() + [0] * (400 - real_len)
-    net_input = params.network_input(EncodedDocument("d", [], tokens, False))
+    text = text_of(rng.integers(2, 7, size=real_len), small_embedding.vocab)
+    net_input = params.network_input(text, EncodeLimits(max_tokens=400))
     graph = ad.Graph(np.float32)
     params.loss(graph, net_input, target=1, rng=np.random.default_rng(0))
     (lookup,) = [node for node in graph.nodes if node.op == "lookup"]
@@ -125,14 +133,23 @@ def test_short_document_padded_to_window(rng, small_embedding):
 
 def test_empty_document_signals(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
-    encoded = EncodedDocument(doc_id="d", sentences=[], tokens=[0, 0, 0], empty=True)
-    with pytest.raises(EmptyDocumentError):
-        params.probabilities(encoded)
-    with pytest.raises(EmptyDocumentError):
-        params.probabilities([0, 0, 0])  # nothing but padding
-    for tokens in ([0] * 400, []):
+    for text in ("", "--- !!! ."):
         with pytest.raises(EmptyDocumentError, match="'d'"):
-            params.network_input(EncodedDocument("d", [], tokens, empty=True))
+            params.network_input(SimpleNamespace(id="d", text=text))
+        with pytest.raises(EmptyDocumentError):
+            params.network_input(text)
+
+
+@pytest.mark.parametrize("max_tokens", [1, 3, 6, 40])
+def test_network_input_pads_one_widest_window_up_to_max_tokens(rng, small_embedding,
+                                                               max_tokens):
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2)
+    limits = EncodeLimits(max_tokens=max_tokens)
+    net_input = params.network_input("alpha beta gamma zzz", limits)
+    ids = [2, 3, 4, 1][:max_tokens]
+    assert net_input == ids + [0] * min(4, max_tokens - len(ids))
+    with pytest.raises(UsageError):
+        params.network_input("alpha", EncodeLimits(max_tokens=0))
 
 
 def test_probabilities_sum_to_one(rng, small_embedding):

@@ -1,12 +1,14 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from controkit import autodiff as ad
+from controkit.errors import UsageError
 from controkit.models.base import EmptyDocumentError
 from controkit.models.han import HanParams, han_forward
-from controkit.textprep import EncodedDocument
+from controkit.textprep import EncodeLimits
 
 from oracles import han_scalar
 
@@ -81,11 +83,21 @@ def test_forced_one_hot_attention_returns_that_sentence_vector(rng):
 
 
 def test_empty_document_signals(han_params):
-    with pytest.raises(EmptyDocumentError):
-        han_forward([], han_params)
-    encoded = EncodedDocument(doc_id="d", sentences=[], tokens=[0], empty=True)
-    with pytest.raises(EmptyDocumentError):
-        han_forward(encoded, han_params)
+    for text in ("", "--- !!! .", "?\n\n."):
+        with pytest.raises(EmptyDocumentError, match="'d'"):
+            han_params.network_input(SimpleNamespace(id="d", text=text))
+        with pytest.raises(EmptyDocumentError):
+            han_params.network_input(text)
+
+
+def test_network_input_is_the_capped_non_empty_sentences(han_params):
+    text = "alpha beta gamma. --- ! delta zzz epsilon alpha. beta. gamma"
+    assert han_params.network_input(text) == [[2, 3, 4], [5, 1, 6, 2], [3], [4]]
+    limits = EncodeLimits(max_sentences=3, max_words_per_sentence=2)
+    # the cap counts the dropped "---" sentence
+    assert han_params.network_input(text, limits) == [[2, 3], [5, 1]]
+    with pytest.raises(UsageError):
+        han_params.network_input(text, EncodeLimits(max_sentences=0))
 
 
 def test_toy_gradient_check(small_embedding, rng):

@@ -11,6 +11,7 @@ from controkit.models import TrainConfig, fit
 from controkit.models.lm import lm_train
 from controkit.models.tfidf import tfidf_train, tfidf_vector
 from controkit.synthetic import make_separable_corpus
+from controkit.textprep import tokenize
 from golden_lexical import CORPORA, LOCK_PATH, build_lexical_lock
 
 
@@ -72,13 +73,13 @@ class TestTfIdf:
 
         model = tfidf_train(corpus)
         for d in corpus:
-            margin = model.score(d.text)
+            margin = model.score(tokenize(d.text))
             assert (margin >= 0) == (d.label == CONTROVERSIAL)
 
     def test_unseen_terms_contribute_nothing(self):
         corpus = [doc("a b", CONTROVERSIAL), doc("c d", NON_CONTROVERSIAL)]
         model = tfidf_train(corpus)
-        assert model.score("a b") == model.score("a b zzz qqq")
+        assert model.score(tokenize("a b")) == model.score(tokenize("a b zzz qqq"))
 
     def test_count_scaling_invariance(self):
         corpus = [doc("a a b c", CONTROVERSIAL), doc("b c d", NON_CONTROVERSIAL)]
@@ -147,21 +148,21 @@ class TestLm:
         corpus = [doc("x y z", CONTROVERSIAL), doc("x y z", NON_CONTROVERSIAL)]
         model = lm_train(corpus, mu=50.0)
         for text in ("x", "y z", "x x y"):
-            assert model.score(text) == pytest.approx(0.0, abs=1e-12)
+            assert model.score(tokenize(text)) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_only_token_scores_positive(self):
         corpus = [doc("x shared", CONTROVERSIAL), doc("shared y", NON_CONTROVERSIAL)]
         for mu in (0.5, 10.0, 1e4):
             model = lm_train(corpus, mu=mu)
-            assert model.score("x") > 0.0
+            assert model.score(tokenize("x")) > 0.0
 
     def test_two_token_hand_computation(self):
         corpus = [doc("x", CONTROVERSIAL), doc("y", NON_CONTROVERSIAL)]
         model = lm_train(corpus, mu=1.0)
         # p+(x) = (1 + 1*0.5) / (1 + 1) = 0.75, p-(x) = 0.25
-        assert model.score("x") == pytest.approx(math.log(3.0), abs=1e-12)
-        assert model.score("y") == pytest.approx(-math.log(3.0), abs=1e-12)
-        assert model.score("x y") == pytest.approx(0.0, abs=1e-12)
+        assert model.score(tokenize("x")) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert model.score(tokenize("y")) == pytest.approx(-math.log(3.0), abs=1e-12)
+        assert model.score(tokenize("x y")) == pytest.approx(0.0, abs=1e-12)
 
     def test_distributions_sum_to_one(self):
         docs = make_separable_corpus(n_docs=40, seed=5)
@@ -180,14 +181,14 @@ class TestLm:
             flipped.append(flip)
         model_swapped = lm_train(flipped, mu=100.0)
         for d in docs[:10]:
-            assert model.score(d.text) == pytest.approx(
-                -model_swapped.score(d.text), abs=1e-12)
+            assert model.score(tokenize(d.text)) == pytest.approx(
+                -model_swapped.score(tokenize(d.text)), abs=1e-12)
 
     def test_empty_document_scores_zero(self):
         corpus = [doc("x", CONTROVERSIAL), doc("y", NON_CONTROVERSIAL)]
         model = lm_train(corpus)
-        assert model.score("") == 0.0
-        assert model.score("totally unseen words") == 0.0
+        assert model.score(tokenize("")) == 0.0
+        assert model.score(tokenize("totally unseen words")) == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(UsageError, match="both classes"):

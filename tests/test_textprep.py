@@ -6,7 +6,8 @@ from controkit.textprep import (
     PAD_INDEX,
     EncodeLimits,
     build_vocabulary,
-    encode_document,
+    encode_sentences,
+    encode_tokens,
     split_sentences,
     tokenize,
 )
@@ -117,47 +118,56 @@ class TestVocabulary:
 
 
 class TestEncode:
-    def test_padding_to_max_tokens(self, small_vocab):
-        enc = encode_document("alpha beta gamma", small_vocab,
-                              EncodeLimits(max_tokens=5))
-        assert enc.tokens == [2, 3, 4, PAD_INDEX, PAD_INDEX]
-        assert not enc.empty
+    def test_tokens_unpadded_and_cut_at_max_tokens(self, small_vocab):
+        limits = EncodeLimits(max_tokens=5)
+        assert encode_tokens("alpha beta gamma", small_vocab, limits) == [2, 3, 4]
+        text = "alpha beta gamma delta epsilon alpha beta"
+        assert encode_tokens(text, small_vocab, limits) == [2, 3, 4, 5, 6]
 
     def test_all_unknown_tokens(self, small_vocab):
-        enc = encode_document("zzz qqq", small_vocab, EncodeLimits(max_tokens=4))
-        assert enc.tokens == [OOV_INDEX, OOV_INDEX, PAD_INDEX, PAD_INDEX]
+        limits = EncodeLimits(max_tokens=4)
+        assert encode_tokens("zzz qqq", small_vocab, limits) == [OOV_INDEX, OOV_INDEX]
+        assert encode_sentences("zzz qqq", small_vocab, limits) == [[OOV_INDEX, OOV_INDEX]]
 
     def test_sentence_prefix_truncation(self, small_vocab):
         text = " ".join(f"alpha beta{i % 2}." for i in range(40))
-        enc = encode_document(text, small_vocab, EncodeLimits(max_sentences=30))
-        assert len(enc.sentences) == 30
+        sentences = encode_sentences(text, small_vocab, EncodeLimits(max_sentences=30))
+        assert len(sentences) == 30
 
     def test_word_truncation_within_sentence(self, small_vocab):
-        enc = encode_document("alpha " * 60, small_vocab,
-                              EncodeLimits(max_words_per_sentence=50))
-        assert len(enc.sentences[0]) == 50
+        sentences = encode_sentences("alpha " * 60, small_vocab,
+                                     EncodeLimits(max_words_per_sentence=50))
+        assert len(sentences[0]) == 50
 
     def test_empty_document_flagged(self, small_vocab):
-        enc = encode_document("", small_vocab, EncodeLimits(max_tokens=4))
-        assert enc.empty
-        assert enc.sentences == []
+        # an empty encoding is what a model's network_input refuses
+        for text in ("", "--- !!!"):
+            assert encode_tokens(text, small_vocab, EncodeLimits(max_tokens=4)) == []
+            assert encode_sentences(text, small_vocab) == []
 
     def test_empty_sentences_dropped(self, small_vocab):
-        enc = encode_document("alpha. ---. beta.", small_vocab)
-        assert len(enc.sentences) == 2
+        assert encode_sentences("alpha. ---. beta.", small_vocab) == [[2], [3]]
 
     def test_limits_validated(self, small_vocab):
-        with pytest.raises(UsageError):
-            encode_document("alpha", small_vocab, EncodeLimits(max_tokens=0))
+        for encode in (encode_tokens, encode_sentences):
+            for limits in (EncodeLimits(max_tokens=0), EncodeLimits(max_sentences=-1),
+                           EncodeLimits(max_words_per_sentence=2.0)):
+                with pytest.raises(UsageError):
+                    encode("alpha", small_vocab, limits)
 
     def test_encode_decode_round_trip(self, small_vocab):
         text = "alpha beta gamma delta"
-        enc = encode_document(text, small_vocab, EncodeLimits(max_tokens=10))
-        decoded = [small_vocab.index_to_token[i] for i in enc.tokens if i != PAD_INDEX]
-        assert decoded == tokenize(text)
+        enc = encode_tokens(text, small_vocab, EncodeLimits(max_tokens=10))
+        assert PAD_INDEX not in enc
+        assert [small_vocab.index_to_token[i] for i in enc] == tokenize(text)
 
     def test_pure_and_deterministic(self, small_vocab):
         text = "alpha beta. gamma delta epsilon."
-        a = encode_document(text, small_vocab)
-        b = encode_document(text, small_vocab)
-        assert a == b
+
+        class Doc:
+            def __init__(self, text):
+                self.text = text
+
+        for encode in (encode_tokens, encode_sentences):
+            assert encode(text, small_vocab) == encode(text, small_vocab)
+            assert encode(Doc(text), small_vocab) == encode(text, small_vocab)

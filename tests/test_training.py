@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from controkit.models import TrainConfig, calibrate_threshold, fit, predict
 from controkit.models.base import label_to_int
 from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
-from controkit.textprep import Vocabulary, build_vocabulary
+from controkit.textprep import Vocabulary, build_vocabulary, tokenize
 
 from golden_neural import CONFIG, LOCK_PATH, LOCKS, TOLERANCE, build_neural_lock
 from oracles import bag_of_words_label
@@ -196,7 +197,7 @@ class TestNeuralTraining:
         validation = splits["validation"][:40]
         result = fit("tfidf", splits["train"][:100], validation, cfg)
         model = result.classifier.model
-        expected = calibrate_threshold([model.score(d.text) for d in validation],
+        expected = calibrate_threshold([model.score(tokenize(d.text)) for d in validation],
                                        [label_to_int(d.label) for d in validation])
         assert expected != 0.0
         assert result.classifier.threshold == expected
@@ -229,6 +230,39 @@ class TestNeuralTraining:
         # without calibration the same split trains
         fit(kind, splits["train"][:40], validation, dataclasses.replace(cfg, calibrate=False))
         assert calls
+
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_each_document_is_encoded_once_into_the_form_its_model_reads(self, kind, splits,
+                                                                          monkeypatch):
+        # the CNN reads the token list and the HAN the sentence lists; a fit
+        # encodes each training and validation document once, prediction each
+        # test document once, and build_vocabulary tokenizes each training text
+        from controkit import textprep
+
+        calls = Counter()
+        split_sentences = textprep.split_sentences
+
+        def counted(name, original):
+            def wrapper(text):
+                calls[name, text] += 1
+                return original(text)
+            return wrapper
+
+        for name in ("tokenize", "split_sentences"):
+            monkeypatch.setattr(textprep, name, counted(name, getattr(textprep, name)))
+        train, validation, test = (splits[name][:30] for name in ("train", "validation", "test"))
+        result = fit(kind, train, validation, dataclasses.replace(CFG, epochs=2, calibrate=True))
+        predict(result.classifier, test)
+
+        texts = Counter(d.text for d in train + validation + test)
+        expected = Counter(("tokenize", d.text) for d in train)  # build_vocabulary
+        if kind == "cnn":
+            expected.update({("tokenize", t): n for t, n in texts.items()})
+        else:
+            expected.update({("split_sentences", t): n for t, n in texts.items()})
+            expected.update(("tokenize", sentence) for t, n in texts.items()
+                            for sentence in split_sentences(t)[: CFG.max_sentences] * n)
+        assert calls == expected
 
     def test_grad_clip_config_knob(self, splits):
         cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "grad_clip": 0.5})
