@@ -10,7 +10,15 @@ correlations.
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
+import os
+
+# One BLAS thread unless the caller sets a count: with more, OpenBLAS splits
+# the CNN's products at the documented sizes between threads, and a fit's
+# bits depend on the thread count. This must run before numpy is imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .errors import (  # noqa: F401, E402
     ControkitError,
     DataFormatError,
     DimensionError,

@@ -4,6 +4,9 @@ Binary format (bit-exact round trips): ASCII header ``"<count> <dim>\n"``,
 then per word the word's UTF-8 bytes, a single space, and dim consecutive
 32-bit little-endian IEEE-754 floats, optionally followed by a newline.
 Text variant: one word plus dim decimal floats per line, space-separated.
+
+Rows of words without a vector are drawn uniform in [-0.25, 0.25] (Kim
+2014), straight into the float32 table; see :meth:`EmbeddingTable.random`.
 """
 
 from __future__ import annotations
@@ -38,15 +41,24 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
     @classmethod
-    def random(cls, vocab: Vocabulary, dim: int, rng, trainable: bool = True,
-               scale: float = MISSING_WORD_SCALE) -> "EmbeddingTable":
-        """Rows uniform in [-scale, scale], padding row zero. The bytes and the
-        generator's next state are those of one ``rng.uniform`` over the whole
-        table cast to float32, but drawn in row blocks: no float64 table."""
+    def random(cls, vocab: Vocabulary, dim: int, rng, trainable: bool = True) -> "EmbeddingTable":
+        """Rows uniform in [-MISSING_WORD_SCALE, MISSING_WORD_SCALE], padding
+        row zero. The bytes and the generator's next state are those of one
+        ``rng.uniform`` over the whole table cast to float32, but drawn through
+        one reused float64 block and cast as it is written: no float64 table.
+
+        ``uniform`` computes ``low + (high - low) * u``. A generator's double
+        ``u`` is ``k * 2**-53`` with ``k < 2**53``, so with a power-of-two bound
+        both ``0.5 * u`` and ``0.5 * u - 0.25`` are exact in float64, and the
+        separate multiply and subtract below give uniform's bits."""
         vectors = np.empty((len(vocab), dim), dtype=np.float32)
-        step = max(1, _DRAW_BLOCK // max(1, dim))
-        for lo in range(0, len(vocab), step):
-            vectors[lo : lo + step] = rng.uniform(-scale, scale, vectors[lo : lo + step].shape)
+        flat = vectors.reshape(-1)
+        buf = np.empty(min(_DRAW_BLOCK, flat.size))
+        for lo in range(0, flat.size, _DRAW_BLOCK):
+            block = buf[: flat.size - lo]
+            rng.random(out=block)
+            block *= 2 * MISSING_WORD_SCALE
+            np.subtract(block, MISSING_WORD_SCALE, out=flat[lo : lo + block.size])
         vectors[PAD_INDEX] = 0.0
         return cls(vocab=vocab, vectors=vectors, trainable=trainable, coverage=0.0)
 

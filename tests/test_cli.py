@@ -1,7 +1,11 @@
+import hashlib
 import json
 import logging
 import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -483,3 +487,34 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "controkit" in capsys.readouterr().out
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cnn_checkpoint_does_not_depend_on_the_blas_environment(tmp_path):
+    """The package pins BLAS to one thread unless the caller sets a count. A
+    CNN fit at embed 300 with 128 filters, whose products a multi-threaded
+    OpenBLAS splits between threads, writes the same checkpoint with the
+    variables unset as with ``OPENBLAS_NUM_THREADS=1``. One training
+    document is enough for the unpinned bits to differ on two cores."""
+    docs = make_separable_corpus(n_docs=2, seed=21)
+    data_dir = tmp_path / "data"
+    os.makedirs(data_dir)
+    write_documents(data_dir / "train.jsonl", docs[:1])
+    write_documents(data_dir / "validation.jsonl", docs[1:])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, "embed_dim": 300, "n_filters": 128, "seed": 21}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for pin in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env.update(pin, PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+        out = tmp_path / f"cnn{len(digests)}.ctrv"
+        result = subprocess.run([sys.executable, "-m", "controkit.cli", "train", "--model", "cnn",
+                                 "--config", str(config), "--data", str(data_dir),
+                                 "--out", str(out)], env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

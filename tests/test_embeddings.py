@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,10 +137,10 @@ def test_pad_row_zero_and_oov_row_random(tmp_path, vocab, rng):
     assert np.any(table.vectors[1] != 0)  # shared trainable OOV row
 
 
-# Draw contract: a table is drawn in row blocks straight into float32. That is
-# the one-shot float64 draw cast to float32, byte for byte, and it leaves the
-# generator where the one-shot draw does. An upgrade that breaks the
-# numpy property this relies on changes every initialized table and must
+# Draw contract: a table is drawn in float64 blocks straight into float32.
+# That is the one-shot float64 draw cast to float32, byte for byte, and it
+# leaves the generator where the one-shot draw does. An upgrade that breaks
+# the numpy property this relies on changes every initialized table and must
 # fail here.
 _DRAW_SHAPES = [(7, 3), (1, 1), (embeddings._DRAW_BLOCK + 1, 1), (1000, 300), (3, 70_000)]
 
@@ -179,3 +181,46 @@ def test_draw_contract_load_embeddings(tmp_path, shape):
     assert table.vectors.tobytes() == expected.tobytes()
     assert rng.random() == next_draw
 
+
+# The same contract for every numpy bit generator, at the edges of the one
+# reused float64 block: the split multiply and subtract equal uniform's
+# ``low + (high - low) * u`` only because each generator's double is a
+# multiple of 2**-53.
+_BLOCK = embeddings._DRAW_BLOCK
+_EDGE_SHAPES = [
+    (256, _BLOCK // 256),  # exactly one block
+    (_BLOCK + 1, 1),  # one block plus one value
+    (100, 300),  # fewer values than a block
+    (300, 300),  # row 218 straddles the first block edge
+]
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                   np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("shape", _EDGE_SHAPES)
+def test_draw_contract_every_bit_generator(shape, bit_generator):
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(shape[0] - 2)], {})
+    rng = np.random.Generator(bit_generator(43))
+    table = EmbeddingTable.random(vocab, shape[1], rng)
+    one_shot = np.random.Generator(bit_generator(43))
+    expected = one_shot.uniform(-MISSING_WORD_SCALE, MISSING_WORD_SCALE,
+                                size=shape).astype(np.float32)
+    expected[PAD_INDEX] = 0.0
+    assert table.vectors.tobytes() == expected.tobytes()
+    assert rng.random() == one_shot.random()
+
+
+def test_draw_holds_no_float64_table():
+    """The draw's peak is the float32 table, one float64 block, numpy's 64 KiB
+    casting buffer and 4 KiB for its iterator: no float64 copy of the table
+    and no second block."""
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(20_000 - 2)], {})
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        table = EmbeddingTable.random(vocab, 300, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.vectors.nbytes + 8 * _BLOCK + 68 * 1024
