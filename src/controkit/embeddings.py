@@ -43,14 +43,12 @@ class EmbeddingTable:
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng, trainable: bool = True) -> "EmbeddingTable":
         """Rows uniform in [-MISSING_WORD_SCALE, MISSING_WORD_SCALE], padding
-        row zero. The bytes and the generator's next state are those of one
-        ``rng.uniform`` over the whole table cast to float32, but drawn through
-        one reused float64 block and cast as it is written: no float64 table.
-
-        ``uniform`` computes ``low + (high - low) * u``. A generator's double
-        ``u`` is ``k * 2**-53`` with ``k < 2**53``, so with a power-of-two bound
-        both ``0.5 * u`` and ``0.5 * u - 0.25`` are exact in float64, and the
-        separate multiply and subtract below give uniform's bits."""
+        row zero: the bytes and the generator's next state of one
+        ``rng.uniform`` over the table cast to float32, drawn through one
+        reused float64 block. A generator's double ``u`` is ``k * 2**-53``
+        with ``k < 2**53``, so for this power-of-two bound ``0.5 * u`` and
+        ``0.5 * u - 0.25`` are exact, and the multiply and subtract below equal
+        uniform's ``low + (high - low) * u``."""
         vectors = np.empty((len(vocab), dim), dtype=np.float32)
         flat = vectors.reshape(-1)
         buf = np.empty(min(_DRAW_BLOCK, flat.size))

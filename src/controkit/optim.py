@@ -40,9 +40,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
     to that expression, but walks each parameter's flat (C-contiguous) view
     in cache-sized slices through two slice-sized scratch buffers. A
     :class:`RowSparseGrad` (the same rows at every step, else ``UsageError``)
-    has moments for its rows only; each block's step is subtracted from
-    ``p`` through one view per run of consecutive rows, with no gather. Any
-    other row's update ``p -= 0 / (0 + eps)`` is a no-op.
+    has moments for its rows only, which are gathered (or viewed) from ``p``
+    in blocks; any other row's update ``p -= 0 / (0 + eps)`` is a no-op.
     """
     for name, p in params.items():
         if name not in grads:
@@ -75,6 +74,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
         scratch = np.empty((2, min(block, values.size)), p.dtype)
         for lo in range(0, values.size, block):
             hi = min(lo + block, values.size)
+            start, sel = lo, None if rows is None else rows[lo // width : hi // width]
+            if sel is not None and sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows
+                start, sel = sel[0] * width, None
+            target = flat_p[start : start + hi - lo] if sel is None else p[sel].reshape(-1)
             g = flat_g[lo:hi].astype(p.dtype, copy=False)
             m, v = flat_m[lo:hi], flat_v[lo:hi]
             step, denom = scratch[:, : hi - lo]
@@ -91,21 +94,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
             np.sqrt(denom, out=denom)
             denom += state.eps
             step /= denom
-            runs = ([(lo, 0, hi - lo)] if rows is None
-                    else _row_runs(rows[lo // width : hi // width], width))
-            for start, a, b in runs:
-                target = flat_p[start : start + b - a]
-                target -= step[a:b]
+            target -= step
+            if sel is not None:
+                p[sel] = target.reshape((-1,) + p.shape[1:])
     return params, state
-
-
-def _row_runs(sel: np.ndarray, width: int) -> list[tuple[int, int, int]]:
-    """(offset in the flat table, start, end in the block) of each run of
-    consecutive rows in ``sel``, a sorted block of a gradient's rows."""
-    if sel[-1] - sel[0] == len(sel) - 1:  # one run: the common case
-        return [(int(sel[0]) * width, 0, len(sel) * width)]
-    edges = [0, *(np.flatnonzero(np.diff(sel) != 1) + 1).tolist(), len(sel)]
-    return [(int(sel[i]) * width, i * width, j * width) for i, j in zip(edges, edges[1:])]
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:

@@ -211,15 +211,32 @@ def test_draw_contract_every_bit_generator(shape, bit_generator):
     assert rng.random() == one_shot.random()
 
 
-def test_draw_holds_no_float64_table():
-    """The draw's peak is the float32 table, one float64 block, numpy's 64 KiB
-    casting buffer and 4 KiB for its iterator: no float64 copy of the table
-    and no second block."""
+class _BufferRecorder:
+    """A generator that offers only ``random(out=...)`` and records the
+    address of each buffer it fills."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.addresses = []
+
+    def random(self, *, out):
+        self.addresses.append(out.__array_interface__["data"][0])
+        return self.rng.random(out=out)
+
+
+def test_draw_fills_one_reused_block():
+    """Every block is drawn into the same float64 buffer, and the draw's peak
+    is the float32 table, that one block, numpy's 64 KiB casting buffer and
+    4 KiB for its iterator: no array per block and no float64 table."""
     vocab = Vocabulary.from_tokens([f"w{i}" for i in range(20_000 - 2)], {})
-    rng = np.random.default_rng(5)
+    recorder = _BufferRecorder(5)
+    table = EmbeddingTable.random(vocab, 300, recorder)
+    assert len(recorder.addresses) == -(-table.vectors.size // _BLOCK)
+    assert len(set(recorder.addresses)) == 1
+    del table
     tracemalloc.start()
     try:
-        table = EmbeddingTable.random(vocab, 300, rng)
+        table = EmbeddingTable.random(vocab, 300, np.random.default_rng(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

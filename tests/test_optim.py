@@ -162,24 +162,6 @@ class TestRowIndexedAdam:
         assert np.signbit(p[0]).all()
         assert indexed.m["w"].shape == (n_rows, shape[1])
 
-    def test_gapped_block_gathers_nothing(self, rng):
-        """Rows with gaps in every block are updated through views of the
-        table: a step allocates its two scratch slices and no gathered block."""
-        shape = (2000, 300)
-        missing = rng.choice(np.arange(1, shape[0]), size=20, replace=False)
-        rows = np.setdiff1d(np.arange(1, shape[0]), missing)
-        p = rng.normal(size=shape).astype(np.float32)
-        g = RowSparseGrad(rows, rng.normal(size=(len(rows), shape[1])).astype(np.float32), shape)
-        state = AdamState()
-        adam_step({"w": p}, {"w": g}, state)  # moments exist from here on
-        tracemalloc.start()
-        try:
-            adam_step({"w": p}, {"w": g}, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (2 + 0.25) * optim._CHUNK * p.itemsize
-
     def test_other_rows_refused_without_update(self, rng):
         p = rng.normal(size=(10, 2)).astype(np.float32)
         state = AdamState()
