@@ -243,17 +243,16 @@ def _record(op, inputs, fwd, bwd, name=None) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The dense layer ``x @ w.T + b`` for x (n, k), w (m, k) and b (m,), as
-    one node. ``w.T`` enters the products as a C-ordered copy: BLAS rounds
-    some shapes differently for a transposed view of ``w``."""
+    one node."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
         raise DimensionError(f"linear needs x (n, k), w (m, k) and b (m,), "
                              f"got {x.shape}, {w.shape} and {b.shape}")
 
     def fwd(x, w, b):
-        return x @ w.T.copy() + b
+        return x @ w.T + b
 
     def bwd(g, out, x, w, b):
-        return g @ w.T.copy().T, g.T @ x, g.sum(0)
+        return g @ w, g.T @ x, g.sum(0)
 
     return _record("linear", (x, w, b), fwd, bwd)
 
@@ -296,8 +295,7 @@ def l2_penalty(loss: Tensor, w: Tensor, k: float) -> Tensor:
         return loss + np.asarray((w * w).sum(), dtype=w.dtype) * k
 
     def bwd(g, out, loss, w):
-        t = (g * k) * w
-        return g, t + t
+        return g, (2 * k * g) * w
 
     return _record("l2_penalty", (loss, w), fwd, bwd)
 
@@ -335,9 +333,7 @@ def conv_max_pool(x: Tensor, banks) -> Tensor:
     backward deterministic under ties, and only where that maximum is
     positive. Only the winning positions are saved (``Graph.recompute``
     refreshes them), and the backward pass multiplies only the windows
-    some filter won by ``w``; ``w`` enters the products as in
-    :func:`linear`. The banks' gradients of x are added from the last bank
-    to the first.
+    some filter won by ``w``.
     """
     banks = tuple(banks)
     if not banks:
@@ -362,29 +358,27 @@ def conv_max_pool(x: Tensor, banks) -> Tensor:
         saved.clear()
         pooled = []
         for width, w, b in zip(widths, wb[::2], wb[1::2]):
-            act = np.maximum(windows(x, width).copy() @ w.T.copy() + b, 0.0)
+            # a contiguous copy of the windows multiplies faster than the strided view
+            act = np.maximum(windows(x, width).copy() @ w.T + b, 0.0)
             saved.append(np.argmax(act, axis=0))
             pooled.append(act[saved[-1], np.arange(len(w))])
         return np.concatenate(pooled)[None]
 
     def bwd(g, out, x, *wb):
-        dx, grads = None, []
+        dx, grads = np.zeros_like(x), []
         g_rows, live = np.split(g[0], splits), np.split(out[0] > 0, splits)
-        for k in reversed(range(len(banks))):
-            width, w, winners = widths[k], wb[2 * k], saved[k]
-            cols = np.arange(len(w))
-            gp = g_rows[k] * live[k]
+        for width, w, winners, g_k, live_k in zip(widths, wb[::2], saved, g_rows, live):
+            gp = g_k * live_k
             # only the winning windows get a gradient
             rows, slot = np.unique(winners, return_inverse=True)
-            g_act = np.zeros((len(rows), len(cols)), dtype=g.dtype)
-            g_act[slot, cols] = gp
-            g_win = g_act @ w.T.copy().T
-            dx_k = np.zeros_like(x)
-            # offsets from width-1 down to 0: each row adds its windows in position order
-            for j in range(width - 1, -1, -1):
-                dx_k[rows + j] += g_win[:, j * dim : (j + 1) * dim]
-            dx = dx_k if dx is None else dx + dx_k
-            grads = [gp[:, None] * windows(x, width)[winners], gp, *grads]
+            g_act = np.zeros((len(rows), len(w)), dtype=g.dtype)
+            g_act[slot, np.arange(len(w))] = gp
+            g_win = g_act @ w
+            for j in range(width):  # rows are unique, so each add is safe
+                dx[rows + j] += g_win[:, j * dim : (j + 1) * dim]
+            g_w = windows(x, width)[winners]  # a fresh array: scaled in place, no second copy
+            g_w *= gp[:, None]
+            grads += [g_w, gp]
         return (dx, *grads)
 
     return _record("conv_max_pool", (x, *(t for bank in banks for t in bank)), fwd, bwd)
@@ -401,7 +395,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor, n_groups: in
     the scores into weights (n_groups, L), and output row i is group i's
     weighted sum of rows. ``mask`` (n_groups, L), true at real rows, adds
     ``MASK_LOGIT`` to the other rows' scores, which gives them weight
-    exactly 0. ``w`` enters the products as in :func:`linear`.
+    exactly 0.
     """
     if (states.ndim != 2 or w.ndim != 2 or w.shape[1] != states.shape[1]
             or b.shape != w.shape[:1] or u.shape != w.shape[:1] or n_groups < 1
@@ -421,7 +415,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor, n_groups: in
     saved = {}
 
     def fwd(x, w, b, u):
-        hidden = np.tanh(x @ w.T.copy() + b)
+        hidden = np.tanh(x @ w.T + b)
         scores = (hidden @ u.reshape(m, 1)).reshape(n_groups, length)
         if logit_mask is not None:
             scores = scores + logit_mask
@@ -441,7 +435,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor, n_groups: in
         dot = np.sum(g_alpha * alpha, axis=-1, keepdims=True)
         g_scores = (alpha * (g_alpha - dot)).reshape(n_rows, 1)
         g_pre = (g_scores @ u.reshape(m, 1).T) * (1.0 - hidden * hidden)
-        return (g_summed.reshape(n_rows, rep) + g_pre @ w.T.copy().T, g_pre.T @ x,
+        return (g_summed.reshape(n_rows, rep) + g_pre @ w, g_pre.T @ x,
                 g_pre.sum(0), (hidden.T @ g_scores).reshape(m))
 
     node = _record("attention_pool", (states, w, b, u), fwd, bwd)

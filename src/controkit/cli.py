@@ -31,11 +31,11 @@ from .errors import (
     IntegrityError,
     NumericError,
     UsageError,
+    require_int,
 )
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 from .metrics import eval_report_from_json, evaluate_predictions, prediction_set
-from .models import (MODEL_KINDS, TrainConfig, fit, load_classifier, predict, require_int,
-                     save_classifier)
+from .models import MODEL_KINDS, TrainConfig, fit, load_classifier, predict, save_classifier
 from .reports import (
     dump_json,
     render_averaged_metrics_table,
@@ -65,6 +65,7 @@ def _load_json(path) -> dict:
 
 
 def cmd_crawl(args) -> int:
+    require_int("--negatives", args.negatives, 0)
     seeds = read_seeds(args.seeds)
     policy_data = _load_json(args.policy) if args.policy else {}
     server = None

@@ -21,7 +21,7 @@ from urllib.parse import urldefrag, urlsplit, urlunsplit
 
 import numpy as np
 
-from .errors import DataFormatError, IntegrityError, UsageError
+from .errors import DataFormatError, IntegrityError, UsageError, require_int, require_number
 
 CONTROVERSIAL = "controversial"
 NON_CONTROVERSIAL = "non-controversial"
@@ -32,6 +32,8 @@ SEE_ALSO = "see-also"
 REFERENCES = "references"
 EXTERNAL_LINKS = "external-links"
 DEFAULT_LINK_CLASSES = (SEE_ALSO, REFERENCES, EXTERNAL_LINKS)
+
+MAX_HOPS = 2  # the deepest hop a dataset holds
 
 DATASET_FIELDS = (
     "id", "url", "title", "text", "label", "source",
@@ -104,9 +106,16 @@ class LinkEdge:
 @dataclass
 class CrawlPolicy:
     """Knobs of the snowball crawl; the reference configuration stops at
-    two hops and follows the three wiki link sections."""
+    two hops and follows the three wiki link sections.
 
-    max_hops: int = 2
+    A policy no crawl can honour is refused with ``UsageError``: ``max_hops``
+    outside 0..``MAX_HOPS``, a negative ``retry_count``, a negative or
+    non-finite ``per_host_delay``, a ``fetch_timeout`` that is not a finite
+    number > 0, a ``max_pages`` below 1, or a link class outside
+    ``DEFAULT_LINK_CLASSES``.
+    """
+
+    max_hops: int = MAX_HOPS
     link_classes: tuple = DEFAULT_LINK_CLASSES
     per_host_delay: float = 1.0
     max_pages: int | None = None
@@ -115,17 +124,30 @@ class CrawlPolicy:
     obey_robots: bool = True
     wikipedia_hosts: tuple = ("wikipedia.org",)
 
+    def __post_init__(self):
+        hops = self.max_hops
+        if type(hops) is not int or not 0 <= hops <= MAX_HOPS:
+            raise UsageError(f"crawl policy max_hops must be an integer from 0 to {MAX_HOPS}, "
+                             f"got {hops!r}")
+        require_int("crawl policy retry_count", self.retry_count, 0)
+        require_number("crawl policy per_host_delay", self.per_host_delay)
+        require_number("crawl policy fetch_timeout", self.fetch_timeout, positive=True)
+        if self.max_pages is not None:
+            require_int("crawl policy max_pages", self.max_pages, 1)
+        classes = self.link_classes
+        if not isinstance(classes, (list, tuple)) or not all(
+                c in DEFAULT_LINK_CLASSES for c in classes):
+            raise UsageError(f"crawl policy link_classes must list link classes "
+                             f"({'|'.join(DEFAULT_LINK_CLASSES)}), got {classes!r}")
+        self.link_classes = tuple(classes)
+        self.wikipedia_hosts = tuple(self.wikipedia_hosts)
+
     @classmethod
     def from_json(cls, data: dict) -> "CrawlPolicy":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown crawl policy keys: {sorted(unknown)}")
-        merged = {**data}
-        for key in ("link_classes", "wikipedia_hosts"):
-            if key in merged:
-                merged[key] = tuple(merged[key])
-        return cls(**merged)
+        return cls(**data)
 
 
 @dataclass
@@ -244,8 +266,11 @@ def split_dataset(documents, seed_counts: dict[str, int], rng_seed: int,
     Seeds are shuffled with the given seed and dealt to the named
     partitions by count; every document joins the split of its nearest
     seed. Documents of unallocated seeds (when counts do not use every
-    seed) belong to no split.
+    seed) belong to no split. A count that is not an integer >= 0 is
+    refused with ``UsageError``.
     """
+    for name, count in seed_counts.items():
+        require_int(f"{name} seed count", count, 0)
     seed_urls = []
     seen = set()
     for s in seeds:
@@ -322,7 +347,7 @@ def read_documents(path) -> list[Document]:
             raise DataFormatError(f"bad label {record['label']!r}", line=number)
         if record["source"] not in (WIKIPEDIA, GENERAL_WEB):
             raise DataFormatError(f"bad source {record['source']!r}", line=number)
-        if not isinstance(record["hop"], int) or not 0 <= record["hop"] <= 2:
+        if not isinstance(record["hop"], int) or not 0 <= record["hop"] <= MAX_HOPS:
             raise DataFormatError(f"bad hop {record['hop']!r}", line=number)
         if not isinstance(record["snapshot_year"], int):
             raise DataFormatError(f"bad snapshot_year {record['snapshot_year']!r}", line=number)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input checks
+that raise its ``UsageError``."""
+
+import math
 
 
 class ControkitError(Exception):
@@ -41,3 +44,18 @@ class IntegrityError(ControkitError):
 
 class NumericError(ControkitError):
     """A numeric computation produced NaN/Inf or diverged."""
+
+
+def require_int(what: str, value, least: int) -> None:
+    """Refuse with ``UsageError`` a value that is not an int (bools refused) >= ``least``."""
+    if type(value) is not int or value < least:
+        raise UsageError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def require_number(what: str, value, positive: bool = False) -> None:
+    """Refuse with ``UsageError`` a value that is not a finite int or float
+    (bools refused) >= 0, or > 0 if ``positive``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise UsageError(f"{what} must be a finite number {'> 0' if positive else '>= 0'}, "
+                         f"got {value!r}")

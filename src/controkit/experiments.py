@@ -26,7 +26,7 @@ from .corpus import (
     read_annotations,
     read_documents,
 )
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .metrics import (
     agreement_report,
     evaluate_predictions,
@@ -35,7 +35,7 @@ from .metrics import (
     auc,
     roc_points,
 )
-from .models import MODEL_KINDS, TrainConfig, fit, predict, require_int
+from .models import MODEL_KINDS, TrainConfig, fit, predict
 from .reports import (
     dump_json,
     format_delta,

@@ -145,8 +145,8 @@ def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None) -> ad.Tensor:
                    for a in (prev, r))
         d_pre = d_pre.reshape(2, 3, n_rows * steps, hidden)
         d_pre_t = d_pre.swapaxes(2, 3)
-        dx = d_pre @ w.reshape(2, 3, hidden, input_dim)
-        dx = dx[:, 0] + dx[:, 1] + dx[:, 2]
+        # one product over the three gates per direction: (2, N, 3h) @ (2, 3h, in)
+        dx = d_pre.transpose(0, 2, 1, 3).reshape(2, n_rows * steps, gates) @ w
         return (dx[0] + dx[1], (d_pre_t @ x).reshape(w.shape),
                 (d_pre_t @ np.stack((prev, prev, r * prev), 1)).reshape(u.shape),
                 d_pre.sum(2).reshape(b.shape))

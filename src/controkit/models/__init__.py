@@ -13,4 +13,4 @@ from .cnn import CnnParams  # noqa: F401
 from .han import HanParams, han_forward  # noqa: F401
 from .lm import LmModel, lm_train  # noqa: F401
 from .tfidf import TfIdfModel, tfidf_train  # noqa: F401
-from .training import TrainConfig, TrainResult, fit, require_int  # noqa: F401
+from .training import TrainConfig, TrainResult, fit  # noqa: F401

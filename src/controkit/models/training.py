@@ -15,17 +15,16 @@ not change it. Lexical models fit in one deterministic pass of ``train``.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
-from ..errors import NumericError, UsageError
+from ..errors import NumericError, UsageError, require_int, require_number
 from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step, clip_gradients
-from ..textprep import PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary, tokenize
+from ..textprep import PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary
 from .base import (
     EMPTY_DOC_SCORE,
     MODEL_CLASSES,
@@ -34,6 +33,7 @@ from .base import (
     NeuralModel,
     calibrate_threshold,
     label_to_int,
+    predict,
 )
 
 logger = logging.getLogger(__name__)
@@ -44,12 +44,6 @@ _SIZE_FIELDS = ("batch_size", "embed_dim", "hidden_dim", "n_filters", "vocab_max
 _COUNT_FIELDS = ("epochs", "patience", "vocab_min_freq", "tfidf_epochs", "seed")
 # TrainConfig fields that must be finite numbers >= 0
 _RATE_FIELDS = ("learning_rate", "l2", "tfidf_lr", "tfidf_l2")
-
-
-def require_int(what: str, value, least: int) -> None:
-    """Refuse with ``UsageError`` a value that is not an int (bools refused) >= ``least``."""
-    if type(value) is not int or value < least:
-        raise UsageError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -96,12 +90,7 @@ class TrainConfig:
         if self.grad_clip is not None:
             reals.append(("grad_clip", True))
         for name, positive in reals:
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-                bound = "> 0" if positive else ">= 0"
-                raise UsageError(f"training config {name} must be a finite number {bound}, "
-                                 f"got {value!r}")
+            require_number(f"training config {name}", getattr(self, name), positive)
         rate = self.dropout
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
             raise UsageError(f"training config dropout must lie in [0, 1), got {rate!r}")
@@ -159,8 +148,10 @@ def _build_embedding(train_docs, config: TrainConfig, rng,
 
 
 def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
-                 pretrained: EmbeddingTable | None = None) -> TrainResult:
-    """Train the CNN or HAN; returns the best-validation checkpoint.
+                 pretrained: EmbeddingTable | None = None):
+    """Train the CNN or HAN; returns the best-validation checkpoint and a
+    function giving its validation scores, as :func:`predict` gives them,
+    from the inputs the fit encoded once.
 
     Single-threaded and bit-deterministic for a fixed seed: initialization,
     shuffling and dropout all draw from one seeded generator in a fixed
@@ -278,31 +269,25 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     for name, arr in trainable.items():
         arr[reach[name]] = best_snapshot[name]
 
-    threshold = 0.5
-    if config.calibrate and encoded_val:
-        threshold = calibrate_threshold(validation_scores(), val_labels)
-
-    clf = Classifier(kind=kind, model=params, threshold=threshold, limits=limits,
+    clf = Classifier(kind=kind, model=params, threshold=0.5, limits=limits,
                      hyperparameters={"config": config.to_json()})
-    return TrainResult(classifier=clf, log=log, diverged=diverged, diagnostic=diagnostic)
+    result = TrainResult(classifier=clf, log=log, diverged=diverged, diagnostic=diagnostic)
+    return result, validation_scores
 
 
-def _train_lexical(kind: str, train_docs, validation_docs, config: TrainConfig) -> TrainResult:
-    model = MODEL_CLASSES[kind].train(train_docs, config)
-
-    threshold = 0.0
-    if config.calibrate and validation_docs:
-        scores = [model.score(tokenize(d.text)) for d in validation_docs]
-        labels = [label_to_int(d.label) for d in validation_docs]
-        threshold = calibrate_threshold(scores, labels)
-    clf = Classifier(kind=kind, model=model, threshold=threshold,
-                     hyperparameters={"config": config.to_json()})
-    return TrainResult(classifier=clf, log=[])
+def _train_lexical(kind: str, train_docs, validation_docs, config: TrainConfig):
+    """A tf-idf or LM fit, and a function giving its validation scores."""
+    clf = Classifier(kind=kind, model=MODEL_CLASSES[kind].train(train_docs, config),
+                     threshold=0.0, hyperparameters={"config": config.to_json()})
+    return TrainResult(classifier=clf, log=[]), lambda: [
+        p.score for p in predict(clf, validation_docs)]
 
 
 def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = None,
         pretrained: EmbeddingTable | None = None) -> TrainResult:
-    """Train any of the four model kinds on labeled documents."""
+    """Train any of the four model kinds on labeled documents; with
+    ``config.calibrate`` the threshold maximizes validation F1 over the
+    scores :func:`predict` gives (0.5 for an empty document)."""
     config = config or TrainConfig()
     model_class = MODEL_CLASSES.get(kind)
     if model_class is None:
@@ -311,5 +296,11 @@ def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = Non
         # the same refusal calibrate_threshold makes, before any training
         raise UsageError("threshold calibration needs both classes in validation")
     if issubclass(model_class, NeuralModel):
-        return train_neural(kind, train_docs, validation_docs, config, pretrained)
-    return _train_lexical(kind, train_docs, validation_docs, config)
+        result, validation_scores = train_neural(kind, train_docs, validation_docs, config,
+                                                 pretrained)
+    else:
+        result, validation_scores = _train_lexical(kind, train_docs, validation_docs, config)
+    if config.calibrate and validation_docs:
+        result.classifier.threshold = calibrate_threshold(
+            validation_scores(), [label_to_int(d.label) for d in validation_docs])
+    return result

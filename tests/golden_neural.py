@@ -6,8 +6,16 @@ held-out scores. Each model is pinned twice: with the vocabulary the fit
 builds, whose table rows the training documents nearly all reach, and
 (``cnn_wide``, ``han_wide``) with a pretrained table padded with
 ``WIDE_FILLER_ROWS`` rows that no document reaches. ``tests/test_training.py``
-compares a fresh run with the committed golden at ``TOLERANCE``. Regenerate it after an intentional
-change to training or scoring with:
+compares a fresh run with the committed golden at ``TOLERANCE``: this lock,
+not the bytes of any one op, is the numeric contract of the neural code.
+
+Print, per lock, how many pinned values a fresh run changes and the largest
+absolute drift (exit status 1 if it is above ``TOLERANCE``) with:
+
+    PYTHONPATH=src python tests/golden_neural.py
+
+and regenerate the golden after an intentional change to training or
+scoring with:
 
     PYTHONPATH=src python tests/golden_neural.py --write
 """
@@ -61,10 +69,38 @@ def build_neural_lock(lock: str) -> dict:
     }
 
 
+def _pinned_values(entry: dict) -> list:
+    """Every number one lock pins, in a fixed order."""
+    return ([value for epoch in entry["log"] for _, value in sorted(epoch.items())]
+            + [entry["threshold"], *entry["test_scores"]])
+
+
+def drift_report() -> bool:
+    """Print, per lock, the count of pinned values a fresh run changes and
+    their largest absolute drift from the committed golden; returns whether
+    every lock stays within ``TOLERANCE``."""
+    golden = json.loads(LOCK_PATH.read_text())
+    within = True
+    for lock in LOCKS:
+        got, want = _pinned_values(build_neural_lock(lock)), _pinned_values(golden[lock])
+        if len(got) != len(want):
+            print(f"{lock}: {len(got)} values against {len(want)} pinned")
+            within = False
+            continue
+        drift = [abs(a - b) for a, b in zip(got, want)]
+        print(f"{lock}: {sum(d != 0 for d in drift)} of {len(drift)} values changed, "
+              f"max abs drift {max(drift):.2g} (tolerance {TOLERANCE:g})")
+        within = within and max(drift) <= TOLERANCE
+    return within
+
+
 if __name__ == "__main__":
-    if "--write" not in sys.argv:
-        print("usage: python tests/golden_neural.py --write", file=sys.stderr)
+    if sys.argv[1:] == ["--write"]:
+        lock = {"config": CONFIG, **{lock: build_neural_lock(lock) for lock in LOCKS}}
+        LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {LOCK_PATH}")
+    elif sys.argv[1:]:
+        print("usage: python tests/golden_neural.py [--write]", file=sys.stderr)
         sys.exit(2)
-    lock = {"config": CONFIG, **{lock: build_neural_lock(lock) for lock in LOCKS}}
-    LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {LOCK_PATH}")
+    else:
+        sys.exit(0 if drift_report() else 1)

@@ -124,10 +124,12 @@ class TestConvMaxPool:
         report = ad.grad_check(g, weighted_sum(out, rng.normal(size=out.shape)), 1e-6, 1e-6)
         assert report.passed, report
 
-    def test_banks_add_x_gradients_last_to_first(self, rng):
-        # float32 bytes of one node over three banks equal three one-bank
-        # nodes, their rows concatenated and their x gradients added as
-        # the tape adds three nodes' gradients: (dx_4 + dx_3) + dx_2
+    def test_banks_equal_three_one_bank_nodes(self, rng):
+        # one node over three banks gives the float32 bytes of three one-bank
+        # nodes, rows concatenated, for the output and each bank's w and b;
+        # its x gradient adds every window into one array, so it equals the
+        # sum of the three nodes' x gradients up to float32 rounding (at most
+        # 1.3 eps of max |dx| over 300 seeds)
         x_val = rng.normal(size=(40, 16))
         banks = [(rng.normal(size=(8, h * 16)), rng.normal(size=8)) for h in (2, 3, 4)]
         upstream = rng.normal(size=(1, 24)).astype(np.float32)
@@ -142,8 +144,8 @@ class TestConvMaxPool:
             assert grads[f"w{k}"].tobytes() == single["w0"].tobytes()
             assert grads[f"b{k}"].tobytes() == single["b0"].tobytes()
         assert out.data.tobytes() == np.concatenate(outs, axis=1).tobytes()
-        assert grads["x"].tobytes() == ((dxs[2] + dxs[1]) + dxs[0]).tobytes()
-        assert grads["x"].tobytes() != ((dxs[0] + dxs[1]) + dxs[2]).tobytes()  # the order shows
+        drift = np.max(np.abs(grads["x"] - (dxs[0] + dxs[1] + dxs[2])))
+        assert drift <= 4 * np.finfo(np.float32).eps * np.max(np.abs(grads["x"]))
 
     def test_ties_route_gradient_to_the_first_window(self):
         # an all-padding document: every window is relu(b), and the
@@ -254,7 +256,7 @@ class TestAttentionPool:
         ``mask=None``, sentence level (one group, 2-D products)."""
         n_rows, rep = x.shape
         length = n_rows // n_groups
-        hidden = np.tanh(x @ w.T.copy() + b)
+        hidden = np.tanh(x @ w.T + b)
         u_col = u.reshape(len(u), 1)
         scores = hidden @ u_col
         if mask is None:
@@ -275,7 +277,7 @@ class TestAttentionPool:
         g_hidden = g_scores @ np.swapaxes(u_col, -1, -2)
         g_u = (np.swapaxes(hidden, -1, -2) @ g_scores).reshape(u.shape)
         g_pre = g_hidden * (1.0 - hidden * hidden)
-        grads = (g_weighted + g_pre @ w.T.copy().T, g_pre.T @ x, g_pre.sum(0), g_u)
+        grads = (g_weighted + g_pre @ w, g_pre.T @ x, g_pre.sum(0), g_u)
         return out, alpha, grads
 
     @pytest.mark.parametrize("n_groups, length, ragged", [

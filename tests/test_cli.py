@@ -428,6 +428,58 @@ class TestExitCodes:
         assert "file.json: expected a JSON object, got list" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["file.json", "seeds.jsonl"]
 
+    @pytest.mark.parametrize("policy", [
+        {"max_hops": 3},
+        {"max_hops": -1},
+        {"max_hops": 1.0},
+        {"retry_count": -2},
+        {"per_host_delay": -1.0},
+        {"per_host_delay": float("nan")},
+        {"fetch_timeout": 0},
+        {"fetch_timeout": -5.0},
+        {"max_pages": 0},
+        {"link_classes": ["see-also", "body"]},
+        {"link_classes": "see-also"},
+    ], ids=lambda v: "{}={!r}".format(*next(iter(v.items()))))
+    def test_policy_no_crawl_can_honour_is_exit_2(self, tmp_path, capsys, monkeypatch, policy):
+        # the default policy crawls this wiki (crawl_artifacts); each value
+        # alone is refused before the fixture server starts or a file is written
+        monkeypatch.chdir(tmp_path)
+        wiki, seeds = random_wiki(3, depth=5)
+        Path("wiki.json").write_text(json.dumps(wiki_spec_json(wiki)))
+        write_seeds("seeds.jsonl", seeds)
+        Path("policy.json").write_text(json.dumps(policy))
+        code = main(["crawl", "--seeds", "seeds.jsonl", "--fixture-server", "wiki.json",
+                     "--policy", "policy.json", "--out", "dataset.jsonl"])
+        assert code == 2
+        assert f"crawl policy {next(iter(policy))}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["policy.json", "seeds.jsonl", "wiki.json"]
+
+    def test_negative_negatives_flag_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        wiki, seeds = random_wiki(3, depth=5)
+        Path("wiki.json").write_text(json.dumps(wiki_spec_json(wiki)))
+        write_seeds("seeds.jsonl", seeds)
+        code = main(["crawl", "--seeds", "seeds.jsonl", "--fixture-server", "wiki.json",
+                     "--out", "dataset.jsonl", "--negatives", "-3"])
+        assert code == 2
+        assert "--negatives" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["seeds.jsonl", "wiki.json"]
+
+    @pytest.mark.parametrize("name", ["train", "validation", "test"])
+    def test_negative_split_count_is_exit_2(self, crawl_artifacts, tmp_path, capsys, name):
+        # the other two counts fit the seeds with room to spare
+        tmp = crawl_artifacts
+        counts = {"train": "2", "validation": "2", "test": "1", name: "-1"}
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--data", str(tmp / "dataset.jsonl"),
+                     "--edges", str(tmp / "dataset.jsonl.edges.jsonl"),
+                     "--seeds", str(tmp / "all_seeds.jsonl"), "--out-dir", str(out_dir),
+                     *(arg for n, c in counts.items() for arg in (f"--{n}", c))])
+        assert code == 2
+        assert f"{name} seed count" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("n_resamples", ["0", "-5"])
     def test_eval_without_resamples_is_exit_2(self, trained, tmp_path, capsys, n_resamples):
         tmp, data_dir = trained

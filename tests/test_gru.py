@@ -173,7 +173,7 @@ def replay(x, w, u, b, n_rows, keep, upstream):
         dz, dr, dc = d_pre.reshape(3, n_rows * steps, hidden)
         prev = prev.reshape(n_rows * steps, hidden)
         rh = r.reshape(n_rows * steps, hidden) * prev
-        dxs.append(dz @ w_z + dr @ w_r + dc @ w_h)
+        dxs.append(np.concatenate((dz, dr, dc), 1) @ np.concatenate((w_z, w_r, w_h)))
         grads.append((np.concatenate((dz.T @ x, dr.T @ x, dc.T @ x)),
                       np.concatenate((dz.T @ prev, dr.T @ prev, dc.T @ rh)),
                       np.concatenate((dz.sum(0), dr.sum(0), dc.sum(0)))))

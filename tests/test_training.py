@@ -12,7 +12,7 @@ from controkit.models import TrainConfig, calibrate_threshold, fit, predict
 from controkit.models.base import label_to_int
 from controkit.metrics import prediction_set, prf
 from controkit.synthetic import make_separable_corpus, split_simple
-from controkit.textprep import Vocabulary, build_vocabulary, tokenize
+from controkit.textprep import Vocabulary, build_vocabulary
 
 from golden_neural import CONFIG, LOCK_PATH, LOCKS, TOLERANCE, build_neural_lock
 from oracles import bag_of_words_label
@@ -196,14 +196,29 @@ class TestNeuralTraining:
         cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "calibrate": True})
         validation = splits["validation"][:40]
         result = fit("tfidf", splits["train"][:100], validation, cfg)
-        model = result.classifier.model
-        expected = calibrate_threshold([model.score(tokenize(d.text)) for d in validation],
+        expected = calibrate_threshold([p.score for p in predict(result.classifier, validation)],
                                        [label_to_int(d.label) for d in validation])
         assert expected != 0.0
         assert result.classifier.threshold == expected
         cfg_plain = TrainConfig(**{**CFG.__dict__, "epochs": 1})
         plain = fit("tfidf", splits["train"][:100], splits["validation"][:40], cfg_plain)
         assert plain.classifier.threshold == 0.0
+
+    @pytest.mark.parametrize("kind", ["tfidf", "lm", "cnn"])
+    def test_calibration_reads_predicts_score_of_an_empty_document(self, kind, splits):
+        # predict gives a document without tokens EMPTY_DOC_SCORE (0.5), not
+        # the model's score of no tokens, and calibration reads those scores;
+        # a neural fit reads them from the inputs it encoded for validation
+        empty = dataclasses.replace(splits["validation"][0], id="empty", text="...",
+                                    label="controversial")
+        validation = splits["validation"][:40] + [empty]
+        cfg = TrainConfig(**{**CFG.__dict__, "epochs": 1, "calibrate": True})
+        result = fit(kind, splits["train"][:100], validation, cfg)
+        predictions = predict(result.classifier, validation)
+        assert predictions[-1].empty
+        expected = calibrate_threshold([p.score for p in predictions],
+                                       [label_to_int(d.label) for d in validation])
+        assert result.classifier.threshold == expected
 
     @pytest.mark.parametrize("kind", ["cnn", "han", "tfidf"])
     def test_one_class_validation_stops_a_calibrated_fit_before_training(self, kind, splits,
@@ -292,3 +307,25 @@ class TestBehaviourLock:
             assert epoch_got == pytest.approx(epoch_want, abs=TOLERANCE)
         assert got["threshold"] == pytest.approx(want["threshold"], abs=TOLERANCE)
         assert got["test_scores"] == pytest.approx(want["test_scores"], abs=TOLERANCE)
+
+    def test_drift_report_counts_changed_values(self, monkeypatch, capsys):
+        import golden_neural
+
+        golden = json.loads(LOCK_PATH.read_text())
+        shift = {}
+
+        def shifted(lock):
+            entry = json.loads(json.dumps(golden[lock]))
+            entry["test_scores"][0] += shift.get(lock, 0.0)
+            return entry
+
+        monkeypatch.setattr(golden_neural, "build_neural_lock", shifted)
+        shift["cnn_wide"] = TOLERANCE / 2
+        assert golden_neural.drift_report()
+        shift["han"] = 3 * TOLERANCE
+        assert not golden_neural.drift_report()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * len(LOCKS)
+        assert lines[0] == "cnn: 0 of 36 values changed, max abs drift 0 (tolerance 1e-06)"
+        assert lines[2].startswith("cnn_wide: 1 of 36 values changed, max abs drift 5e-07")
+        assert lines[5].startswith("han: 1 of 36 values changed, max abs drift 3e-06")
