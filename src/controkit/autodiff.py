@@ -16,11 +16,12 @@ rule: :func:`lookup`, :func:`conv_max_pool` (all filter widths),
 :func:`cross_entropy` and :func:`l2_penalty`; the GRU's ``gru_sequence``
 lives in ``gru.py``.
 
-Values and most gradients are dense arrays. The gradient of a table read
-only through :func:`lookup` is a :class:`RowSparseGrad` holding just the
-gathered rows, so a document's backward pass never allocates a table-sized
-array. Tensors refer to their graph weakly: the graph owns its nodes, and a
-dropped graph is freed at once by reference counting.
+Values and most gradients are dense arrays. A table is read by one
+:func:`lookup` and no other op, and its gradient is a :class:`RowSparseGrad`
+holding just the gathered rows, so a document's backward pass never
+allocates a table-sized array. Tensors refer to their graph weakly: the
+graph owns its nodes, and a dropped graph is freed at once by reference
+counting.
 
 Training math runs in float32; gradient checking builds the identical graph
 in float64.
@@ -165,10 +166,12 @@ class Graph:
         """Reverse accumulation from a scalar loss node.
 
         Returns a map of parameter name to gradient; parameters the loss does
-        not depend on get zero arrays. A parameter reached only through
-        :func:`lookup` gets a :class:`RowSparseGrad` of the rows it gathered;
-        every other gradient is a dense array. Only nodes some parameter
-        feeds run their backward rule and receive gradients; the ``grad`` of
+        not depend on get zero arrays. A parameter read by one :func:`lookup`
+        gets a :class:`RowSparseGrad` of the rows it gathered; every other
+        gradient is a dense array. A leaf read by a lookup and any other op
+        (a second lookup included), or a lookup of a node that is no leaf,
+        raises :class:`UsageError`. Only nodes some parameter feeds run
+        their backward rule and receive gradients; the ``grad`` of
         every other node (constants, frozen tables) stays None. Raises
         :class:`NumericError` on the first non-finite gradient, naming the
         node that produced it.
@@ -186,11 +189,7 @@ class Graph:
         for node in tape:
             fed[node.index] = node.op == "param" or any(fed[t.index] for t in node.inputs)
         loss.grad = np.ones_like(loss.data)
-        sparse: dict[int, list[RowSparseGrad]] = {}
         for node in reversed(tape):
-            parts = sparse.pop(node.index, None)
-            if parts is not None:
-                node.grad = _merge_sparse(node.grad, parts, dense=node._bwd is not None)
             if node.grad is None or node._bwd is None or not fed[node.index]:
                 continue
             in_grads = node._bwd(node.grad, node.data, *[t.data for t in node.inputs])
@@ -202,10 +201,13 @@ class Graph:
                     raise NumericError(
                         f"non-finite gradient flowing into {parent!r} from node {node!r}"
                     )
-                if row_sparse:
-                    sparse.setdefault(parent.index, []).append(g)
-                elif parent.grad is None:
-                    parent.grad = g.copy() if g.base is not None else g
+                if isinstance(parent.grad, RowSparseGrad) or row_sparse and (
+                        parent.grad is not None or parent._bwd is not None):
+                    raise UsageError(f"a lookup's gradient must be the only gradient of a "
+                                     f"leaf, but {parent!r} is read by another op too or "
+                                     f"is no leaf")
+                if parent.grad is None:
+                    parent.grad = g if row_sparse or g.base is None else g.copy()
                 else:
                     parent.grad = parent.grad + g
         out = {}
@@ -214,22 +216,6 @@ class Graph:
                 p.grad = np.zeros_like(p.data)
             out[name] = p.grad
         return out
-
-
-def _merge_sparse(grad, parts: list[RowSparseGrad], dense: bool):
-    """One gradient from a node's row-sparse parts plus its dense gradient
-    (or None). Rows sharing an index add in the order the parts arrived;
-    the result stays row-sparse unless it joins a dense gradient or feeds a
-    backward rule (``dense``)."""
-    if len(parts) == 1:
-        merged = parts[0]
-    else:
-        merged = RowSparseGrad.summed(np.concatenate([p.indices for p in parts]),
-                                      np.concatenate([p.values for p in parts]),
-                                      parts[0].shape)
-    if grad is not None:
-        return merged.add_to(np.array(grad))
-    return np.asarray(merged) if dense else merged
 
 
 def _record(op, inputs, fwd, bwd, name=None) -> Tensor:

@@ -111,8 +111,9 @@ class CrawlPolicy:
     A policy no crawl can honour is refused with ``UsageError``: ``max_hops``
     outside 0..``MAX_HOPS``, a negative ``retry_count``, a negative or
     non-finite ``per_host_delay``, a ``fetch_timeout`` that is not a finite
-    number > 0, a ``max_pages`` below 1, or a link class outside
-    ``DEFAULT_LINK_CLASSES``.
+    number > 0, a ``max_pages`` below 1, a link class outside
+    ``DEFAULT_LINK_CLASSES``, an ``obey_robots`` that is not a bool, or
+    ``wikipedia_hosts`` that are not a list of non-empty host names.
     """
 
     max_hops: int = MAX_HOPS
@@ -140,7 +141,14 @@ class CrawlPolicy:
             raise UsageError(f"crawl policy link_classes must list link classes "
                              f"({'|'.join(DEFAULT_LINK_CLASSES)}), got {classes!r}")
         self.link_classes = tuple(classes)
-        self.wikipedia_hosts = tuple(self.wikipedia_hosts)
+        if type(self.obey_robots) is not bool:
+            raise UsageError(f"crawl policy obey_robots must be true or false, "
+                             f"got {self.obey_robots!r}")
+        hosts = self.wikipedia_hosts
+        if not isinstance(hosts, (list, tuple)) or not all(
+                isinstance(h, str) and h for h in hosts):
+            raise UsageError(f"crawl policy wikipedia_hosts must list host names, got {hosts!r}")
+        self.wikipedia_hosts = tuple(hosts)
 
     @classmethod
     def from_json(cls, data: dict) -> "CrawlPolicy":

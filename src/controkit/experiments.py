@@ -109,7 +109,7 @@ def _config_for(spec_config: dict, kind: str, master_seed: int) -> TrainConfig:
 
 
 def _train_and_predict(model_kinds, train_docs, validation_docs, test_docs,
-                       spec_config: dict, master_seed: int, tag: str):
+                       spec_config: dict, master_seed: int):
     """The shared train-then-score step; test docs are only dereferenced
     after each model finishes training."""
     pred_sets = []
@@ -119,7 +119,7 @@ def _train_and_predict(model_kinds, train_docs, validation_docs, test_docs,
         result = fit(kind, train_docs, validation_docs, config)
         classifiers[kind] = result.classifier
         predictions = predict(result.classifier, test_docs)
-        pred_sets.append(prediction_set(predictions, test_docs, model_name=kind, tag=tag))
+        pred_sets.append(prediction_set(predictions, test_docs, model_name=kind))
     return pred_sets, classifiers
 
 
@@ -173,7 +173,7 @@ def run_baseline_comparison(train_splits: dict, external_test_docs, model_kinds,
     bootstrap intervals and pairwise significance."""
     pred_sets, classifiers = _train_and_predict(
         model_kinds, train_splits["train"], train_splits["validation"],
-        external_test_docs, spec_config, seed, tag="comparison")
+        external_test_docs, spec_config, seed)
     report = evaluate_predictions(pred_sets, n_resamples, derive_seed(seed, "eval:comparison"))
     return report, pred_sets, classifiers
 
@@ -189,10 +189,10 @@ def run_temporal(train_year_splits: dict, test_year_splits: dict, model_kinds,
     test_docs = test_year_splits["test"]
     within_preds, _ = _train_and_predict(
         model_kinds, test_year_splits["train"], test_year_splits["validation"],
-        test_docs, spec_config, derive_seed(seed, "within"), tag="within")
+        test_docs, spec_config, derive_seed(seed, "within"))
     between_preds, _ = _train_and_predict(
         model_kinds, train_year_splits["train"], train_year_splits["validation"],
-        test_docs, spec_config, derive_seed(seed, "between"), tag="between")
+        test_docs, spec_config, derive_seed(seed, "between"))
     within_report = evaluate_predictions(within_preds, n_resamples,
                                          derive_seed(seed, "eval:within"))
     between_report = evaluate_predictions(between_preds, n_resamples,
@@ -246,9 +246,10 @@ def topic_folds(docs, k: int, seed: int):
     return folds
 
 
-def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10,
-                 validation_fraction: float = 0.1):
-    """Leave-one-topic-out cross validation; metrics averaged across folds."""
+def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10):
+    """Leave-one-topic-out cross validation; metrics averaged across folds.
+    Each fold holds out a seeded tenth of its training documents (at least
+    one) for validation."""
     folds = topic_folds(docs, k, seed)
     per_fold = []
     sums: dict[str, dict[str, float]] = {m: {name: 0.0 for name in ("precision", "recall", "f1", "auc")}
@@ -256,13 +257,13 @@ def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10,
     for fold_index, (topic, test_docs, train_docs) in enumerate(folds):
         rng = np.random.default_rng(derive_seed(seed, f"topic:val:{fold_index}"))
         order = rng.permutation(len(train_docs))
-        n_val = max(1, int(len(train_docs) * validation_fraction))
+        n_val = max(1, int(len(train_docs) * 0.1))
         val_idx = set(order[:n_val].tolist())
         fold_train = [d for i, d in enumerate(train_docs) if i not in val_idx]
         fold_val = [d for i, d in enumerate(train_docs) if i in val_idx]
         pred_sets, _ = _train_and_predict(
             model_kinds, fold_train, fold_val, test_docs, spec_config,
-            derive_seed(seed, f"fold:{fold_index}"), tag=f"topic:{topic}")
+            derive_seed(seed, f"fold:{fold_index}"))
         fold_metrics = {}
         for preds in pred_sets:
             res = prf(preds)
@@ -296,7 +297,7 @@ def run_domain(splits: dict, model_kinds, spec_config: dict, seed: int,
     if not test_docs:
         raise UsageError("domain experiment: no general-web documents in the test split")
     pred_sets, _ = _train_and_predict(model_kinds, train_docs, validation_docs,
-                                      test_docs, spec_config, seed, tag="domain")
+                                      test_docs, spec_config, seed)
     report = evaluate_predictions(pred_sets, n_resamples, derive_seed(seed, "eval:domain"))
     sizes = {"train_wikipedia": len(train_docs),
              "validation_wikipedia": len(validation_docs),
@@ -368,7 +369,7 @@ def _agreement(spec: ExperimentSpec):
     test_docs = read_documents(spec.datasets["test"])
     annotations = read_annotations(spec.datasets["annotations"])
     pred_sets, _ = _train_and_predict(spec.models, splits["train"], splits["validation"],
-                                      test_docs, spec.config, spec.seed, tag="agreement")
+                                      test_docs, spec.config, spec.seed)
     rows = run_agreement(pred_sets, annotations, spec.scale_midpoint)
     report = {model: {"n": rep.n, "mean_annotation": _nan_to_none(rep.mean_annotation),
                       "certainty": _nan_to_none(rep.certainty),

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import UsageError
 
 METRIC_NAMES = ("precision", "recall", "f1", "auc")
+LEVEL = 0.95  # the confidence level of every interval and significance test
 
 _BLOCK_CELLS = 1 << 16  # draw cells per block of resamples: (r, n) int64 arrays of 512 KiB
 
@@ -35,7 +36,6 @@ class PredictionSet:
     hard_labels: np.ndarray
     true_labels: np.ndarray
     model_name: str = ""
-    experiment_tag: str = ""
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -51,7 +51,7 @@ class PredictionSet:
         return len(self.doc_ids)
 
 
-def prediction_set(predictions, docs, model_name: str = "", tag: str = "") -> PredictionSet:
+def prediction_set(predictions, docs, model_name: str = "") -> PredictionSet:
     """Build a PredictionSet from model predictions and labeled documents."""
     from .models.base import label_to_int
 
@@ -61,7 +61,6 @@ def prediction_set(predictions, docs, model_name: str = "", tag: str = "") -> Pr
         hard_labels=np.array([p.hard_label for p in predictions]),
         true_labels=np.array([label_to_int(d.label) for d in docs]),
         model_name=model_name,
-        experiment_tag=tag,
     )
 
 
@@ -220,13 +219,13 @@ class BootstrapResult:
     values: np.ndarray
     n_resamples: int
     n_skipped: int
-    level: float
     seed: int
 
 
 def bootstrap_ci(preds: PredictionSet, metric, n_resamples: int = 1000,
-                 level: float = 0.95, seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap of a metric over with-replacement resamples.
+                 seed: int = 0) -> BootstrapResult:
+    """Percentile bootstrap of a metric over with-replacement resamples, at
+    confidence ``LEVEL``.
 
     Each resample draws n documents with replacement (see the module
     docstring for the exact generator contract); resamples on which the
@@ -240,7 +239,7 @@ def bootstrap_ci(preds: PredictionSet, metric, n_resamples: int = 1000,
         n, n_resamples, seed, lambda counts: _metric_rows(preds, metric, counts))
     if not len(values):
         raise UsageError("metric undefined on every bootstrap resample")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - LEVEL) / 2.0
     lower = percentile_linear(values, 100 * alpha)
     upper = percentile_linear(values, 100 * (1 - alpha))
     return BootstrapResult(
@@ -250,7 +249,6 @@ def bootstrap_ci(preds: PredictionSet, metric, n_resamples: int = 1000,
         values=values,
         n_resamples=n_resamples,
         n_skipped=skipped,
-        level=level,
         seed=seed,
     )
 
@@ -266,12 +264,12 @@ class CompareResult:
 
 
 def compare(a: PredictionSet, b: PredictionSet, metric, n_resamples: int = 1000,
-            seed: int = 0, level: float = 0.95) -> CompareResult:
+            seed: int = 0) -> CompareResult:
     """Paired bootstrap significance of metric(a) - metric(b).
 
     Both prediction sets must cover the identical documents; each resample
     is drawn once and evaluated for both models, and the difference is
-    significant (p < 1 - level) when its percentile interval excludes 0.
+    significant (p < 1 - ``LEVEL``) when its percentile interval excludes 0.
     """
     if a.doc_ids != b.doc_ids:
         raise UsageError("compare needs predictions over the identical document set")
@@ -283,7 +281,7 @@ def compare(a: PredictionSet, b: PredictionSet, metric, n_resamples: int = 1000,
         lambda counts: _metric_rows(a, metric, counts) - _metric_rows(b, metric, counts))
     if not len(diffs):
         raise UsageError("metric undefined on every paired resample")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - LEVEL) / 2.0
     lower = percentile_linear(diffs, 100 * alpha)
     upper = percentile_linear(diffs, 100 * (1 - alpha))
     significant = bool(lower > 0.0 or upper < 0.0)
@@ -394,13 +392,6 @@ class EvalReport:
     model_names: list
     n_resamples: int
     seed: int
-    level: float = 0.95
-
-    def row(self, model: str) -> ModelEvalRow:
-        for r in self.rows:
-            if r.model == model:
-                return r
-        raise UsageError(f"no row for model {model!r}")
 
     def to_json(self) -> dict:
         return {
@@ -411,13 +402,11 @@ class EvalReport:
             "model_names": self.model_names,
             "n_resamples": self.n_resamples,
             "seed": self.seed,
-            "level": self.level,
+            "level": LEVEL,
         }
 
 
-def evaluate_predictions(pred_sets, n_resamples: int = 1000, seed: int = 0,
-                         level: float = 0.95,
-                         metrics=METRIC_NAMES) -> EvalReport:
+def evaluate_predictions(pred_sets, n_resamples: int = 1000, seed: int = 0) -> EvalReport:
     """Bootstrap every metric for every model and test pairwise differences.
 
     Each (model, metric) bootstrap and each pairwise comparison draws from
@@ -430,10 +419,10 @@ def evaluate_predictions(pred_sets, n_resamples: int = 1000, seed: int = 0,
     rows = []
     for preds in pred_sets:
         row_metrics = {}
-        for metric in metrics:
+        for metric in METRIC_NAMES:
             sub_seed = derive_seed(seed, f"ci:{preds.model_name}:{metric}")
             try:
-                result = bootstrap_ci(preds, metric, n_resamples, level, sub_seed)
+                result = bootstrap_ci(preds, metric, n_resamples, sub_seed)
                 row_metrics[metric] = {
                     "value": result.point,
                     "lower": min(result.lower, result.point),
@@ -447,20 +436,20 @@ def evaluate_predictions(pred_sets, n_resamples: int = 1000, seed: int = 0,
 
     names = [p.model_name for p in pred_sets]
     significance = {}
-    for metric in metrics:
+    for metric in METRIC_NAMES:
         matrix = [[False] * len(pred_sets) for _ in pred_sets]
         for i in range(len(pred_sets)):
             for j in range(i + 1, len(pred_sets)):
                 sub_seed = derive_seed(seed, f"cmp:{names[i]}:{names[j]}:{metric}")
                 try:
                     cmp_result = compare(pred_sets[i], pred_sets[j], metric,
-                                         n_resamples, sub_seed, level)
+                                         n_resamples, sub_seed)
                     matrix[i][j] = matrix[j][i] = cmp_result.significant
                 except UsageError:
                     pass
         significance[metric] = matrix
     return EvalReport(rows=rows, significance=significance, model_names=names,
-                      n_resamples=n_resamples, seed=seed, level=level)
+                      n_resamples=n_resamples, seed=seed)
 
 
 def eval_report_from_json(data: dict) -> EvalReport:
@@ -472,5 +461,4 @@ def eval_report_from_json(data: dict) -> EvalReport:
         model_names=data["model_names"],
         n_resamples=data["n_resamples"],
         seed=data["seed"],
-        level=data.get("level", 0.95),
     )

@@ -87,7 +87,7 @@ class NeuralModel:
     def checkpoint_parts(self):
         vocab = self.embedding.vocab
         extra = {
-            "vocab_counts": [vocab.counts.get(t, 0) for t in vocab.words()],
+            "vocab_counts": vocab.counts[2:],
             "embedding_trainable": self.embedding.trainable,
         }
         shape = {name: getattr(self, name) for name in self.SHAPE}
@@ -98,7 +98,8 @@ class NeuralModel:
         """A model of the checkpoint's shape, built by ``random``, with every
         array replaced by the stored one of the same name and shape."""
         words = ckpt.vocabulary[2:]
-        vocab = Vocabulary.from_tokens(words, dict(zip(words, ckpt.extra.get("vocab_counts", []))))
+        vocab = Vocabulary.from_tokens(words)
+        vocab.counts[2:] = ckpt.require("extra", "vocab_counts", len(words))
         vectors = ckpt.require("arrays", "embedding")
         if vectors.ndim != 2 or len(vectors) != len(vocab):
             raise DataFormatError(f"checkpoint embedding has shape {vectors.shape}, "
@@ -129,8 +130,8 @@ def _shape_value(ckpt: Checkpoint, name: str, kind: type):
 
 
 class LexicalModel:
-    """A model scoring a document's tokens. Loading reads its terms from the
-    hash-checked checkpoint vocabulary; the stored ``terms`` extra repeats it.
+    """A model scoring a document's tokens; its terms are the hash-checked
+    checkpoint vocabulary.
     A subclass fits in one deterministic pass through the classmethod
     ``train(docs, config)``, reading its settings off a ``TrainConfig``."""
 

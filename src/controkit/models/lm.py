@@ -47,7 +47,7 @@ class LmModel(LexicalModel):
         return total / n if n else 0.0
 
     def checkpoint_parts(self):
-        extra = {"terms": self.terms, "pos_counts": [int(v) for v in self.pos_counts],
+        extra = {"pos_counts": [int(v) for v in self.pos_counts],
                  "neg_counts": [int(v) for v in self.neg_counts], "mu": self.mu}
         return {}, {}, self.terms, extra
 

@@ -34,7 +34,7 @@ class TfIdfModel(LexicalModel):
         return float(vec @ self.w.astype(np.float64) + self.b)
 
     def checkpoint_parts(self):
-        extra = {"terms": self.terms, "doc_freq": [int(v) for v in self.doc_freq],
+        extra = {"doc_freq": [int(v) for v in self.doc_freq],
                  "n_docs": self.n_docs}
         arrays = {"w": self.w, "b": np.array([self.b], dtype=np.float32)}
         return {}, arrays, self.terms, extra

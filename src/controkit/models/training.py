@@ -23,7 +23,7 @@ from .. import autodiff as ad
 from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
 from ..errors import NumericError, UsageError, require_int, require_number
 from ..metrics import precision_recall_f1
-from ..optim import AdamState, adam_step, clip_gradients
+from ..optim import AdamState, adam_step
 from ..textprep import PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary
 from .base import (
     EMPTY_DOC_SCORE,
@@ -66,9 +66,7 @@ class TrainConfig:
     max_tokens: int = 400
     fine_tune_embeddings: bool = True
     embeddings_path: str | None = None
-    embeddings_binary: bool | None = None
     calibrate: bool = False
-    grad_clip: float | None = None
     lm_mu: float = 2000.0
     lm_lexicon_path: str | None = None
     tfidf_epochs: int = 200
@@ -86,11 +84,9 @@ class TrainConfig:
             raise UsageError(f"training config window_sizes must be a non-empty list of "
                              f"positive integers, got {sizes!r}")
         self.window_sizes = tuple(sizes)
-        reals = [(name, False) for name in _RATE_FIELDS] + [("lm_mu", True)]
-        if self.grad_clip is not None:
-            reals.append(("grad_clip", True))
-        for name, positive in reals:
-            require_number(f"training config {name}", getattr(self, name), positive)
+        for name in _RATE_FIELDS:
+            require_number(f"training config {name}", getattr(self, name))
+        require_number("training config lm_mu", self.lm_mu, positive=True)
         rate = self.dropout
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
             raise UsageError(f"training config dropout must lie in [0, 1), got {rate!r}")
@@ -128,7 +124,9 @@ def _extend_vocab(vocab: Vocabulary, extra_words) -> Vocabulary:
     new = [w for w in extra_words if w not in vocab.token_to_index]
     if not new:
         return vocab
-    return Vocabulary.from_tokens(vocab.words() + new, vocab.counts)
+    extended = Vocabulary.from_tokens(vocab.words() + new)
+    extended.counts[: len(vocab)] = vocab.counts
+    return extended
 
 
 def _build_embedding(train_docs, config: TrainConfig, rng,
@@ -137,7 +135,7 @@ def _build_embedding(train_docs, config: TrainConfig, rng,
         return pretrained
     vocab = build_vocabulary(train_docs, config.vocab_max_size, config.vocab_min_freq)
     if config.embeddings_path:
-        records = read_w2v(config.embeddings_path, binary=config.embeddings_binary)
+        records = read_w2v(config.embeddings_path)
         vocab = _extend_vocab(vocab, records[0])
         table = table_from_vectors(*records, vocab, config.embed_dim, rng=rng,
                                    trainable=config.fine_tune_embeddings)
@@ -234,8 +232,6 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
             for start in range(0, len(order), config.batch_size):
                 batch = [encoded_train[i] for i in order[start : start + config.batch_size]]
                 batch_loss = batch_gradients(batch)
-                if config.grad_clip is not None:
-                    clip_gradients(total, config.grad_clip)
                 adam_step(trainable, total, adam)
                 epoch_loss += batch_loss
                 n_batches += 1
@@ -292,7 +288,7 @@ def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = Non
     model_class = MODEL_CLASSES.get(kind)
     if model_class is None:
         raise UsageError(f"unknown model kind {kind!r}; expected {'|'.join(MODEL_CLASSES)}")
-    if config.calibrate and len({label_to_int(d.label) for d in validation_docs}) == 1:
+    if config.calibrate and len({label_to_int(d.label) for d in validation_docs}) < 2:
         # the same refusal calibrate_threshold makes, before any training
         raise UsageError("threshold calibration needs both classes in validation")
     if issubclass(model_class, NeuralModel):
@@ -300,7 +296,7 @@ def fit(kind: str, train_docs, validation_docs, config: TrainConfig | None = Non
                                                  pretrained)
     else:
         result, validation_scores = _train_lexical(kind, train_docs, validation_docs, config)
-    if config.calibrate and validation_docs:
+    if config.calibrate:
         result.classifier.threshold = calibrate_threshold(
             validation_scores(), [label_to_int(d.label) for d in validation_docs])
     return result

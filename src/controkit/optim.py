@@ -8,19 +8,17 @@ import numpy as np
 
 from .errors import DimensionError, UsageError
 
+# Adam's usual defaults; only the learning rate is a tuned setting here
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Optimizer state: per-parameter moment accumulators and a step count.
-
-    beta1/beta2/eps follow the optimizer's usual defaults; only the learning
-    rate is a tuned setting here.
-    """
+    """Optimizer state: per-parameter moment accumulators and a step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -57,9 +55,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
             raise UsageError(f"gradient rows of {name!r} differ from those its moments hold")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    correct1 = 1.0 - b1**t
-    correct2 = 1.0 - b2**t
+    correct1 = 1.0 - BETA1**t
+    correct2 = 1.0 - BETA2**t
     for name, p in params.items():
         rows = getattr(grads[name], "indices", None)
         values = getattr(grads[name], "values", grads[name])
@@ -81,38 +78,21 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState):
             g = flat_g[lo:hi].astype(p.dtype, copy=False)
             m, v = flat_m[lo:hi], flat_v[lo:hi]
             step, denom = scratch[:, : hi - lo]
-            np.multiply(g, 1.0 - b1, out=step)
-            m *= b1
+            np.multiply(g, 1.0 - BETA1, out=step)
+            m *= BETA1
             m += step
             np.multiply(g, g, out=denom)
-            denom *= 1.0 - b2
-            v *= b2
+            denom *= 1.0 - BETA2
+            v *= BETA2
             v += denom
             np.divide(m, correct1, out=step)       # m_hat
             step *= state.lr
             np.divide(v, correct2, out=denom)      # v_hat
             np.sqrt(denom, out=denom)
-            denom += state.eps
+            denom += EPS
             step /= denom
             target -= step
             if sel is not None:
                 p[sel] = target.reshape((-1,) + p.shape[1:])
     return params, state
 
-
-def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their global l2 norm is at most max_norm.
-
-    Off by default in training; exposed as a config knob. Returns the norm
-    before clipping. A :class:`RowSparseGrad` counts its ``values``.
-    """
-    arrays = [getattr(g, "values", g) for g in grads.values()]
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(np.square(a, dtype=np.float64)))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for a in arrays:
-            a *= factor
-    return norm

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UsageError
 
@@ -61,11 +61,13 @@ def split_sentences(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Token/index bijection with two reserved slots: 0 padding, 1 OOV."""
+    """Token/index bijection with two reserved slots: 0 padding, 1 OOV.
+    ``counts[i]`` is the corpus count of token ``i`` (0 for the reserved
+    slots and for tokens no count was given)."""
 
     token_to_index: dict[str, int]
     index_to_token: list[str]
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: list[int]
 
     def __len__(self) -> int:
         return len(self.index_to_token)
@@ -82,11 +84,15 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, ordered_tokens, counts=None) -> "Vocabulary":
+        """The vocabulary of ``ordered_tokens`` after the reserved slots;
+        ``counts`` maps tokens to their corpus counts."""
         index_to_token = [PAD_TOKEN, OOV_TOKEN] + list(ordered_tokens)
         token_to_index = {t: i for i, t in enumerate(index_to_token)}
         if len(token_to_index) != len(index_to_token):
             raise UsageError("duplicate tokens in vocabulary")
-        return cls(token_to_index, index_to_token, dict(counts or {}))
+        counts = counts or {}
+        return cls(token_to_index, index_to_token,
+                   [0, 0] + [counts.get(t, 0) for t in index_to_token[2:]])
 
 
 def build_vocabulary(corpus, max_size: int = 50_000, min_freq: int = 2) -> Vocabulary:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from controkit.corpus import (
     write_seeds,
 )
 from controkit.fixture_wiki import FixturePage, FixtureWiki, random_wiki
+from controkit.models import TrainConfig
 from controkit.synthetic import make_separable_corpus, split_simple
 
 
@@ -312,6 +314,20 @@ class TestExitCodes:
         assert "needs both classes in validation" in capsys.readouterr().err
         assert not out.exists() and not os.path.exists(f"{out}.log.json")
 
+    def test_empty_validation_with_calibration_is_exit_2(self, trained, tmp_path, capsys):
+        _, data_dir = trained
+        split_dir = tmp_path / "data"
+        os.makedirs(split_dir)
+        shutil.copy(data_dir / "train.jsonl", split_dir / "train.jsonl")
+        (split_dir / "validation.jsonl").write_text("")
+        (tmp_path / "config.json").write_text(json.dumps({"calibrate": True}))
+        out = tmp_path / "tfidf.ctrv"
+        code = main(["train", "--model", "tfidf", "--config", str(tmp_path / "config.json"),
+                     "--data", str(split_dir), "--out", str(out)])
+        assert code == 2
+        assert "needs both classes in validation" in capsys.readouterr().err
+        assert not out.exists() and not os.path.exists(f"{out}.log.json")
+
     @pytest.mark.parametrize("model, config", [
         ("cnn", {"batch_size": 0}),
         ("cnn", {"batch_size": "8"}),
@@ -337,8 +353,9 @@ class TestExitCodes:
         ("tfidf", {"tfidf_epochs": -3}),
         ("lm", {"lm_mu": -1}),
         ("lm", {"lm_mu": 0}),
-        ("cnn", {"grad_clip": -1.0}),
+        ("cnn", {"grad_clip": -1.0}),  # a removed option is an unknown key
         ("cnn", {"grad_clip": 0}),
+        ("cnn", {"embeddings_binary": True}),
         ("han", {"seed": "3"}),
         ("han", {"seed": -1}),
         ("cnn", {"seed": 1.5}),
@@ -350,7 +367,10 @@ class TestExitCodes:
         code = main(["train", "--model", model, "--config", str(tmp_path / "config.json"),
                      "--data", str(data_dir), "--out", str(out)])
         assert code == 2
-        assert f"training config {next(iter(config))}" in capsys.readouterr().err
+        key = next(iter(config))
+        message = (f"training config {key}" if key in TrainConfig.__dataclass_fields__
+                   else f"unknown training config keys: [{key!r}]")
+        assert message in capsys.readouterr().err
         assert not out.exists() and not os.path.exists(f"{out}.log.json")
 
     def test_negative_seed_flag_is_exit_2(self, trained, tmp_path, capsys):
@@ -440,6 +460,9 @@ class TestExitCodes:
         {"max_pages": 0},
         {"link_classes": ["see-also", "body"]},
         {"link_classes": "see-also"},
+        {"wikipedia_hosts": "wiki.test"},
+        {"wikipedia_hosts": ["wiki.test", ""]},
+        {"obey_robots": "no"},
     ], ids=lambda v: "{}={!r}".format(*next(iter(v.items()))))
     def test_policy_no_crawl_can_honour_is_exit_2(self, tmp_path, capsys, monkeypatch, policy):
         # the default policy crawls this wiki (crawl_artifacts); each value

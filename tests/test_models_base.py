@@ -191,6 +191,14 @@ class TestMalformedCheckpoint:
         with pytest.raises(DataFormatError, match="'doc_freq' of length"):
             load_classifier(path)
 
+    def test_vocabulary_counts_of_wrong_length(self, copy):
+        path = copy("cnn")
+        counts = load_classifier(path).model.embedding.vocab.counts
+        assert counts[:2] == [0, 0] and min(counts[2:]) >= 1  # stored by index, reserved 0
+        _edit_header(path, lambda header: header["extra"]["vocab_counts"].pop())
+        with pytest.raises(DataFormatError, match="'vocab_counts' of length"):
+            load_classifier(path)
+
     def test_missing_extra_field(self, copy):
         path = copy("tfidf")
         _edit_header(path, lambda header: header["extra"].pop("n_docs"))
