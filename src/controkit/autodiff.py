@@ -83,15 +83,16 @@ class RowSparseGrad:
         return self.indices.nbytes + self.values.nbytes
 
     def add_to(self, out):
-        """Add the stored rows into ``out``: an array, or a RowSparseGrad with all of them."""
+        """Add the stored rows into ``out``: an array, or a RowSparseGrad with all of them.
+        The indices are unique, so an indexed ``+=`` adds each row once."""
         if isinstance(out, RowSparseGrad):
             inside = np.isin(self.indices, out.indices)
             if not inside.all():
                 raise UsageError(f"gradient rows {self.indices[~inside][:5].tolist()} lie "
                                  f"outside the {len(out.indices)} rows being accumulated")
-            np.add.at(out.values, np.searchsorted(out.indices, self.indices), self.values)
+            out.values[np.searchsorted(out.indices, self.indices)] += self.values
         else:
-            np.add.at(out, self.indices, self.values)
+            out[self.indices] += self.values
         return out
 
     def __array__(self, dtype=None, copy=None):

@@ -56,6 +56,13 @@ class Checkpoint:
                                   + ("" if length is None else f" of length {length}"))
         return value
 
+    def counts(self, key: str, length: int) -> np.ndarray:
+        """``extra[key]``, which must be a list of ``length`` non-negative integers."""
+        value = self.require("extra", key, length)
+        if not isinstance(value, list) or not all(type(v) is int and v >= 0 for v in value):
+            raise DataFormatError(f"checkpoint {key!r} is not a list of non-negative integers")
+        return np.array(value, dtype=np.int64)
+
     def array(self, name: str, shape) -> np.ndarray:
         """The stored parameter ``name``, which must have ``shape``."""
         arr = self.require("arrays", name)

@@ -10,6 +10,7 @@ binding, the loss and eval scoring are shared. A lexical kind adds ``train``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -99,7 +100,7 @@ class NeuralModel:
         array replaced by the stored one of the same name and shape."""
         words = ckpt.vocabulary[2:]
         vocab = Vocabulary.from_tokens(words)
-        vocab.counts[2:] = ckpt.require("extra", "vocab_counts", len(words))
+        vocab.counts[2:] = ckpt.counts("vocab_counts", len(words)).tolist()
         vectors = ckpt.require("arrays", "embedding")
         if vectors.ndim != 2 or len(vectors) != len(vocab):
             raise DataFormatError(f"checkpoint embedding has shape {vectors.shape}, "
@@ -130,10 +131,13 @@ def _shape_value(ckpt: Checkpoint, name: str, kind: type):
 
 
 class LexicalModel:
-    """A model scoring a document's tokens; its terms are the hash-checked
-    checkpoint vocabulary.
-    A subclass fits in one deterministic pass through the classmethod
-    ``train(docs, config)``, reading its settings off a ``TrainConfig``."""
+    """A model scoring a document's tokens; its sorted ``terms`` are the
+    hash-checked checkpoint vocabulary. A subclass fits in one deterministic
+    pass of :func:`count_terms` through the classmethod ``train(docs, config)``,
+    reading its settings off a ``TrainConfig``."""
+
+    def __post_init__(self):
+        self.term_index = {t: i for i, t in enumerate(self.terms)}
 
     def network_input(self, doc, limits: EncodeLimits | None = None) -> list[str]:
         """The tokens of a document (or a text); a lexical model reads no limits."""
@@ -141,6 +145,43 @@ class LexicalModel:
         if not tokens:
             raise EmptyDocumentError("document has no tokens")
         return tokens
+
+
+def count_terms(token_lists):
+    """The sorted terms of some token lists, and CSR arrays ``(indptr, ids,
+    counts)`` of each list's distinct terms: list k holds the ascending ids
+    ``ids[indptr[k]:indptr[k + 1]]`` with their float64 ``counts``.
+
+    A list's tokens become term ids as it is read, so a generator holds one
+    list at a time; a term gets the next id when first looked up. One sort
+    of the (list, term) keys in sorted-term order then counts every list;
+    it sorts in place, where ``np.unique`` would copy the keys.
+    """
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    # a list extends from map faster than an array, and holds 8-byte
+    # references to the dict's own ints
+    token_ids, lengths = [], []
+    for tokens in token_lists:
+        token_ids += map(first_seen.__getitem__, tokens)
+        lengths.append(len(tokens))
+    terms = sorted(first_seen)
+    rank = np.empty(len(terms), dtype=np.int64)  # first-seen id -> sorted position
+    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
+    keys = np.fromiter(token_ids, dtype=np.int64, count=len(token_ids))
+    del token_ids
+    keys = rank[keys]
+    width = max(len(terms), 1)
+    keys += np.repeat(np.arange(len(lengths)) * width, lengths)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)  # where a new (list, term) key starts
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.r_[starts, len(keys)]).astype(np.float64)
+    keys = keys[starts]
+    lists, ids = np.divmod(keys, width)
+    indptr = np.r_[0, np.cumsum(np.bincount(lists, minlength=len(lengths)))]
+    return terms, indptr, ids, counts
 
 
 @dataclass

@@ -12,39 +12,49 @@ controversial. Tokens outside the shared vocabulary are skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from ..corpus import CONTROVERSIAL
 from ..errors import DataFormatError, UsageError
 from ..textprep import tokenize
-from .base import LexicalModel
+from .base import LexicalModel, count_terms
 
 DEFAULT_MU = 2000.0
 
 
 @dataclass
 class LmModel(LexicalModel):
+    """Per-class term counts; ``p_pos``, ``p_neg`` and ``log_ratio`` derive from them."""
     terms: list[str]
-    term_index: dict[str, int]
-    pos_counts: np.ndarray
-    neg_counts: np.ndarray
+    pos_counts: np.ndarray  # int64
+    neg_counts: np.ndarray  # int64
     mu: float
-    p_pos: np.ndarray
-    p_neg: np.ndarray
-    log_ratio: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        pos, neg = self.pos_counts.astype(np.float64), self.neg_counts.astype(np.float64)
+        if pos.shape != neg.shape or len(self.terms) != len(pos):
+            raise UsageError("terms and count tables must align")
+        background = pos + neg
+        total = background.sum()
+        if total <= 0:
+            raise UsageError("language model needs a non-empty training corpus")
+        p_bg = background / total
+        self.p_pos = (pos + self.mu * p_bg) / (pos.sum() + self.mu)
+        self.p_neg = (neg + self.mu * p_bg) / (neg.sum() + self.mu)
+        self.log_ratio = np.log(self.p_pos) - np.log(self.p_neg)
 
     def score(self, tokens) -> float:
-        """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none."""
-        total = 0.0
-        n = 0
-        for tok in tokens:
-            idx = self.term_index.get(tok)
-            if idx is not None:
-                total += self.log_ratio[idx]
-                n += 1
-        return total / n if n else 0.0
+        """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none. The
+        ratios add in token order (``np.sum`` would add them pairwise)."""
+        ids = np.fromiter(map(self.term_index.get, tokens, repeat(-1)), dtype=np.int64,
+                          count=len(tokens))
+        ratios = self.log_ratio[ids[ids >= 0]]
+        return float(np.cumsum(ratios)[-1] / len(ratios)) if len(ratios) else 0.0
 
     def checkpoint_parts(self):
         extra = {"pos_counts": [int(v) for v in self.pos_counts],
@@ -61,34 +71,11 @@ class LmModel(LexicalModel):
     @classmethod
     def from_checkpoint(cls, ckpt) -> "LmModel":
         terms = ckpt.vocabulary
-        return lm_from_counts(terms=terms,
-                              pos_counts=ckpt.require("extra", "pos_counts", len(terms)),
-                              neg_counts=ckpt.require("extra", "neg_counts", len(terms)),
-                              mu=ckpt.require("extra", "mu"))
-
-
-def lm_from_counts(terms, pos_counts, neg_counts, mu: float = DEFAULT_MU) -> LmModel:
-    pos = np.asarray(pos_counts, dtype=np.float64)
-    neg = np.asarray(neg_counts, dtype=np.float64)
-    if pos.shape != neg.shape or len(terms) != pos.shape[0]:
-        raise UsageError("terms and count tables must align")
-    background = pos + neg
-    total = background.sum()
-    if total <= 0:
-        raise UsageError("language model needs a non-empty training corpus")
-    p_bg = background / total
-    p_pos = (pos + mu * p_bg) / (pos.sum() + mu)
-    p_neg = (neg + mu * p_bg) / (neg.sum() + mu)
-    return LmModel(
-        terms=list(terms),
-        term_index={t: i for i, t in enumerate(terms)},
-        pos_counts=pos.astype(np.int64),
-        neg_counts=neg.astype(np.int64),
-        mu=float(mu),
-        p_pos=p_pos,
-        p_neg=p_neg,
-        log_ratio=np.log(p_pos) - np.log(p_neg),
-    )
+        mu = ckpt.require("extra", "mu")
+        if type(mu) not in (int, float) or not 0 < mu < math.inf:
+            raise DataFormatError(f"checkpoint mu {mu!r} is not a finite number > 0")
+        return cls(terms=terms, pos_counts=ckpt.counts("pos_counts", len(terms)),
+                   neg_counts=ckpt.counts("neg_counts", len(terms)), mu=float(mu))
 
 
 def read_lexicon(path) -> set[str]:
@@ -112,27 +99,22 @@ def lm_train(docs, mu: float = DEFAULT_MU, lexicon=None) -> LmModel:
     lexicon = None if lexicon is None else set(lexicon)
     if lexicon == set():
         raise UsageError("lexicon has no terms; pass None to train without one")
-    pos: dict[str, int] = {}
-    neg: dict[str, int] = {}
-    has_pos = has_neg = False
-    for doc in docs:
-        tokens = tokenize(doc.text)
-        if lexicon is not None and not any(t in lexicon for t in tokens):
-            continue
-        table = pos if doc.label == CONTROVERSIAL else neg
-        if doc.label == CONTROVERSIAL:
-            has_pos = True
-        else:
-            has_neg = True
-        for tok in tokens:
-            table[tok] = table.get(tok, 0) + 1
-    if not (has_pos and has_neg):
+    positive = []  # per kept document, whether it is controversial
+
+    def kept_tokens():
+        for doc in docs:
+            tokens = tokenize(doc.text)
+            if lexicon is None or not lexicon.isdisjoint(tokens):
+                positive.append(doc.label == CONTROVERSIAL)
+                yield tokens
+
+    terms, indptr, ids, counts = count_terms(kept_tokens())
+    if all(positive) or not any(positive):
         raise UsageError("language model training needs documents of both classes"
                          + (" after lexicon filtering" if lexicon else ""))
-    terms = sorted(set(pos) | set(neg))
-    return lm_from_counts(
-        terms=terms,
-        pos_counts=[pos.get(t, 0) for t in terms],
-        neg_counts=[neg.get(t, 0) for t in terms],
-        mu=mu,
-    )
+    # one bincount: the negative class's counts, then the positive class's
+    is_pos = np.repeat(positive, np.diff(indptr))
+    class_counts = np.bincount(ids + len(terms) * is_pos, counts,
+                               minlength=2 * len(terms)).astype(np.int64)
+    return LmModel(terms=terms, pos_counts=class_counts[len(terms):],
+                   neg_counts=class_counts[:len(terms)], mu=float(mu))

@@ -7,31 +7,52 @@ mean hinge loss plus an l2 penalty; the score is the raw margin w.x + b.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..corpus import CONTROVERSIAL
-from ..errors import UsageError
+from ..errors import DataFormatError, UsageError
 from ..textprep import tokenize
-from .base import LexicalModel
+from .base import LexicalModel, count_terms
 
 
 @dataclass
 class TfIdfModel(LexicalModel):
+    """Document frequencies, from which ``idf`` derives, and the margin weights."""
     terms: list[str]
-    term_index: dict[str, int]
-    doc_freq: np.ndarray
+    doc_freq: np.ndarray  # int64
     n_docs: int
-    idf: np.ndarray
     w: np.ndarray  # float32, one weight per term
     b: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        self.idf = np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq)) + 1.0
+
+    def feature_row(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The l2-normalized tf-idf values of a document's ascending term
+        ``ids`` with their ``counts``: the one row builder of fit and score."""
+        row = counts * self.idf[ids]
+        norm = math.sqrt(row.dot(row))  # np.linalg.norm's sum, without its checks
+        if norm > 0:
+            row /= norm
+        return row
+
+    def term_counts(self, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending ids of a document's in-vocabulary terms, with their
+        float64 counts: the form :func:`count_terms` gives a training document."""
+        counts = Counter(tokens)
+        known = [t for t in sorted(counts) if t in self.term_index]  # sorted terms: ids ascend
+        return (np.fromiter(map(self.term_index.__getitem__, known), np.int64, len(known)),
+                np.fromiter(map(counts.__getitem__, known), np.float64, len(known)))
+
     def score(self, tokens) -> float:
-        """Margin w.x + b; positive favors controversial."""
-        vec = tfidf_vector(tokens, self)
-        return float(vec @ self.w.astype(np.float64) + self.b)
+        """Margin w.x + b over the document's own terms; positive favors controversial."""
+        ids, counts = self.term_counts(tokens)
+        return float(self.feature_row(ids, counts) @ self.w[ids].astype(np.float64) + self.b)
 
     def checkpoint_parts(self):
         extra = {"doc_freq": [int(v) for v in self.doc_freq],
@@ -47,60 +68,21 @@ class TfIdfModel(LexicalModel):
     @classmethod
     def from_checkpoint(cls, ckpt) -> "TfIdfModel":
         terms = ckpt.vocabulary
-        return tfidf_from_counts(terms=terms,
-                                 doc_freq=ckpt.require("extra", "doc_freq", len(terms)),
-                                 n_docs=ckpt.require("extra", "n_docs"),
-                                 w=ckpt.array("w", (len(terms),)),
-                                 b=float(ckpt.array("b", (1,))[0]))
+        doc_freq = ckpt.counts("doc_freq", len(terms))
+        n_docs = ckpt.require("extra", "n_docs")
+        if type(n_docs) is not int or n_docs < doc_freq.max(initial=0):
+            raise DataFormatError(f"checkpoint n_docs {n_docs!r} is not an integer "
+                                  f"at least every document frequency")
+        return cls(terms=terms, doc_freq=doc_freq, n_docs=n_docs,
+                   w=ckpt.array("w", (len(terms),)), b=float(ckpt.array("b", (1,))[0]))
 
 
-def _idf(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
-    return np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
-
-
-def tfidf_from_counts(terms, doc_freq, n_docs, w, b) -> TfIdfModel:
-    doc_freq = np.asarray(doc_freq, dtype=np.int64)
-    return TfIdfModel(
-        terms=list(terms),
-        term_index={t: i for i, t in enumerate(terms)},
-        doc_freq=doc_freq,
-        n_docs=int(n_docs),
-        idf=_idf(doc_freq, int(n_docs)),
-        w=np.asarray(w, dtype=np.float32),
-        b=float(b),
-    )
-
-
-def tfidf_vector(tokens, model: TfIdfModel) -> np.ndarray:
-    """l2-normalized tf-idf feature vector; unseen terms contribute nothing."""
-    vec = np.zeros(len(model.terms), dtype=np.float64)
-    for tok in tokens:
-        idx = model.term_index.get(tok)
-        if idx is not None:
-            vec[idx] += 1.0
-    vec *= model.idf
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
-
-
-def _feature_matrix(doc_counts, model: TfIdfModel):
-    """CSR arrays ``(rows, cols, data)`` of the training documents' feature
-    vectors: columns ascend within each row, and each row is normalized on
-    its own as :func:`tfidf_vector` does."""
-    cols, data = [], []
-    for ids, counts in doc_counts:
-        order = np.argsort(ids)
-        row_cols = ids[order]
-        row = counts[order] * model.idf[row_cols]
-        norm = np.linalg.norm(row)
-        if norm > 0:
-            row /= norm
-        cols.append(row_cols)
-        data.append(row)
-    rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
-    return rows, np.concatenate(cols), np.concatenate(data)
+def _feature_matrix(indptr, ids, counts, model: TfIdfModel):
+    """COO arrays ``(rows, cols, data)`` of the feature rows of the documents
+    :func:`count_terms` counted, each row built by ``feature_row``."""
+    bounds = indptr.tolist()
+    data = [model.feature_row(ids[a:b], counts[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), ids, np.concatenate(data)
 
 
 def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> TfIdfModel:
@@ -120,33 +102,14 @@ def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> T
     if not ((labels > 0).any() and (labels < 0).any()):
         raise UsageError("tf-idf training needs both classes in the corpus")
 
-    # Each document is counted as it is tokenized; a token gets the next id
-    # when first looked up, and ids are remapped to sorted-term order below.
-    first_seen: defaultdict[str, int] = defaultdict()
-    first_seen.default_factory = first_seen.__len__
-    doc_counts = []
-    for d in docs:
-        counts = Counter(tokenize(d.text))
-        ids = np.fromiter(map(first_seen.__getitem__, counts), dtype=np.int64,
-                          count=len(counts))
-        doc_counts.append((ids, np.fromiter(counts.values(), dtype=np.float64,
-                                            count=len(counts))))
-    terms = sorted(first_seen)
-    rank = np.argsort([first_seen[t] for t in terms])  # first-seen id -> sorted position
-    doc_counts = [(rank[ids], counts) for ids, counts in doc_counts]
+    terms, indptr, ids, counts = count_terms(tokenize(d.text) for d in docs)
     n_docs = len(docs)
     n_terms = len(terms)
-    model = tfidf_from_counts(
-        terms=terms,
-        doc_freq=np.bincount(np.concatenate([ids for ids, _ in doc_counts]),
-                             minlength=n_terms),
-        n_docs=n_docs,
-        w=np.zeros(n_terms, dtype=np.float32),
-        b=0.0,
-    )
+    model = TfIdfModel(terms=terms, doc_freq=np.bincount(ids, minlength=n_terms),
+                       n_docs=n_docs, w=np.zeros(n_terms, dtype=np.float32), b=0.0)
 
-    rows, cols, data = _feature_matrix(doc_counts, model)
-    del doc_counts
+    rows, cols, data = _feature_matrix(indptr, ids, counts, model)
+    del counts
     w = np.zeros(n_terms, dtype=np.float64)
     b = 0.0
     hinge_violating = hinge_grad_w = None

@@ -7,8 +7,16 @@ Zipf law, so that many documents violate the margin at every epoch. Per
 corpus the lock holds the sha256 of the tf-idf weights, idf and document
 frequencies, the bias and every held-out score as ``float.hex`` strings,
 and the LM's held-out scores. ``tests/test_models_lexical.py`` compares a
-fresh run with the committed golden exactly. Regenerate it after an
-intentional change to lexical training or scoring with:
+fresh run with the committed golden exactly.
+
+Print, per corpus, how many pinned values a fresh run changes and the
+largest absolute drift of the pinned floats (exit status 1 if any value
+changed) with:
+
+    PYTHONPATH=src python tests/golden_lexical.py
+
+and regenerate the golden after an intentional change to lexical training
+or scoring with:
 
     PYTHONPATH=src python tests/golden_lexical.py --write
 """
@@ -21,6 +29,7 @@ from pathlib import Path
 
 LOCK_PATH = Path(__file__).parent / "data" / "golden" / "lexical_lock.json"
 CORPORA = ("separable", "zipf")
+FLOAT_KEYS = ("b", "test_scores")  # pinned as float.hex strings
 
 
 def _sha256(array) -> str:
@@ -79,10 +88,46 @@ def build_lexical_lock(name: str) -> dict:
     }
 
 
+def _pinned_values(entry: dict) -> list:
+    """Every ``(key, value)`` one corpus pins, in a fixed order; floats are
+    read from their hex strings."""
+    out = []
+    for model, pinned in sorted(entry.items()):
+        for key, value in sorted(pinned.items()):
+            values = value if isinstance(value, list) else [value]
+            out += [(f"{model}.{key}", float.fromhex(v) if key in FLOAT_KEYS else v)
+                    for v in values]
+    return out
+
+
+def drift_report() -> bool:
+    """Print, per corpus, the count of pinned values a fresh run changes and
+    the largest absolute drift of the changed floats, naming any other
+    changed key; returns whether no value changed."""
+    golden = json.loads(LOCK_PATH.read_text())
+    unchanged = True
+    for name in CORPORA:
+        got, want = _pinned_values(build_lexical_lock(name)), _pinned_values(golden[name])
+        if [key for key, _ in got] != [key for key, _ in want]:
+            print(f"{name}: {len(got)} values against {len(want)} pinned")
+            unchanged = False
+            continue
+        changed = [(key, a, b) for (key, a), (_, b) in zip(got, want) if a != b]
+        drift = max((abs(a - b) for _, a, b in changed if isinstance(a, float)), default=0.0)
+        others = sorted({key for key, a, _ in changed if not isinstance(a, float)})
+        print(f"{name}: {len(changed)} of {len(got)} values changed, max abs drift "
+              f"{drift:.2g}" + (f"; changed: {', '.join(others)}" if others else ""))
+        unchanged = unchanged and not changed
+    return unchanged
+
+
 if __name__ == "__main__":
-    if "--write" not in sys.argv:
-        print("usage: python tests/golden_lexical.py --write", file=sys.stderr)
+    if sys.argv[1:] == ["--write"]:
+        lock = {name: build_lexical_lock(name) for name in CORPORA}
+        LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {LOCK_PATH}")
+    elif sys.argv[1:]:
+        print("usage: python tests/golden_lexical.py [--write]", file=sys.stderr)
         sys.exit(2)
-    lock = {name: build_lexical_lock(name) for name in CORPORA}
-    LOCK_PATH.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {LOCK_PATH}")
+    else:
+        sys.exit(0 if drift_report() else 1)

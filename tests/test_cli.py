@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from controkit.checkpoint import load_checkpoint, save_checkpoint
 from controkit.cli import main
 from controkit.corpus import (
     CONTROVERSIAL,
@@ -165,11 +166,12 @@ def trained(tmp_path_factory):
     config = {"epochs": 1, "vocab_min_freq": 1, "calibrate": True}
     with open(tmp / "config.json", "w") as f:
         json.dump(config, f)
-    code = main([
-        "train", "--model", "tfidf", "--config", str(tmp / "config.json"),
-        "--data", str(data_dir), "--out", str(tmp / "tfidf.ctrv"), "--seed", "4",
-    ])
-    assert code == 0
+    for kind in ("tfidf", "lm"):
+        code = main([
+            "train", "--model", kind, "--config", str(tmp / "config.json"),
+            "--data", str(data_dir), "--out", str(tmp / f"{kind}.ctrv"), "--seed", "4",
+        ])
+        assert code == 0
     return tmp, data_dir
 
 
@@ -551,6 +553,29 @@ class TestExitCodes:
         code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir / "test.jsonl")])
         assert code == 3
         assert "needs a name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key,tamper", [
+        pytest.param("lm", "pos_counts", lambda v: ["x", *v[1:]], id="pos_counts-string"),
+        pytest.param("lm", "mu", str, id="mu-string"),
+        pytest.param("tfidf", "doc_freq", lambda v: ["x", *v[1:]], id="doc_freq-string"),
+        pytest.param("tfidf", "n_docs", str, id="n_docs-string"),
+        pytest.param("lm", "pos_counts", lambda v: [-1, *v[1:]], id="pos_counts-negative"),
+        pytest.param("lm", "mu", lambda v: -5.0, id="mu-negative"),
+        pytest.param("tfidf", "doc_freq", lambda v: [-7, *v[1:]], id="doc_freq-negative"),
+        pytest.param("tfidf", "n_docs", lambda v: 0, id="n_docs-below-doc_freq"),
+    ])
+    def test_tampered_count_tables_are_data_errors(self, trained, tmp_path, capsys, kind, key,
+                                                  tamper):
+        tmp, data_dir = trained
+        ckpt = load_checkpoint(tmp / f"{kind}.ctrv")
+        ckpt.extra[key] = tamper(ckpt.extra[key])
+        bad = tmp_path / "bad.ctrv"
+        save_checkpoint(bad, ckpt.kind, ckpt.hyperparameters, ckpt.arrays,
+                        vocabulary=ckpt.vocabulary, extra=ckpt.extra)
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir / "test.jsonl"),
+                     "--n-resamples", "10"])
+        assert code == 3
+        assert key in capsys.readouterr().err
 
     def test_argparse_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -199,6 +199,13 @@ class TestMalformedCheckpoint:
         with pytest.raises(DataFormatError, match="'vocab_counts' of length"):
             load_classifier(path)
 
+    @pytest.mark.parametrize("kind,key", [("cnn", "vocab_counts"), ("tfidf", "doc_freq")])
+    def test_count_table_of_negative_counts(self, copy, kind, key):
+        path = copy(kind)
+        _edit_header(path, lambda header: header["extra"][key].__setitem__(0, -1))
+        with pytest.raises(DataFormatError, match=f"'{key}' is not a list of non-negative"):
+            load_classifier(path)
+
     def test_missing_extra_field(self, copy):
         path = copy("tfidf")
         _edit_header(path, lambda header: header["extra"].pop("n_docs"))

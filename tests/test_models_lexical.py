@@ -8,11 +8,12 @@ import pytest
 from controkit.corpus import CONTROVERSIAL, NON_CONTROVERSIAL
 from controkit.errors import DataFormatError, UsageError
 from controkit.models import TrainConfig, fit
+from controkit.models.base import count_terms
 from controkit.models.lm import lm_train
-from controkit.models.tfidf import tfidf_train, tfidf_vector
+from controkit.models.tfidf import _feature_matrix, tfidf_train
 from controkit.synthetic import make_separable_corpus
 from controkit.textprep import tokenize
-from golden_lexical import CORPORA, LOCK_PATH, build_lexical_lock
+from golden_lexical import CORPORA, LOCK_PATH, build_lexical_lock, lock_corpus
 
 
 def doc(text, label=CONTROVERSIAL):
@@ -25,6 +26,23 @@ def doc(text, label=CONTROVERSIAL):
     return d
 
 
+def feature_row(model, tokens):
+    """A document's ascending term ids and its tf-idf row, as ``score`` builds it."""
+    ids, counts = model.term_counts(tokens)
+    return ids, model.feature_row(ids, counts)
+
+
+def test_count_terms_gives_each_list_its_ascending_ids_and_counts():
+    terms, indptr, ids, counts = count_terms(iter([["b", "a", "b"], [], ["c", "a"]]))
+    assert terms == ["a", "b", "c"]
+    assert indptr.tolist() == [0, 2, 2, 4]
+    assert ids.tolist() == [0, 1, 0, 2]
+    assert counts.tolist() == [1.0, 2.0, 1.0, 1.0] and counts.dtype == np.float64
+    terms, indptr, ids, counts = count_terms([[], []])
+    assert terms == [] and indptr.tolist() == [0, 0, 0]
+    assert ids.tolist() == [] and counts.tolist() == []
+
+
 class TestTfIdf:
     def test_feature_values_match_hand_computation(self):
         corpus = [doc("a a b", CONTROVERSIAL), doc("b c", NON_CONTROVERSIAL)]
@@ -35,7 +53,8 @@ class TestTfIdf:
         assert model.idf[model.term_index["b"]] == pytest.approx(1.0, abs=1e-9)
         raw_b, raw_c = 1.0, idf_a
         norm = math.sqrt(raw_b**2 + raw_c**2)
-        vec = tfidf_vector(["b", "c"], model)
+        ids, row = feature_row(model, ["b", "c"])
+        vec = dict(zip(ids.tolist(), row))
         assert vec[model.term_index["b"]] == pytest.approx(0.580, abs=5e-4)
         assert vec[model.term_index["c"]] == pytest.approx(0.815, abs=5e-4)
         assert vec[model.term_index["b"]] == pytest.approx(raw_b / norm, abs=1e-9)
@@ -54,7 +73,11 @@ class TestTfIdf:
         ]
         # perceptron oracle confirms linear separability of the tf-idf vectors
         probe = tfidf_train(corpus, epochs=0)
-        xs = [tfidf_vector(d.text.split(), probe) for d in corpus]
+        xs = []
+        for d in corpus:
+            ids, row = feature_row(probe, d.text.split())
+            xs.append(np.zeros(len(probe.terms)))
+            xs[-1][ids] = row
         ys = [1 if d.label == CONTROVERSIAL else -1 for d in corpus]
         w = np.zeros(len(probe.terms))
         b = 0.0
@@ -84,9 +107,24 @@ class TestTfIdf:
     def test_count_scaling_invariance(self):
         corpus = [doc("a a b c", CONTROVERSIAL), doc("b c d", NON_CONTROVERSIAL)]
         model = tfidf_train(corpus, epochs=0)
-        base = tfidf_vector(["a", "a", "b"], model)
-        tripled = tfidf_vector(["a"] * 6 + ["b"] * 3, model)
+        base_ids, base = feature_row(model, ["a", "a", "b"])
+        tripled_ids, tripled = feature_row(model, ["a"] * 6 + ["b"] * 3)
+        assert np.array_equal(base_ids, tripled_ids)
         assert np.allclose(base, tripled, atol=1e-12)
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_training_document_scores_its_training_row(self, corpus):
+        # score and the fit build a document's row in one place, so a
+        # training document's margin is its feature-matrix row @ w + b
+        train, _ = lock_corpus(corpus)
+        model = tfidf_train(train)
+        terms, *counted = count_terms(tokenize(d.text) for d in train)
+        assert terms == model.terms
+        rows, cols, data = _feature_matrix(*counted, model)
+        for i, d in enumerate(train):
+            in_row = rows == i
+            margin = data[in_row] @ model.w[cols[in_row]].astype(np.float64) + model.b
+            assert model.score(tokenize(d.text)).hex() == float(margin).hex()
 
     def test_bincount_adds_in_reading_order(self):
         # tfidf_train matches scipy's CSR and CSC kernels bit for bit only
@@ -250,3 +288,29 @@ class TestLexicalLock:
     def test_seeded_fit_matches_golden(self, corpus):
         golden = json.loads(LOCK_PATH.read_text())[corpus]
         assert build_lexical_lock(corpus) == golden
+
+    def test_drift_report_counts_changed_values(self, monkeypatch, capsys):
+        import golden_lexical
+
+        golden = json.loads(LOCK_PATH.read_text())
+        shift, digest_changed = {}, set()
+
+        def shifted(corpus):
+            entry = json.loads(json.dumps(golden[corpus]))
+            scores = entry["tfidf"]["test_scores"]
+            scores[0] = (float.fromhex(scores[0]) + shift.get(corpus, 0.0)).hex()
+            if corpus in digest_changed:
+                entry["tfidf"]["w_sha256"] = "0" * 64
+            return entry
+
+        monkeypatch.setattr(golden_lexical, "build_lexical_lock", shifted)
+        assert golden_lexical.drift_report()
+        shift["zipf"] = 0.25
+        digest_changed.add("separable")
+        assert not golden_lexical.drift_report()
+        assert capsys.readouterr().out.splitlines() == [
+            "separable: 0 of 47 values changed, max abs drift 0",
+            "zipf: 0 of 85 values changed, max abs drift 0",
+            "separable: 1 of 47 values changed, max abs drift 0; changed: tfidf.w_sha256",
+            "zipf: 1 of 85 values changed, max abs drift 0.25",
+        ]
