@@ -22,7 +22,7 @@ config = {
 }
 
 t0 = time.time()
-report, pred_sets, classifiers = run_baseline_comparison(
+report, _ = run_baseline_comparison(
     splits, splits["test"], ("tfidf", "lm", "cnn", "han"),
     config, seed=3, n_resamples=200)
 print(f"trained and evaluated 4 models in {time.time() - t0:.0f}s\n")

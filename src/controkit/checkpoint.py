@@ -130,7 +130,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(
                 f"truncated parameter payload for {entry['name']!r}", offset=pos
             )
-        arrays[entry["name"]] = np.frombuffer(raw[pos:end], dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(raw[pos:end], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"checkpoint parameter {entry['name']!r} holds non-finite "
+                                  "values", offset=pos)
+        arrays[entry["name"]] = arr
         pos = end
     if pos != len(raw):
         raise DataFormatError(f"{len(raw) - pos} trailing bytes after parameters", offset=pos)

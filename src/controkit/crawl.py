@@ -33,6 +33,8 @@ from .errors import ControkitError, UsageError
 
 logger = logging.getLogger(__name__)
 
+USER_AGENT = "controkit/0.1 (research crawler)"  # sent, and matched against robots.txt
+
 _HEADING_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6"}
 _SKIP_TAGS = {"script", "style", "nav", "header", "footer"}
 _SECTION_NAMES = {
@@ -144,12 +146,11 @@ class HttpFetcher:
     """requests-backed fetcher with per-host politeness and robots checks."""
 
     def __init__(self, policy: CrawlPolicy, random_url: str | None = None,
-                 user_agent: str = "controkit/0.1 (research crawler)",
                  sleep=time.sleep, clock=time.monotonic):
         self.policy = policy
         self.random_url = random_url
         self.session = requests.Session()
-        self.session.headers["User-Agent"] = user_agent
+        self.session.headers["User-Agent"] = USER_AGENT
         self._sleep = sleep
         self._clock = clock
         self._last_fetch: dict[str, float] = {}
@@ -186,7 +187,7 @@ class HttpFetcher:
         if not self.policy.obey_robots:
             return True
         parser = self._robots_for(url)
-        return parser is None or parser.can_fetch(self.session.headers["User-Agent"], url)
+        return parser is None or parser.can_fetch(USER_AGENT, url)
 
     def fetch(self, url: str) -> FetchedPage:
         if not self.allowed(url):
@@ -300,19 +301,19 @@ def crawl_snowball(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
 
 
 def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
-                     exclude_ids=(), clock=None, max_attempts: int | None = None) -> tuple[CrawlResult, list[Seed]]:
+                     exclude_ids=(), clock=None) -> tuple[CrawlResult, list[Seed]]:
     """Draw ``n`` distinct random articles and expand each with the same
     hop policy.
 
     Articles colliding with ``exclude_ids`` (e.g. already-crawled
     controversial pages) or with an earlier draw are resampled; when the
-    attempt budget runs out a :class:`UsageError` is raised. Failed draws
-    come first in the result's failures.
+    budget of ``max(5n, n + 20)`` draws runs out a :class:`UsageError` is
+    raised. Failed draws come first in the result's failures.
     """
     if n <= 0:
         raise UsageError("need a positive number of negative seeds")
     exclude = set(exclude_ids)
-    attempts_left = max_attempts if max_attempts is not None else max(5 * n, n + 20)
+    attempts_left = max(5 * n, n + 20)
     chosen: list[Seed] = []
     chosen_ids: set[str] = set()
     failures: list[tuple[str, str]] = []

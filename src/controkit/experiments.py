@@ -110,17 +110,15 @@ def _config_for(spec_config: dict, kind: str, master_seed: int) -> TrainConfig:
 
 def _train_and_predict(model_kinds, train_docs, validation_docs, test_docs,
                        spec_config: dict, master_seed: int):
-    """The shared train-then-score step; test docs are only dereferenced
-    after each model finishes training."""
+    """The shared train-then-score step: one prediction set per model kind;
+    test docs are only dereferenced after each model finishes training."""
     pred_sets = []
-    classifiers = {}
     for kind in model_kinds:
         config = _config_for(spec_config, kind, master_seed)
         result = fit(kind, train_docs, validation_docs, config)
-        classifiers[kind] = result.classifier
         predictions = predict(result.classifier, test_docs)
         pred_sets.append(prediction_set(predictions, test_docs, model_name=kind))
-    return pred_sets, classifiers
+    return pred_sets
 
 
 def dataset_fingerprint(path) -> str:
@@ -171,11 +169,11 @@ def run_baseline_comparison(train_splits: dict, external_test_docs, model_kinds,
                             spec_config: dict, seed: int, n_resamples: int = 1000):
     """Train every model once and evaluate on an external test set with
     bootstrap intervals and pairwise significance."""
-    pred_sets, classifiers = _train_and_predict(
+    pred_sets = _train_and_predict(
         model_kinds, train_splits["train"], train_splits["validation"],
         external_test_docs, spec_config, seed)
     report = evaluate_predictions(pred_sets, n_resamples, derive_seed(seed, "eval:comparison"))
-    return report, pred_sets, classifiers
+    return report, pred_sets
 
 
 def run_temporal(train_year_splits: dict, test_year_splits: dict, model_kinds,
@@ -187,10 +185,10 @@ def run_temporal(train_year_splits: dict, test_year_splits: dict, model_kinds,
     so the percentage deltas isolate the training-time shift.
     """
     test_docs = test_year_splits["test"]
-    within_preds, _ = _train_and_predict(
+    within_preds = _train_and_predict(
         model_kinds, test_year_splits["train"], test_year_splits["validation"],
         test_docs, spec_config, derive_seed(seed, "within"))
-    between_preds, _ = _train_and_predict(
+    between_preds = _train_and_predict(
         model_kinds, train_year_splits["train"], train_year_splits["validation"],
         test_docs, spec_config, derive_seed(seed, "between"))
     within_report = evaluate_predictions(within_preds, n_resamples,
@@ -261,7 +259,7 @@ def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10):
         val_idx = set(order[:n_val].tolist())
         fold_train = [d for i, d in enumerate(train_docs) if i not in val_idx]
         fold_val = [d for i, d in enumerate(train_docs) if i in val_idx]
-        pred_sets, _ = _train_and_predict(
+        pred_sets = _train_and_predict(
             model_kinds, fold_train, fold_val, test_docs, spec_config,
             derive_seed(seed, f"fold:{fold_index}"))
         fold_metrics = {}
@@ -296,8 +294,8 @@ def run_domain(splits: dict, model_kinds, spec_config: dict, seed: int,
         raise UsageError("domain experiment: no wikipedia documents in the train split")
     if not test_docs:
         raise UsageError("domain experiment: no general-web documents in the test split")
-    pred_sets, _ = _train_and_predict(model_kinds, train_docs, validation_docs,
-                                      test_docs, spec_config, seed)
+    pred_sets = _train_and_predict(model_kinds, train_docs, validation_docs,
+                                   test_docs, spec_config, seed)
     report = evaluate_predictions(pred_sets, n_resamples, derive_seed(seed, "eval:domain"))
     sizes = {"train_wikipedia": len(train_docs),
              "validation_wikipedia": len(validation_docs),
@@ -320,7 +318,7 @@ def run_agreement(pred_sets, annotations, scale_midpoint: float = 2.5,
 # ---------------------------------------------------------------------------
 
 def _comparison(spec: ExperimentSpec):
-    report, pred_sets, _ = run_baseline_comparison(
+    report, pred_sets = run_baseline_comparison(
         _split_dir(spec.datasets["train_dir"]), read_documents(spec.datasets["external_test"]),
         spec.models, spec.config, spec.seed, spec.n_resamples)
     files = [("comparison.txt", render_metrics_table(report, "Model comparison")
@@ -368,8 +366,8 @@ def _agreement(spec: ExperimentSpec):
     splits = _split_dir(spec.datasets["train_dir"])
     test_docs = read_documents(spec.datasets["test"])
     annotations = read_annotations(spec.datasets["annotations"])
-    pred_sets, _ = _train_and_predict(spec.models, splits["train"], splits["validation"],
-                                      test_docs, spec.config, spec.seed)
+    pred_sets = _train_and_predict(spec.models, splits["train"], splits["validation"],
+                                   test_docs, spec.config, spec.seed)
     rows = run_agreement(pred_sets, annotations, spec.scale_midpoint)
     report = {model: {"n": rep.n, "mean_annotation": _nan_to_none(rep.mean_annotation),
                       "certainty": _nan_to_none(rep.certainty),

@@ -1,7 +1,7 @@
 """Shared classifier interface: scoring, thresholding, checkpoints.
 
 A model kind is one ``MODEL_CLASSES`` entry: a ``NeuralModel`` or a
-``LexicalModel`` with ``network_input(doc, limits)``, which encodes a
+``LexicalModel`` with ``network_input(doc)``, which encodes a
 document once into the one form the kind reads, ``score`` of that input,
 ``checkpoint_parts`` and ``from_checkpoint``. A neural kind adds only its
 input (``network_input``, ``input_ids``) and its forward pass (``logits``);
@@ -11,7 +11,7 @@ binding, the loss and eval scoring are shared. A lexical kind adds ``train``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..corpus import CONTROVERSIAL
 from ..embeddings import EmbeddingTable
 from ..errors import ControkitError, DataFormatError, UsageError
 from ..metrics import prf_from_counts
-from ..textprep import EncodeLimits, Vocabulary, tokenize
+from ..textprep import Vocabulary, tokenize
 
 EMPTY_DOC_SCORE = 0.5
 
@@ -46,9 +46,10 @@ class NeuralModel:
     its type (``int`` for a positive integer, ``list`` for a non-empty list
     of them), and three methods:
 
-    * ``network_input(doc, limits)``: the network's input, encoded from a
-      ``Document`` (or a text); raises ``EmptyDocumentError`` when there is
-      nothing to read. ``loss``, ``probabilities`` and ``score`` take it.
+    * ``network_input(doc)``: the network's input, encoded from a
+      ``Document`` (or a text) under the caps in ``SHAPE``; raises
+      ``EmptyDocumentError`` when there is nothing to read. ``loss``,
+      ``probabilities`` and ``score`` take it.
     * ``input_ids(net_input)``: the table rows that input looks up.
     * ``logits(bound, net_input, mode, rng, dropout_rate)``: the (1, 2)
       logits node over ``bind``'s nodes.
@@ -139,8 +140,8 @@ class LexicalModel:
     def __post_init__(self):
         self.term_index = {t: i for i, t in enumerate(self.terms)}
 
-    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[str]:
-        """The tokens of a document (or a text); a lexical model reads no limits."""
+    def network_input(self, doc) -> list[str]:
+        """The tokens of a document (or a text)."""
         tokens = tokenize(doc.text if hasattr(doc, "text") else doc)
         if not tokens:
             raise EmptyDocumentError("document has no tokens")
@@ -196,11 +197,10 @@ class Classifier:
     kind: str
     model: NeuralModel | LexicalModel
     threshold: float
-    limits: EncodeLimits | None = None
     hyperparameters: dict = field(default_factory=dict)
 
     def score_document(self, doc) -> float:
-        return self.model.score(self.model.network_input(doc, self.limits))
+        return self.model.score(self.model.network_input(doc))
 
 
 @dataclass
@@ -264,8 +264,6 @@ def save_classifier(path, classifier: Classifier) -> None:
     shape, arrays, vocabulary, extra = classifier.model.checkpoint_parts()
     hp = dict(classifier.hyperparameters)
     hp["threshold"] = classifier.threshold
-    if classifier.limits is not None:
-        hp["limits"] = asdict(classifier.limits)
     hp.update(shape)
     save_checkpoint(path, classifier.kind, hp, arrays, vocabulary=vocabulary, extra=extra)
 
@@ -280,16 +278,7 @@ def load_classifier(path) -> Classifier:
     hp = dict(ckpt.hyperparameters)
     threshold = hp.pop("threshold", 0.5)
     return Classifier(kind=ckpt.kind, model=model_class.from_checkpoint(ckpt),
-                      threshold=threshold, limits=_stored_limits(hp.get("limits")),
-                      hyperparameters=hp)
-
-
-def _stored_limits(stored) -> EncodeLimits | None:
-    try:
-        return EncodeLimits(**stored).validated() if stored else None
-    except (TypeError, UsageError) as exc:
-        raise DataFormatError(f"checkpoint limits {stored!r} are not encode limits: "
-                              f"{exc}") from exc
+                      threshold=threshold, hyperparameters=hp)
 
 
 def label_to_int(label: str) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
-from ..textprep import PAD_INDEX, EncodeLimits, encode_tokens
+from ..textprep import PAD_INDEX, encode_tokens
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2  # index 0 non-controversial, index 1 controversial
@@ -30,15 +30,17 @@ class CnnParams(NeuralModel):
     filter_biases: dict     # window size -> (n_filters,) float32
     dense_w: np.ndarray     # (2, n_windows*n_filters)
     dense_b: np.ndarray     # (2,)
+    max_tokens: int         # tokens read per document
 
-    SHAPE = {"window_sizes": list, "n_filters": int}
+    SHAPE = {"window_sizes": list, "n_filters": int, "max_tokens": int}
 
     @property
     def n_filters(self) -> int:
         return next(iter(self.filters.values())).shape[0]
 
     @classmethod
-    def random(cls, embedding: EmbeddingTable, rng, window_sizes=(2, 3, 4), n_filters=128):
+    def random(cls, embedding: EmbeddingTable, rng, window_sizes=(2, 3, 4), n_filters=128,
+               max_tokens=400):
         dim = embedding.dim
         filters, biases = {}, {}
         for h in window_sizes:
@@ -54,6 +56,7 @@ class CnnParams(NeuralModel):
             dense_w=glorot_uniform(rng, fan_in=pooled, fan_out=N_CLASSES,
                                    shape=(N_CLASSES, pooled)),
             dense_b=np.zeros(N_CLASSES, dtype=np.float32),
+            max_tokens=max_tokens,
         )
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -65,7 +68,7 @@ class CnnParams(NeuralModel):
         out["dense.b"] = self.dense_b
         return out
 
-    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[int]:
+    def network_input(self, doc) -> list[int]:
         """The ids of the first ``max_tokens`` tokens of a document (or a
         text), then ``max(window_sizes)`` padding ids, capped at ``max_tokens``.
 
@@ -76,11 +79,10 @@ class CnnParams(NeuralModel):
         so each filter's first maximum is where it was. Only float rounding
         can differ: a GEMM may round a row differently in a shorter product.
         """
-        limits = limits or EncodeLimits()
-        tokens = encode_tokens(doc, self.embedding.vocab, limits)
+        tokens = encode_tokens(doc, self.embedding.vocab, self.max_tokens)
         if not tokens:
             raise EmptyDocumentError(f"document {getattr(doc, 'id', '')!r} has no tokens")
-        return tokens + [PAD_INDEX] * min(max(self.window_sizes), limits.max_tokens - len(tokens))
+        return tokens + [PAD_INDEX] * min(max(self.window_sizes), self.max_tokens - len(tokens))
 
     input_ids = staticmethod(iter)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
 from ..gru import GruParams, gru_sequence
-from ..textprep import PAD_INDEX, EncodeLimits, encode_sentences
+from ..textprep import PAD_INDEX, encode_sentences
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
 N_CLASSES = 2
@@ -43,15 +43,18 @@ class HanParams(NeuralModel):
     sent_att_u: np.ndarray
     dense_w: np.ndarray      # (2, 2h)
     dense_b: np.ndarray      # (2,)
+    max_sentences: int       # sentences read per document
+    max_words_per_sentence: int
 
-    SHAPE = {"hidden_dim": int}
+    SHAPE = {"hidden_dim": int, "max_sentences": int, "max_words_per_sentence": int}
 
     @property
     def hidden_dim(self) -> int:
         return self.word_gru.hidden_dim
 
     @classmethod
-    def random(cls, embedding: EmbeddingTable, rng, hidden_dim: int = 50, scale: float = 0.1):
+    def random(cls, embedding: EmbeddingTable, rng, hidden_dim: int = 50, max_sentences: int = 30,
+               max_words_per_sentence: int = 50, scale: float = 0.1):
         dim = embedding.dim
         rep = 2 * hidden_dim  # concatenated bi-directional width
 
@@ -70,6 +73,8 @@ class HanParams(NeuralModel):
             sent_att_u=u(rep),
             dense_w=glorot_uniform(rng, fan_in=rep, fan_out=N_CLASSES, shape=(N_CLASSES, rep)),
             dense_b=np.zeros(N_CLASSES, dtype=np.float32),
+            max_sentences=max_sentences,
+            max_words_per_sentence=max_words_per_sentence,
         )
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -86,9 +91,10 @@ class HanParams(NeuralModel):
         out["dense.b"] = self.dense_b
         return out
 
-    def network_input(self, doc, limits: EncodeLimits | None = None) -> list[list[int]]:
-        """The non-empty sentence id lists of a document (or a text)."""
-        sentences = encode_sentences(doc, self.embedding.vocab, limits)
+    def network_input(self, doc) -> list[list[int]]:
+        """The non-empty sentence id lists of a document (or a text), capped."""
+        sentences = encode_sentences(doc, self.embedding.vocab, self.max_sentences,
+                                     self.max_words_per_sentence)
         if not sentences:
             raise EmptyDocumentError(f"document {getattr(doc, 'id', '')!r} has no sentences")
         return sentences

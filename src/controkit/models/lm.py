@@ -74,8 +74,11 @@ class LmModel(LexicalModel):
         mu = ckpt.require("extra", "mu")
         if type(mu) not in (int, float) or not 0 < mu < math.inf:
             raise DataFormatError(f"checkpoint mu {mu!r} is not a finite number > 0")
-        return cls(terms=terms, pos_counts=ckpt.counts("pos_counts", len(terms)),
-                   neg_counts=ckpt.counts("neg_counts", len(terms)), mu=float(mu))
+        pos_counts = ckpt.counts("pos_counts", len(terms))
+        neg_counts = ckpt.counts("neg_counts", len(terms))
+        if pos_counts.sum() + neg_counts.sum() == 0:
+            raise DataFormatError("checkpoint pos_counts and neg_counts are all zero")
+        return cls(terms=terms, pos_counts=pos_counts, neg_counts=neg_counts, mu=float(mu))
 
 
 def read_lexicon(path) -> set[str]:

@@ -24,7 +24,7 @@ from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
 from ..errors import NumericError, UsageError, require_int, require_number
 from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step
-from ..textprep import PAD_INDEX, EncodeLimits, Vocabulary, build_vocabulary
+from ..textprep import PAD_INDEX, Vocabulary, build_vocabulary
 from .base import (
     EMPTY_DOC_SCORE,
     MODEL_CLASSES,
@@ -104,13 +104,6 @@ class TrainConfig:
         data["window_sizes"] = list(self.window_sizes)
         return data
 
-    def limits(self) -> EncodeLimits:
-        return EncodeLimits(
-            max_sentences=self.max_sentences,
-            max_words_per_sentence=self.max_words_per_sentence,
-            max_tokens=self.max_tokens,
-        )
-
 
 @dataclass
 class TrainResult:
@@ -164,12 +157,10 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     params = model_class.random(embedding, rng,
                                 **{name: getattr(config, name) for name in model_class.SHAPE})
 
-    limits = config.limits()
-
     def encode(doc):
         """A document's network input, or None for an empty document."""
         try:
-            return params.network_input(doc, limits)
+            return params.network_input(doc)
         except EmptyDocumentError:
             return None
 
@@ -265,7 +256,7 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     for name, arr in trainable.items():
         arr[reach[name]] = best_snapshot[name]
 
-    clf = Classifier(kind=kind, model=params, threshold=0.5, limits=limits,
+    clf = Classifier(kind=kind, model=params, threshold=0.5,
                      hyperparameters={"config": config.to_json()})
     result = TrainResult(classifier=clf, log=log, diverged=diverged, diagnostic=diagnostic)
     return result, validation_scores

@@ -118,35 +118,20 @@ def build_vocabulary(corpus, max_size: int = 50_000, min_freq: int = 2) -> Vocab
     return Vocabulary.from_tokens(kept, {t: counts[t] for t in kept})
 
 
-@dataclass
-class EncodeLimits:
-    max_sentences: int = 30
-    max_words_per_sentence: int = 50
-    max_tokens: int = 400
-
-    def validated(self) -> "EncodeLimits":
-        limits = (self.max_sentences, self.max_words_per_sentence, self.max_tokens)
-        if not all(type(n) is int and n > 0 for n in limits):
-            raise UsageError(f"encode limits must be positive integers: {self}")
-        return self
-
-
-def encode_tokens(doc, vocab: Vocabulary, limits: EncodeLimits | None = None) -> list[int]:
+def encode_tokens(doc, vocab: Vocabulary, max_tokens: int) -> list[int]:
     """The ids of a document's (or a text's) first ``max_tokens`` tokens,
     unpadded; empty when it has no tokens."""
-    limits = (limits or EncodeLimits()).validated()
-    return [vocab.index(t) for t in tokenize(_text(doc))[: limits.max_tokens]]
+    return [vocab.index(t) for t in tokenize(_text(doc))[:max_tokens]]
 
 
-def encode_sentences(doc, vocab: Vocabulary,
-                     limits: EncodeLimits | None = None) -> list[list[int]]:
+def encode_sentences(doc, vocab: Vocabulary, max_sentences: int,
+                     max_words_per_sentence: int) -> list[list[int]]:
     """The id lists of a document's (or a text's) first ``max_sentences``
     sentences, each cut to ``max_words_per_sentence`` ids and unpadded;
     sentences without a token are dropped."""
-    limits = (limits or EncodeLimits()).validated()
     sentences = []
-    for sent in split_sentences(_text(doc))[: limits.max_sentences]:
-        idx = [vocab.index(t) for t in tokenize(sent)[: limits.max_words_per_sentence]]
+    for sent in split_sentences(_text(doc))[:max_sentences]:
+        idx = [vocab.index(t) for t in tokenize(sent)[:max_words_per_sentence]]
         if idx:
             sentences.append(idx)
     return sentences

@@ -340,6 +340,8 @@ class TestExitCodes:
         ("han", {"hidden_dim": 0}),
         ("cnn", {"n_filters": 0}),
         ("cnn", {"max_tokens": 2.5}),
+        ("han", {"max_sentences": 0}),
+        ("han", {"max_words_per_sentence": 2.0}),
         ("tfidf", {"vocab_max_size": -5}),
         ("cnn", {"epochs": -1}),
         ("han", {"patience": -1}),

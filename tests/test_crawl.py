@@ -274,8 +274,7 @@ class TestNegativeSampling:
         with FixtureServer(wiki) as server:
             fetcher = server.fetcher(POLICY)
             with pytest.raises(UsageError, match="random negatives"):
-                sample_negatives(fetcher, len(wiki.random_pool) + 1, POLICY, 2018,
-                                 clock=CLOCK, max_attempts=12)
+                sample_negatives(fetcher, len(wiki.random_pool) + 1, POLICY, 2018, clock=CLOCK)
 
 
 def crawl_oracle_check(rng_seed):

@@ -182,7 +182,7 @@ class TestDomainOrdering:
 class TestComparison:
     def test_identical_model_twice_identical_rows_no_self_significance(self, splits):
         external = splits["test"]
-        report, pred_sets, _ = run_baseline_comparison(
+        report, pred_sets = run_baseline_comparison(
             splits, external, ("tfidf", "tfidf"), FAST_CFG, seed=11, n_resamples=60)
         a, b = report.rows
         assert a.metrics == b.metrics
@@ -198,7 +198,7 @@ class TestComparison:
             "max_sentences": 5, "max_words_per_sentence": 10,
             "vocab_min_freq": 1, "calibrate": True,
         }
-        report, _, _ = run_baseline_comparison(
+        report, _ = run_baseline_comparison(
             splits, splits["test"], ("tfidf", "lm", "cnn", "han"),
             config, seed=55, n_resamples=100)
         for row in report.rows:

@@ -130,6 +130,32 @@ class TestCheckpointRoundTrip:
         # eval-mode prediction is deterministic for every model kind
         assert predict(reloaded, docs) == after
 
+    @pytest.mark.parametrize("kind,caps", [
+        ("cnn", {"max_tokens": 7}),
+        ("han", {"max_sentences": 2, "max_words_per_sentence": 3}),
+    ], ids=["cnn-7", "han-2x3"])
+    def test_header_holds_the_caps_its_kind_reads(self, kind, caps, corpus_splits, tmp_path):
+        config = dataclasses.replace(NEURAL_CFG, **caps)
+        clf = fit(kind, corpus_splits["train"][:40], corpus_splits["validation"][:20],
+                  config).classifier
+        path = tmp_path / f"{kind}.ctrv"
+        save_classifier(path, clf)
+        stored = load_checkpoint(path).hyperparameters
+        all_caps = {"max_tokens", "max_sentences", "max_words_per_sentence"}
+        assert {key: stored[key] for key in all_caps & set(stored)} == caps
+        assert "limits" not in stored
+        reloaded = load_classifier(path)
+        assert {key: getattr(reloaded.model, key) for key in caps} == caps
+        docs = corpus_splits["test"][:15]
+        assert predict(reloaded, docs) == predict(clf, docs)
+
+
+def _limits_record_layout(hp):
+    """CNN hyperparameters as once saved: the caps in a ``limits`` record apart
+    from the shape."""
+    hp["limits"] = {"max_sentences": 5, "max_words_per_sentence": 10,
+                    "max_tokens": hp.pop("max_tokens")}
+
 
 def _edit_header(path, edit):
     """Rewrite a checkpoint's JSON header in place, body untouched."""
@@ -157,6 +183,8 @@ class TestMalformedCheckpoint:
                   NEURAL_CFG).classifier
         save_classifier(tmp / "cnn.ctrv", cnn)
         save_classifier(tmp / "tfidf.ctrv", tfidf_clf)
+        save_classifier(tmp / "lm.ctrv", fit("lm", corpus_splits["train"],
+                                             corpus_splits["validation"]).classifier)
         return tmp
 
     @pytest.fixture
@@ -224,26 +252,50 @@ class TestMalformedCheckpoint:
         with pytest.raises(DataFormatError, match="needs a name"):
             load_classifier(path)
 
-    def test_limits_with_unknown_key(self, copy):
-        path = copy("cnn")
-        _edit_header(path, lambda header: header["hyperparameters"]["limits"].update(
-            max_paragraphs=3))
-        with pytest.raises(DataFormatError, match="not encode limits"):
-            load_classifier(path)
-
     def test_window_sizes_not_a_list(self, copy):
         path = copy("cnn")
         _edit_header(path, lambda header: header["hyperparameters"].update(window_sizes="23"))
         with pytest.raises(DataFormatError, match="'window_sizes' is '23'"):
             load_classifier(path)
 
-    @pytest.mark.parametrize("max_tokens", [0, 40.5])
-    def test_limits_not_positive_integers(self, copy, max_tokens):
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda hp: hp.update(max_tokens=0),
+                     "'max_tokens' is 0, expected a positive integer", id="zero"),
+        pytest.param(lambda hp: hp.update(max_tokens=40.5),
+                     "'max_tokens' is 40.5, expected a positive integer", id="float"),
+        pytest.param(_limits_record_layout, "hyperparameters has no 'max_tokens'", id="missing"),
+    ])
+    def test_max_tokens_not_a_positive_integer_is_exit_3(self, copy, corpus_splits, capsys,
+                                                         edit, message):
         path = copy("cnn")
-        _edit_header(path, lambda header: header["hyperparameters"]["limits"].update(
-            max_tokens=max_tokens))
-        with pytest.raises(DataFormatError, match="must be positive integers"):
+        _edit_header(path, lambda header: edit(header["hyperparameters"]))
+        with pytest.raises(DataFormatError, match=message):
             load_classifier(path)
+        data = path.parent / "test.jsonl"
+        write_documents(data, corpus_splits["test"][:5])
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        pytest.param("tfidf", lambda ckpt: ckpt.arrays["w"].fill(np.nan),
+                     "parameter 'w' holds non-finite", id="tfidf-w-nan"),
+        pytest.param("cnn", lambda ckpt: ckpt.arrays["dense.w"].fill(np.nan),
+                     "parameter 'dense.w' holds non-finite", id="cnn-dense.w-nan"),
+        pytest.param("lm", lambda ckpt: ckpt.extra.update(
+            pos_counts=[0] * len(ckpt.vocabulary), neg_counts=[0] * len(ckpt.vocabulary)),
+                     "are all zero", id="lm-zero-counts"),
+    ])
+    def test_checkpoint_no_model_can_score_is_exit_3(self, copy, corpus_splits, capsys,
+                                                     kind, edit, message):
+        path = copy(kind)
+        ckpt = load_checkpoint(path)
+        edit(ckpt)
+        save_checkpoint(path, ckpt.kind, ckpt.hyperparameters, ckpt.arrays,
+                        vocabulary=ckpt.vocabulary, extra=ckpt.extra)
+        data = path.parent / "test.jsonl"
+        write_documents(data, corpus_splits["test"][:5])
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_han_checkpoint_with_nine_gate_blocks_per_direction(self, corpus_splits, tmp_path,
                                                                 capsys):

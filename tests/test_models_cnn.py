@@ -6,10 +6,9 @@ import pytest
 
 from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
-from controkit.errors import UsageError
 from controkit.models.base import EmptyDocumentError
 from controkit.models.cnn import CnnParams
-from controkit.textprep import EncodeLimits, Vocabulary
+from controkit.textprep import Vocabulary
 
 from oracles import cnn_scalar
 
@@ -24,6 +23,7 @@ def zeroed_cnn(vocab_size=6, dim=4, windows=(2, 3), n_filters=3):
         filter_biases={h: np.zeros(n_filters, np.float32) for h in windows},
         dense_w=np.zeros((2, n_filters * len(windows)), np.float32),
         dense_b=np.zeros(2, np.float32),
+        max_tokens=400,
     )
 
 
@@ -102,7 +102,7 @@ def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_
         full = rng.integers(2, 7, size=real_len).tolist() + [0] * (400 - real_len)
         past_cap = [2, 3] if real_len == 400 else []  # cut to max_tokens ids
         text = text_of(full[:real_len] + past_cap, small_embedding.vocab)
-        net_input = params.network_input(text, EncodeLimits(max_tokens=400))
+        net_input = params.network_input(text)  # max_tokens 400
         assert net_input == full[: real_len + 4]
     assert abs(params.score(net_input) - cnn_scalar(full, params)[1]) < 1e-5
     if real_len in (2, 57):  # an all-padding window is filter 0's first maximum
@@ -117,7 +117,7 @@ def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_
 def test_training_graph_reads_real_len_plus_widest_window_rows(rng, small_embedding, real_len):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=2)
     text = text_of(rng.integers(2, 7, size=real_len), small_embedding.vocab)
-    net_input = params.network_input(text, EncodeLimits(max_tokens=400))
+    net_input = params.network_input(text)  # max_tokens 400
     graph = ad.Graph(np.float32)
     params.loss(graph, net_input, target=1, rng=np.random.default_rng(0))
     (lookup,) = [node for node in graph.nodes if node.op == "lookup"]
@@ -143,13 +143,11 @@ def test_empty_document_signals(rng, small_embedding):
 @pytest.mark.parametrize("max_tokens", [1, 3, 6, 40])
 def test_network_input_pads_one_widest_window_up_to_max_tokens(rng, small_embedding,
                                                                max_tokens):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2)
-    limits = EncodeLimits(max_tokens=max_tokens)
-    net_input = params.network_input("alpha beta gamma zzz", limits)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2,
+                              max_tokens=max_tokens)
+    net_input = params.network_input("alpha beta gamma zzz")
     ids = [2, 3, 4, 1][:max_tokens]
     assert net_input == ids + [0] * min(4, max_tokens - len(ids))
-    with pytest.raises(UsageError):
-        params.network_input("alpha", EncodeLimits(max_tokens=0))
 
 
 def test_probabilities_sum_to_one(rng, small_embedding):

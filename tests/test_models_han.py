@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -5,10 +6,8 @@ import numpy as np
 import pytest
 
 from controkit import autodiff as ad
-from controkit.errors import UsageError
 from controkit.models.base import EmptyDocumentError
 from controkit.models.han import HanParams, han_forward
-from controkit.textprep import EncodeLimits
 
 from oracles import han_scalar
 
@@ -93,11 +92,9 @@ def test_empty_document_signals(han_params):
 def test_network_input_is_the_capped_non_empty_sentences(han_params):
     text = "alpha beta gamma. --- ! delta zzz epsilon alpha. beta. gamma"
     assert han_params.network_input(text) == [[2, 3, 4], [5, 1, 6, 2], [3], [4]]
-    limits = EncodeLimits(max_sentences=3, max_words_per_sentence=2)
+    capped = dataclasses.replace(han_params, max_sentences=3, max_words_per_sentence=2)
     # the cap counts the dropped "---" sentence
-    assert han_params.network_input(text, limits) == [[2, 3], [5, 1]]
-    with pytest.raises(UsageError):
-        han_params.network_input(text, EncodeLimits(max_sentences=0))
+    assert capped.network_input(text) == [[2, 3], [5, 1]]
 
 
 def test_toy_gradient_check(small_embedding, rng):

@@ -4,7 +4,6 @@ from controkit.errors import UsageError
 from controkit.textprep import (
     OOV_INDEX,
     PAD_INDEX,
-    EncodeLimits,
     build_vocabulary,
     encode_sentences,
     encode_tokens,
@@ -119,45 +118,35 @@ class TestVocabulary:
 
 class TestEncode:
     def test_tokens_unpadded_and_cut_at_max_tokens(self, small_vocab):
-        limits = EncodeLimits(max_tokens=5)
-        assert encode_tokens("alpha beta gamma", small_vocab, limits) == [2, 3, 4]
+        assert encode_tokens("alpha beta gamma", small_vocab, 5) == [2, 3, 4]
         text = "alpha beta gamma delta epsilon alpha beta"
-        assert encode_tokens(text, small_vocab, limits) == [2, 3, 4, 5, 6]
+        assert encode_tokens(text, small_vocab, 5) == [2, 3, 4, 5, 6]
 
     def test_all_unknown_tokens(self, small_vocab):
-        limits = EncodeLimits(max_tokens=4)
-        assert encode_tokens("zzz qqq", small_vocab, limits) == [OOV_INDEX, OOV_INDEX]
-        assert encode_sentences("zzz qqq", small_vocab, limits) == [[OOV_INDEX, OOV_INDEX]]
+        assert encode_tokens("zzz qqq", small_vocab, 4) == [OOV_INDEX, OOV_INDEX]
+        assert encode_sentences("zzz qqq", small_vocab, 30, 50) == [[OOV_INDEX, OOV_INDEX]]
 
     def test_sentence_prefix_truncation(self, small_vocab):
         text = " ".join(f"alpha beta{i % 2}." for i in range(40))
-        sentences = encode_sentences(text, small_vocab, EncodeLimits(max_sentences=30))
+        sentences = encode_sentences(text, small_vocab, 30, 50)
         assert len(sentences) == 30
 
     def test_word_truncation_within_sentence(self, small_vocab):
-        sentences = encode_sentences("alpha " * 60, small_vocab,
-                                     EncodeLimits(max_words_per_sentence=50))
+        sentences = encode_sentences("alpha " * 60, small_vocab, 30, 50)
         assert len(sentences[0]) == 50
 
     def test_empty_document_flagged(self, small_vocab):
         # an empty encoding is what a model's network_input refuses
         for text in ("", "--- !!!"):
-            assert encode_tokens(text, small_vocab, EncodeLimits(max_tokens=4)) == []
-            assert encode_sentences(text, small_vocab) == []
+            assert encode_tokens(text, small_vocab, 4) == []
+            assert encode_sentences(text, small_vocab, 30, 50) == []
 
     def test_empty_sentences_dropped(self, small_vocab):
-        assert encode_sentences("alpha. ---. beta.", small_vocab) == [[2], [3]]
-
-    def test_limits_validated(self, small_vocab):
-        for encode in (encode_tokens, encode_sentences):
-            for limits in (EncodeLimits(max_tokens=0), EncodeLimits(max_sentences=-1),
-                           EncodeLimits(max_words_per_sentence=2.0)):
-                with pytest.raises(UsageError):
-                    encode("alpha", small_vocab, limits)
+        assert encode_sentences("alpha. ---. beta.", small_vocab, 30, 50) == [[2], [3]]
 
     def test_encode_decode_round_trip(self, small_vocab):
         text = "alpha beta gamma delta"
-        enc = encode_tokens(text, small_vocab, EncodeLimits(max_tokens=10))
+        enc = encode_tokens(text, small_vocab, 10)
         assert PAD_INDEX not in enc
         assert [small_vocab.index_to_token[i] for i in enc] == tokenize(text)
 
@@ -168,6 +157,7 @@ class TestEncode:
             def __init__(self, text):
                 self.text = text
 
-        for encode in (encode_tokens, encode_sentences):
-            assert encode(text, small_vocab) == encode(text, small_vocab)
-            assert encode(Doc(text), small_vocab) == encode(text, small_vocab)
+        for encode in (lambda doc: encode_tokens(doc, small_vocab, 400),
+                       lambda doc: encode_sentences(doc, small_vocab, 30, 50)):
+            assert encode(text) == encode(text)
+            assert encode(Doc(text)) == encode(text)
