@@ -10,6 +10,8 @@ expansion up to two hops through the 'See also', 'References' and
 seeds, random-negative sampling, and leakage-free seed-based splits.
 """
 
+from dataclasses import asdict
+
 from controkit.corpus import CrawlPolicy, split_dataset
 from controkit.crawl import build_dataset
 from controkit.fixture_wiki import FixtureServer, random_wiki
@@ -34,5 +36,5 @@ for doc in sorted(documents, key=lambda d: (d.hop, d.url))[:8]:
 splits = split_dataset(documents, {"train": 4, "validation": 1, "test": 1},
                        rng_seed=0, edges=edges, seeds=all_seeds)
 print()
-print(render_split_stats_table(splits))
+print(render_split_stats_table({name: asdict(split.stats) for name, split in splits.items()}))
 print("splits are disjoint by seed neighborhood, so no page can leak across.")

@@ -27,8 +27,8 @@ report, _ = run_baseline_comparison(
     config, seed=3, n_resamples=200)
 print(f"trained and evaluated 4 models in {time.time() - t0:.0f}s\n")
 
-print(render_metrics_table(report, "Point estimates"))
-print(render_interval_table(report, "With 95% bootstrap percentile intervals"))
+print(render_metrics_table(report.to_json(), "Point estimates"))
+print(render_interval_table(report.to_json(), "With 95% bootstrap percentile intervals"))
 
 significant_f1 = report.significance["f1"]
 names = report.model_names

@@ -40,7 +40,7 @@ within, between, delta = run_temporal(
     ("tfidf", "lm", "cnn", "han"), config, seed=100, n_resamples=100)
 print(f"ran within-year and between-year training in {time.time() - t0:.0f}s\n")
 
-print(render_temporal_table(within, between, "'18/'18", "'09/'18",
+print(render_temporal_table(within.to_json(), between.to_json(), "'18/'18", "'09/'18",
                             "Temporal stability under vocabulary drift"))
 print("between-year recall drops:")
 for model, metrics in delta.items():

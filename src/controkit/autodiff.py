@@ -208,7 +208,7 @@ class Graph:
                                      f"leaf, but {parent!r} is read by another op too or "
                                      f"is no leaf")
                 if parent.grad is None:
-                    parent.grad = g if row_sparse or g.base is None else g.copy()
+                    parent.grad = g
                 else:
                     parent.grad = parent.grad + g
         out = {}

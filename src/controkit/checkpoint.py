@@ -130,7 +130,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(
                 f"truncated parameter payload for {entry['name']!r}", offset=pos
             )
-        arr = np.frombuffer(raw[pos:end], dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
         if not np.isfinite(arr).all():
             raise DataFormatError(f"checkpoint parameter {entry['name']!r} holds non-finite "
                                   "values", offset=pos)

@@ -13,8 +13,9 @@ import logging
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 
-from . import __version__
+from . import __version__, reports
 from .corpus import (
     CrawlPolicy,
     read_documents,
@@ -34,16 +35,9 @@ from .errors import (
     require_int,
 )
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
-from .metrics import eval_report_from_json, evaluate_predictions, prediction_set
+from .metrics import evaluate_predictions, prediction_set
 from .models import MODEL_KINDS, TrainConfig, fit, load_classifier, predict, save_classifier
-from .reports import (
-    dump_json,
-    render_averaged_metrics_table,
-    render_interval_table,
-    render_metrics_table,
-    render_split_stats_table,
-    render_temporal_table,
-)
+from .reports import dump_json
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -119,19 +113,13 @@ def cmd_split(args) -> int:
     splits = split_dataset(docs, counts, args.seed, edges, seeds)
     os.makedirs(args.out_dir, exist_ok=True)
     by_id = {d.id: d for d in docs}
-    stats_payload = {}
     for name, split in splits.items():
         write_documents(os.path.join(args.out_dir, f"{name}.jsonl"),
                         [by_id[i] for i in split.doc_ids])
-        stats_payload[name] = {
-            "seeds": split.stats.seeds,
-            "total": split.stats.total,
-            "controversial": split.stats.controversial,
-            "general_web": split.stats.general_web,
-        }
-    dump_json(os.path.join(args.out_dir, "stats.json"),
-              {"seed": args.seed, "splits": stats_payload})
-    table = render_split_stats_table(splits)
+    payload = {"kind": "split", "seed": args.seed,
+               "splits": {name: asdict(split.stats) for name, split in splits.items()}}
+    dump_json(os.path.join(args.out_dir, "stats.json"), payload)
+    table = reports.render_report(payload)
     with open(os.path.join(args.out_dir, "stats.txt"), "w", encoding="utf-8") as f:
         f.write(table)
     print(table, end="")
@@ -165,11 +153,11 @@ def cmd_eval(args) -> int:
     preds = prediction_set(predictions, docs, model_name=classifier.kind)
     report = evaluate_predictions([preds], n_resamples=args.n_resamples,
                                   seed=derive_seed(args.seed, "eval"))
-    print(render_interval_table(report, f"Evaluation of {args.checkpoint}"), end="")
+    payload = {"kind": "eval", "version": __version__, "seed": args.seed,
+               "checkpoint": args.checkpoint, "data": args.data, "report": report.to_json()}
+    print(reports.render_report(payload), end="")
     if args.out:
-        dump_json(args.out, {"version": __version__, "seed": args.seed,
-                             "checkpoint": args.checkpoint, "data": args.data,
-                             "report": report.to_json()})
+        dump_json(args.out, payload)
         print(f"report -> {args.out}")
     return EXIT_OK
 
@@ -192,20 +180,8 @@ def cmd_report(args) -> int:
     payload = _load_json(args.input)
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
-        return EXIT_OK
-    body = payload.get("report", payload)
-    if "rows" in body:
-        report = eval_report_from_json(body)
-        print(render_metrics_table(report), end="")
-    elif "within" in body and "between" in body:
-        print(render_temporal_table(eval_report_from_json(body["within"]),
-                                    eval_report_from_json(body["between"])), end="")
-    elif "averaged" in body:
-        averaged = body["averaged"]
-        rows = {m: averaged[m] for m in body.get("model_names", averaged)}
-        print(render_averaged_metrics_table(rows), end="")
     else:
-        print(json.dumps(body, ensure_ascii=False, sort_keys=True, indent=2))
+        print(reports.render_report(payload), end="")
     return EXIT_OK
 
 
@@ -266,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("report", help="re-render a stored report")
+    p = sub.add_parser("report", help="print the table of a stored report.json or stats.json")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_report)

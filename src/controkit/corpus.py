@@ -171,14 +171,6 @@ class SplitStats:
     controversial: int
     general_web: int
 
-    @property
-    def controversial_pct(self) -> float:
-        return 100.0 * self.controversial / self.total if self.total else 0.0
-
-    @property
-    def general_web_pct(self) -> float:
-        return 100.0 * self.general_web / self.total if self.total else 0.0
-
 
 @dataclass
 class DatasetSplit:

@@ -341,11 +341,12 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
 
 
 def merge_crawls(*results: CrawlResult) -> CrawlResult:
-    """Union of crawl results; duplicate URLs keep the smaller hop."""
+    """Union of crawl results; duplicate URLs keep the smaller hop, and a
+    duplicate edge or failed URL keeps its first record."""
     docs: dict[str, Document] = {}
     edges: list[LinkEdge] = []
     seen_edges: set[tuple] = set()
-    failures: list = []
+    failures: dict[str, tuple] = {}
     for res in results:
         for doc in res.documents:
             key = normalize_url(doc.url)
@@ -356,8 +357,9 @@ def merge_crawls(*results: CrawlResult) -> CrawlResult:
             if key not in seen_edges:
                 seen_edges.add(key)
                 edges.append(e)
-        failures.extend(res.failures)
-    return CrawlResult(list(docs.values()), edges, failures)
+        for failure in res.failures:
+            failures.setdefault(failure[0], failure)
+    return CrawlResult(list(docs.values()), edges, list(failures.values()))
 
 
 def build_dataset(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,

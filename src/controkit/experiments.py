@@ -36,16 +36,7 @@ from .metrics import (
     roc_points,
 )
 from .models import MODEL_KINDS, TrainConfig, fit, predict
-from .reports import (
-    dump_json,
-    format_delta,
-    render_agreement_table,
-    render_averaged_metrics_table,
-    render_interval_table,
-    render_metrics_table,
-    render_roc_csv,
-    render_temporal_table,
-)
+from .reports import dump_json, format_delta, render_report, render_roc_csv
 from .seeding import derive_seed
 
 @dataclass
@@ -321,8 +312,7 @@ def _comparison(spec: ExperimentSpec):
     report, pred_sets = run_baseline_comparison(
         _split_dir(spec.datasets["train_dir"]), read_documents(spec.datasets["external_test"]),
         spec.models, spec.config, spec.seed, spec.n_resamples)
-    files = [("comparison.txt", render_metrics_table(report, "Model comparison")
-              + "\n" + render_interval_table(report, "Bootstrap intervals"))]
+    files = []
     for preds in pred_sets:
         try:
             points = roc_points(preds.scores, preds.true_labels)
@@ -339,27 +329,22 @@ def _temporal(spec: ExperimentSpec):
                                           spec.config, spec.seed, spec.n_resamples)
     test_tag, train_tag = (f"'{docs[0].snapshot_year % 100:02d}" if docs else "'?"
                            for docs in (test_year_splits["test"], train_year_splits["train"]))
-    table = render_temporal_table(within, between, f"{test_tag}/{test_tag}",
-                                  f"{train_tag}/{test_tag}", "Temporal stability")
-    report = {"within": within.to_json(), "between": between.to_json(), "delta": delta}
-    return {"report": report}, [("temporal.txt", table)]
+    report = {"within": within.to_json(), "between": between.to_json(), "delta": delta,
+              "column_labels": [f"{test_tag}/{test_tag}", f"{train_tag}/{test_tag}"]}
+    return {"report": report}, []
 
 
 def _topic(spec: ExperimentSpec):
     per_fold, averaged = run_topic_cv(read_documents(spec.datasets["dataset"]), spec.models,
                                       spec.config, spec.seed, spec.k_topics)
-    table = render_averaged_metrics_table(averaged, "Cross-topic stability (averaged over folds)")
     report = {"folds": per_fold, "averaged": averaged, "model_names": list(spec.models)}
-    return {"report": report}, [("topic.txt", table)]
+    return {"report": report}, []
 
 
 def _domain(spec: ExperimentSpec):
     report, sizes, _ = run_domain(_split_dir(spec.datasets["train_dir"]), spec.models,
                                   spec.config, spec.seed, spec.n_resamples)
-    table = (render_metrics_table(report, "Cross-domain stability")
-             + f"\n(train wikipedia: {sizes['train_wikipedia']}, "
-             f"test general-web: {sizes['test_general_web']})\n")
-    return {"report": report.to_json(), "filtered_sizes": sizes}, [("domain.txt", table)]
+    return {"report": report.to_json(), "filtered_sizes": sizes}, []
 
 
 def _agreement(spec: ExperimentSpec):
@@ -373,7 +358,7 @@ def _agreement(spec: ExperimentSpec):
                       "certainty": _nan_to_none(rep.certainty),
                       "disagreement": _nan_to_none(rep.disagreement), "flags": rep.flags}
               for model, rep in rows}
-    return {"report": report}, [("agreement.txt", render_agreement_table(rows))]
+    return {"report": report, "model_names": [model for model, _ in rows]}, []
 
 
 def _nan_to_none(value: float):
@@ -381,8 +366,9 @@ def _nan_to_none(value: float):
 
 
 class ExperimentKind(NamedTuple):
-    """The dataset roles a kind's spec must name, and its runner:
-    spec -> (report.json fields, [(file name in out_dir, text)])."""
+    """The dataset roles a kind's spec must name, and its runner: spec ->
+    (report.json fields, [(file name in out_dir, text)] of what the payload
+    cannot give, which is the comparison's ROC curves)."""
 
     roles: tuple
     run: Callable
@@ -399,7 +385,8 @@ EXPERIMENTS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Execute a spec end to end and write report artifacts to out_dir.
+    """Execute a spec end to end and write report artifacts to out_dir:
+    report.json, ``<kind>.txt`` rendered from it, and the runner's files.
 
     Returns the report payload that was written to report.json.
     """
@@ -408,7 +395,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     fields, files = EXPERIMENTS[spec.kind].run(spec)
     payload.update(fields)
     dump_json(os.path.join(spec.out_dir, "report.json"), payload)
-    for name, text in files:
+    for name, text in [(f"{spec.kind}.txt", render_report(payload)), *files]:
         with open(os.path.join(spec.out_dir, name), "w", encoding="utf-8") as f:
             f.write(text)
     return payload

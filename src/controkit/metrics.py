@@ -451,14 +451,3 @@ def evaluate_predictions(pred_sets, n_resamples: int = 1000, seed: int = 0) -> E
     return EvalReport(rows=rows, significance=significance, model_names=names,
                       n_resamples=n_resamples, seed=seed)
 
-
-def eval_report_from_json(data: dict) -> EvalReport:
-    rows = [ModelEvalRow(model=r["model"], n=r["n"], metrics=r["metrics"])
-            for r in data["rows"]]
-    return EvalReport(
-        rows=rows,
-        significance=data["significance"],
-        model_names=data["model_names"],
-        n_resamples=data["n_resamples"],
-        seed=data["seed"],
-    )

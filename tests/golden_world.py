@@ -1,15 +1,26 @@
 """Deterministic mini-world driving the table-layout golden tests.
 
 Builds fixture datasets with pinned seeds, runs the real CLI commands on
-them, and collects every emitted table. Regenerate the committed goldens
-after an intentional layout change with:
+them, and collects every emitted table together with what ``controkit
+report --in`` prints for the JSON written beside it. Print a unified diff
+for each output that differs from its golden (exit status 1 if any does)
+with:
 
-    python tests/golden_world.py --write
+    PYTHONPATH=src python tests/golden_world.py
+
+and regenerate the committed goldens after an intentional layout change
+with:
+
+    PYTHONPATH=src python tests/golden_world.py --write
 """
 
+import contextlib
+import difflib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +42,9 @@ def wiki_spec_json(wiki):
     }
 
 
-def build_golden_tables(tmp: Path) -> dict[str, str]:
+def build_golden_tables(tmp: Path) -> list[tuple[str, str, str]]:
+    """(golden file name, what printed it, text) for each table a run wrote
+    and for each ``report --in`` of the JSON it wrote beside the table."""
     from controkit.cli import main
     from controkit.corpus import AnnotationRecord, write_annotations, write_documents, write_seeds
     from controkit.embeddings import write_w2v
@@ -41,13 +54,20 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     from boilerplate import make_boilerplate_corpus
 
     tmp = Path(tmp)
-    tables: dict[str, str] = {}
+    outputs: list[tuple[str, str, str]] = []
     lexical_cfg = {"epochs": 1, "vocab_min_freq": 1, "calibrate": True}
 
     def write_split_dir(path, splits):
         os.makedirs(path, exist_ok=True)
         for name in ("train", "validation", "test"):
             write_documents(os.path.join(path, f"{name}.jsonl"), splits[name])
+
+    def collect(golden, out_dir, table, payload="report.json"):
+        outputs.append((golden, f"{out_dir}/{table}", (tmp / out_dir / table).read_text()))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(["report", "--in", str(tmp / out_dir / payload)]) == 0
+        outputs.append((golden, f"report --in {out_dir}/{payload}", printed.getvalue()))
 
     # --- dataset statistics table (crawl + split) ---
     wiki, seeds = random_wiki(13, n_seed_pages=4)
@@ -67,7 +87,7 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
         "--out-dir", str(tmp / "splits"),
         "--train", "4", "--validation", "1", "--test", "1", "--seed", "3",
     ]) == 0
-    tables["split_stats.txt"] = (tmp / "splits" / "stats.txt").read_text()
+    collect("split_stats.txt", "splits", "stats.txt", "stats.json")
 
     # --- temporal table on the drift corpus (lexical models) ---
     old_docs, new_docs, (words, vectors) = make_drift_corpus(
@@ -85,7 +105,7 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     }))
     assert main(["experiment", "--spec", str(tmp / "temporal_spec.json"),
                  "--out-dir", str(tmp / "exp_temporal"), "--seed", "9"]) == 0
-    tables["temporal.txt"] = (tmp / "exp_temporal" / "temporal.txt").read_text()
+    collect("temporal.txt", "exp_temporal", "temporal.txt")
 
     # --- topic cross-validation table ---
     sep = make_separable_corpus(n_docs=150, seed=44)
@@ -100,7 +120,7 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     }))
     assert main(["experiment", "--spec", str(tmp / "topic_spec.json"),
                  "--out-dir", str(tmp / "exp_topic"), "--seed", "10"]) == 0
-    tables["topic.txt"] = (tmp / "exp_topic" / "topic.txt").read_text()
+    collect("topic.txt", "exp_topic", "topic.txt")
 
     # --- domain table ---
     write_split_dir(tmp / "domain_data", make_boilerplate_corpus(n_docs=160, seed=45))
@@ -113,7 +133,7 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     }))
     assert main(["experiment", "--spec", str(tmp / "domain_spec.json"),
                  "--out-dir", str(tmp / "exp_domain"), "--seed", "11"]) == 0
-    tables["domain.txt"] = (tmp / "exp_domain" / "domain.txt").read_text()
+    collect("domain.txt", "exp_domain", "domain.txt")
 
     # --- agreement table ---
     splits = split_simple(make_separable_corpus(n_docs=160, seed=46), seed=47)
@@ -136,20 +156,40 @@ def build_golden_tables(tmp: Path) -> dict[str, str]:
     }))
     assert main(["experiment", "--spec", str(tmp / "agree_spec.json"),
                  "--out-dir", str(tmp / "exp_agree"), "--seed", "12"]) == 0
-    tables["agreement.txt"] = (tmp / "exp_agree" / "agreement.txt").read_text()
+    collect("agreement.txt", "exp_agree", "agreement.txt")
 
-    return tables
+    return outputs
+
+
+def diff_report() -> bool:
+    """Print a unified diff for each output of a fresh world that differs
+    from its golden and a count line; returns whether none differs."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        outputs = build_golden_tables(Path(tmp))
+    differing = 0
+    for name, source, text in outputs:
+        golden = (GOLDEN_DIR / name).read_text()
+        if text != golden:
+            differing += 1
+            print("".join(difflib.unified_diff(golden.splitlines(True), text.splitlines(True),
+                                               f"golden/{name}", source)), end="")
+    print(f"{differing} of {len(outputs)} outputs differ from their goldens")
+    return differing == 0
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    if "--write" not in sys.argv:
-        print("usage: python tests/golden_world.py --write", file=sys.stderr)
+    if sys.argv[1:] == ["--write"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = build_golden_tables(Path(tmp))
+        tables: dict[str, str] = {}
+        for name, _, text in outputs:
+            tables.setdefault(name, text)  # the table file comes before its report --in
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        for name, text in tables.items():
+            (GOLDEN_DIR / name).write_text(text)
+            print(f"wrote {GOLDEN_DIR / name}")
+    elif sys.argv[1:]:
+        print("usage: python tests/golden_world.py [--write]", file=sys.stderr)
         sys.exit(2)
-    with tempfile.TemporaryDirectory() as tmp:
-        tables = build_golden_tables(Path(tmp))
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, text in tables.items():
-        (GOLDEN_DIR / name).write_text(text)
-        print(f"wrote {GOLDEN_DIR / name}")
+    else:
+        sys.exit(0 if diff_report() else 1)

@@ -375,9 +375,10 @@ def test_criterion_9_format_fidelity(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_table_layouts(tmp_path):
-    tables = build_golden_tables(tmp_path)
-    for name, text in tables.items():
+    outputs = build_golden_tables(tmp_path)
+    assert {name for name, _, _ in outputs} == {p.name for p in GOLDEN_DIR.glob("*.txt")}
+    for name, source, text in outputs:
         golden = (GOLDEN_DIR / name).read_text()
-        assert text == golden, f"{name} drifted from its golden layout"
-    record(10, "split-stats, temporal, topic, domain and agreement tables "
-               "match their golden layouts byte-for-byte")
+        assert text == golden, f"{source} drifted from its golden layout {name}"
+    record(10, "split-stats, temporal, topic, domain and agreement tables, as written "
+               "and as `report --in` prints them, match their golden layouts byte-for-byte")

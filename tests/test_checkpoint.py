@@ -79,3 +79,22 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(DataFormatError, match="trailing"):
         load_checkpoint(path)
+
+
+def test_load_copies_each_parameter_once(tmp_path, rng):
+    # the file's bytes plus one owned copy of each array; slicing the file's
+    # bytes before copying would add a third
+    import tracemalloc
+
+    arrays = {"embedding": rng.normal(size=(2_000, 300)).astype(np.float32),
+              "dense.w": rng.normal(size=(300, 2)).astype(np.float32)}
+    path = tmp_path / "model.ctrv"
+    save_checkpoint(path, "cnn", {}, arrays, vocabulary=["<pad>", "<oov>"])
+    tracemalloc.start()
+    try:
+        ckpt = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(ckpt.arrays[name], arr) for name, arr in arrays.items())
+    assert peak < 2.4 * path.stat().st_size

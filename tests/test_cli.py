@@ -154,6 +154,28 @@ class TestCrawlAndSplit:
         assert [json.loads(line) for line in lines] == [
             {"url": "http://wiki.test/gone", "reason": "HTTP 404"}]
 
+    def test_dead_link_of_seed_and_negative_is_one_failure(self, tmp_path, capsys):
+        wiki = FixtureWiki()
+        wiki.add(FixturePage(url="http://wiki.test/seed", title="seed",
+                             paragraphs=["A disputed seed page."],
+                             see_also=["http://wiki.test/gone"]))
+        wiki.add(FixturePage(url="http://wiki.test/r0", title="r0", paragraphs=["Quiet."],
+                             see_also=["http://wiki.test/gone"]))
+        wiki.random_pool = ["http://wiki.test/r0"]
+        (tmp_path / "wiki.json").write_text(json.dumps(wiki_spec_json(wiki)))
+        write_seeds(tmp_path / "seeds.jsonl",
+                    [Seed("http://wiki.test/seed", "t", CONTROVERSIAL)])
+        out = tmp_path / "dataset.jsonl"
+        assert main(["crawl", "--seeds", str(tmp_path / "seeds.jsonl"),
+                     "--fixture-server", str(tmp_path / "wiki.json"),
+                     "--out", str(out), "--negatives", "1"]) == 0
+        assert {d.url for d in read_documents(out)} == {"http://wiki.test/seed",
+                                                         "http://wiki.test/r0"}
+        lines = (tmp_path / "dataset.jsonl.failures.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"url": "http://wiki.test/gone", "reason": "HTTP 404"}]
+        assert "1 failures (HTTP 404: 1)" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -202,6 +224,19 @@ class TestTrainEvalReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "tfidf" in out and "Precision" in out
+
+    def test_report_prints_what_eval_printed(self, trained, tmp_path, capsys):
+        tmp, data_dir = trained
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(tmp / "lm.ctrv"),
+                     "--data", str(data_dir / "test.jsonl"), "--out", str(out),
+                     "--n-resamples", "20", "--seed", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(out.read_text())["kind"] == "eval"
+        assert main(["report", "--in", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith(f"Evaluation of {tmp / 'lm.ctrv'}\nModel  Precision")
+        assert printed == table + f"report -> {out}\n"
 
     def test_report_json_format(self, trained, capsys):
         tmp, _ = trained
@@ -268,9 +303,8 @@ class TestExperimentCommand:
                      "--out-dir", str(tmp_path / "exp"), "--seed", "10"]) == 0
         capsys.readouterr()
         assert main(["report", "--in", str(tmp_path / "exp" / "report.json")]) == 0
-        # topic.txt is the same table under the experiment's title line
-        title, table = (tmp_path / "exp" / "topic.txt").read_text().split("\n", 1)
-        assert title.startswith("Cross-topic")
+        table = (tmp_path / "exp" / "topic.txt").read_text()
+        assert table.startswith("Cross-topic")
         assert capsys.readouterr().out == table
 
 
@@ -451,6 +485,22 @@ class TestExitCodes:
         assert code == 3
         assert "file.json: expected a JSON object, got list" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["file.json", "seeds.jsonl"]
+
+    @pytest.mark.parametrize("payload", [
+        {"report": {"rows": []}},
+        {"kind": "nope", "report": {"rows": []}},
+        {"kind": ["eval"]},
+        {"kind": "temporal", "report": {"within": {"rows": []}, "between": {"rows": []}}},
+        {"kind": "split", "splits": {"train": {"seeds": 1}}},
+    ], ids=["no-kind", "unknown-kind", "kind-not-a-string", "temporal-without-labels",
+            "split-without-counts"])
+    def test_report_without_a_table_is_data_error(self, tmp_path, capsys, payload):
+        (tmp_path / "report.json").write_text(json.dumps(payload))
+        assert main(["report", "--in", str(tmp_path / "report.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("data error: ")
+        assert main(["report", "--in", str(tmp_path / "report.json"), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     @pytest.mark.parametrize("policy", [
         {"max_hops": 3},

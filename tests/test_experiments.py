@@ -27,6 +27,7 @@ from controkit.experiments import (
     run_topic_cv,
     topic_folds,
 )
+from controkit.reports import render_report
 from controkit.synthetic import make_annotated_predictions, make_separable_corpus, split_simple
 
 from boilerplate import make_boilerplate_corpus
@@ -255,7 +256,9 @@ class TestRunExperiment:
         assert payload["kind"] == "comparison"
         assert payload["master_seed"] == 5
         assert set(payload["dataset_fingerprints"]) == {"train_dir", "external_test"}
-        assert (out_a / "comparison.txt").exists()
+        table = (out_a / "comparison.txt").read_text()
+        assert table.startswith("Model comparison\n") and "\nBootstrap intervals\n" in table
+        assert render_report(payload) == table
         assert (out_a / "roc_tfidf.csv").read_text().startswith("fpr,tpr")
 
     def test_temporal_spec_layout(self, splits, tmp_path):

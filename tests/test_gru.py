@@ -213,6 +213,28 @@ class TestGruSequence:
         assert list(g.params) == ["gru.w", "gru.u", "gru.b"]
         assert out.shape == (40, 4)
 
+    def test_backward_keeps_the_gradients_the_op_returned(self, rng, monkeypatch):
+        # the w, u and b gradients are reshaped views; backward stores them uncopied
+        returned = []
+        record = ad._record
+
+        def spy(op, inputs, fwd, bwd, name=None):
+            def bwd_spy(*args):
+                grads = bwd(*args)
+                returned.extend(grads)
+                return grads
+            return record(op, inputs, fwd, bwd_spy if op == "gru_sequence" else bwd, name)
+
+        monkeypatch.setattr(ad, "_record", spy)
+        params = GruParams.random(3, 2, rng)
+        g = ad.Graph(np.float64)
+        h = gru_sequence(g.constant(rng.normal(size=(8, 3))), params.register(g, "gru"), 2)
+        grads = g.backward(weighted_sum(h, rng.normal(size=(8, 4))))
+        _, *cell_grads = returned
+        for name, grad in zip(("gru.w", "gru.u", "gru.b"), cell_grads):
+            assert grad.base is not None, name
+            assert grads[name] is grad, name
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_with_ragged_mask(self, rng, reverse):
         # the loss reads one direction (reverse: direction 1, which starts at

@@ -1,6 +1,7 @@
-from controkit.corpus import DatasetSplit, SplitStats
-from controkit.metrics import EvalReport, ModelEvalRow, eval_report_from_json
+from controkit.experiments import EXPERIMENTS
+from controkit.metrics import EvalReport, ModelEvalRow
 from controkit.reports import (
+    RENDERERS,
     format_delta,
     render_agreement_table,
     render_interval_table,
@@ -12,6 +13,7 @@ from controkit.reports import (
 
 
 def report_with(values_by_model):
+    """The JSON of an EvalReport with these point values."""
     rows = []
     for model, vals in values_by_model.items():
         rows.append(ModelEvalRow(model=model, n=100, metrics={
@@ -21,7 +23,7 @@ def report_with(values_by_model):
     names = list(values_by_model)
     return EvalReport(rows=rows, significance={m: [[False] * len(rows)] * len(rows)
                                                for m in ("precision", "recall", "f1", "auc")},
-                      model_names=names, n_resamples=100, seed=0)
+                      model_names=names, n_resamples=100, seed=0).to_json()
 
 
 METRICS = {"precision": 0.627, "recall": 0.840, "f1": 0.718, "auc": 0.835}
@@ -67,9 +69,7 @@ def test_temporal_table_triplet_columns():
 
 def test_split_stats_table_shape():
     splits = {
-        name: DatasetSplit(name=name, doc_ids=[],
-                           stats=SplitStats(seeds=s, total=t, controversial=c,
-                                            general_web=g))
+        name: {"seeds": s, "total": t, "controversial": c, "general_web": g}
         for name, (s, t, c, g) in {
             "train": (5600, 23703, 7233, 15449),
             "validation": (200, 988, 651, 688),
@@ -85,10 +85,8 @@ def test_split_stats_table_shape():
 
 
 def test_agreement_table_columns():
-    from controkit.metrics import AgreementReport
-
-    rows = [("han", AgreementReport(n=128, mean_annotation=0.277,
-                                    certainty=-0.390, disagreement=0.207))]
+    rows = [("han", {"n": 128, "mean_annotation": 0.277, "certainty": -0.390,
+                     "disagreement": 0.207})]
     table = render_agreement_table(rows)
     header = table.splitlines()[1]
     assert header.split("  ")[0] == "Model"
@@ -103,7 +101,26 @@ def test_roc_csv():
     assert len(lines) == 4
 
 
-def test_eval_report_json_round_trip():
-    report = report_with({"cnn": METRICS, "lm": METRICS})
-    back = eval_report_from_json(report.to_json())
-    assert back.to_json() == report.to_json()
+
+def test_one_renderer_per_report_kind():
+    assert sorted(RENDERERS) == sorted([*EXPERIMENTS, "eval", "split"])
+
+
+def test_golden_world_diff_report_shows_a_shifted_table(monkeypatch, capsys):
+    import golden_world
+
+    outputs = [(path.name, f"run/{path.name}", path.read_text())
+               for path in sorted(golden_world.GOLDEN_DIR.glob("*.txt"))]
+    monkeypatch.setattr(golden_world, "build_golden_tables", lambda tmp: outputs)
+    assert golden_world.diff_report()
+    name, source, text = outputs[0]
+    first, rest = text.split("\n", 1)
+    outputs[0] = (name, source, f" {first}\n{rest}")
+    assert not golden_world.diff_report()
+    n = len(outputs)
+    assert capsys.readouterr().out.splitlines() == [
+        f"0 of {n} outputs differ from their goldens",
+        f"--- golden/{name}", f"+++ {source}", "@@ -1,4 +1,4 @@",
+        f"-{first}", f"+ {first}", *[f" {line}" for line in rest.splitlines()[:3]],
+        f"1 of {n} outputs differ from their goldens",
+    ]
