@@ -48,7 +48,8 @@ vocab = Vocabulary.from_tokens(
     ["the", "debate", "was", "calm", "then", "riots", "erupted", "downtown"], {})
 emb = EmbeddingTable.random(vocab, dim=8, rng=rng)
 # larger-than-default init so the untrained attention is visibly non-uniform
-han = HanParams.random(emb, rng, hidden_dim=4, scale=0.9)
+han = HanParams.random(emb, rng, hidden_dim=4, scale=0.9, max_sentences=30,
+                       max_words_per_sentence=50)
 
 sentences = [
     [vocab.index(w) for w in "the debate was calm".split()],

@@ -39,8 +39,7 @@ class CnnParams(NeuralModel):
         return next(iter(self.filters.values())).shape[0]
 
     @classmethod
-    def random(cls, embedding: EmbeddingTable, rng, window_sizes=(2, 3, 4), n_filters=128,
-               max_tokens=400):
+    def random(cls, embedding: EmbeddingTable, rng, *, window_sizes, n_filters, max_tokens):
         dim = embedding.dim
         filters, biases = {}, {}
         for h in window_sizes:

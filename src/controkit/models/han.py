@@ -53,8 +53,8 @@ class HanParams(NeuralModel):
         return self.word_gru.hidden_dim
 
     @classmethod
-    def random(cls, embedding: EmbeddingTable, rng, hidden_dim: int = 50, max_sentences: int = 30,
-               max_words_per_sentence: int = 50, scale: float = 0.1):
+    def random(cls, embedding: EmbeddingTable, rng, *, hidden_dim: int, max_sentences: int,
+               max_words_per_sentence: int, scale: float = 0.1):
         dim = embedding.dim
         rep = 2 * hidden_dim  # concatenated bi-directional width
 

@@ -1,8 +1,8 @@
 """Seed-deterministic training for all four classifier kinds.
 
-The neural loop trains per-document graphs of the model's loss
-(cross-entropy plus an l2 penalty on the dense prediction weights) with
-gradient accumulation over each mini-batch followed by a single Adam apply,
+The neural loop builds one document's graph of the model's loss (cross-entropy
+plus an l2 penalty on the dense prediction weights) at a time and frees it
+once its gradient is added to the mini-batch's sum; then a single Adam apply,
 epoch-wise seeded shuffling, and early stopping on validation F1
 (best-validation parameters are restored at the end). A fit allocates Adam's
 moments, the best-epoch snapshot and the gradient accumulator once; for the
@@ -188,28 +188,30 @@ def train_neural(kind: str, train_docs, validation_docs, config: TrainConfig,
     diverged = False
     diagnostic = None
 
+    def add_gradient(net_input, target) -> float:
+        """Add a document's gradient to ``total``; returns its loss. Its tape dies here."""
+        graph = ad.Graph(np.float32)
+        loss = params.loss(graph, net_input, target, rng=rng,
+                           dropout_rate=config.dropout, l2=config.l2)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NumericError(f"training loss became {value}")
+        grads = graph.backward(loss)
+        for name, acc in total.items():
+            g = grads[name]
+            if isinstance(g, ad.RowSparseGrad):
+                g.add_to(acc)
+            else:
+                acc += g
+        return value
+
     def batch_gradients(batch) -> float:
         """Refill ``total`` with the batch's mean gradient; returns the mean loss."""
         for acc in total.values():
             getattr(acc, "values", acc).fill(0)
         loss_sum = 0.0
-        # a document's tape lives until the next one's forward pass has run: freed
-        # earlier, its heap pages go back to the OS and fault in again per document
         for net_input, target in batch:
-            graph = ad.Graph(np.float32)
-            loss = params.loss(graph, net_input, target, rng=rng,
-                               dropout_rate=config.dropout, l2=config.l2)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericError(f"training loss became {value}")
-            loss_sum += value
-            grads = graph.backward(loss)
-            for name, acc in total.items():
-                g = grads[name]
-                if isinstance(g, ad.RowSparseGrad):
-                    g.add_to(acc)
-                else:
-                    acc += g
+            loss_sum += add_gradient(net_input, target)
         scale = 1.0 / len(batch)
         for acc in total.values():
             getattr(acc, "values", acc)[...] *= scale

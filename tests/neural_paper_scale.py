@@ -9,14 +9,18 @@ tokens (the encode cap) and HAN pages of 6 x 10 and 30 x 50 (sentences x
 words, the caps). Each run times a one-epoch fit and a zero-epoch fit
 (vocabulary lookup, encoding and set-up) on the same documents; their
 difference over k is one batch. The projection is the batch time for a
-5,600-document, 5-epoch fit, without validation scoring. Point
-``PYTHONPATH`` at the ``src`` of the tree to measure:
+5,600-document, 5-epoch fit, without validation scoring. Next to each
+run's ms/doc go the minor page faults of its two fits, counted by
+``getrusage(RUSAGE_SELF)`` for this process only; the first fit in a
+process also faults in the heap it grows. Point ``PYTHONPATH`` at the
+``src`` of the tree to measure:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/neural_paper_scale.py --batches 2 --runs 3
 """
 
 import argparse
 import math
+import resource
 import statistics
 import time
 from dataclasses import dataclass
@@ -68,14 +72,18 @@ def main() -> None:
         shape = f"{n_words} tokens" if kind == "cnn" else f"{n_sentences}x{n_words}"
         batch_s = []
         for _ in range(args.runs):
-            times = []
+            times, faults = [], []
             for epochs in (0, 1):
                 config = TrainConfig(epochs=epochs, embed_dim=DIM, batch_size=BATCH)
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 fit(kind, docs, docs[:2], config, pretrained=table)
                 times.append(time.perf_counter() - t0)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             batch_s.append((times[1] - times[0]) / args.batches)
-            print(f"{kind} {shape}: batch {batch_s[-1] * 1e3:.0f} ms", flush=True)
+            print(f"{kind} {shape}: batch {batch_s[-1] * 1e3:.0f} ms, "
+                  f"{batch_s[-1] * 1e3 / BATCH:.1f} ms/doc; minor faults {faults[0]:,} "
+                  f"(0 epochs), {faults[1]:,} (1 epoch)", flush=True)
         median = statistics.median(batch_s)
         print(f"{kind} {shape}: median of {args.runs}, {median * 1e3 / BATCH:.1f} ms/doc; "
               f"{FIT_DOCS:,} docs x {FIT_EPOCHS} epochs: "

@@ -93,14 +93,15 @@ def _toy_cnn(seed: int) -> CnnParams:
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "e"], {})
     emb = EmbeddingTable.random(vocab, 3, rng)
-    return CnnParams.random(emb, rng, window_sizes=(2, 3), n_filters=4)
+    return CnnParams.random(emb, rng, window_sizes=(2, 3), n_filters=4, max_tokens=400)
 
 
 def _toy_han(seed: int) -> HanParams:
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "e"], {})
     emb = EmbeddingTable.random(vocab, 3, rng)
-    return HanParams.random(emb, rng, hidden_dim=1, scale=0.5)
+    return HanParams.random(emb, rng, hidden_dim=1, scale=0.5, max_sentences=30,
+                            max_words_per_sentence=50)
 
 
 def test_criterion_2_gradient_suite():

@@ -54,7 +54,8 @@ def test_tape_size_does_not_depend_on_the_document(rng, small_embedding):
     # 9 parameters and one node per layer: lookup, one conv_max_pool for
     # all widths, dropout, linear, cross_entropy and the l2 penalty; no op
     # is recorded per token, window position or width
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=4)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=4,
+                              max_tokens=400)
     tapes = []
     for n_tokens in (5, 400):
         graph = ad.Graph(np.float32)
@@ -70,7 +71,8 @@ def test_tape_size_does_not_depend_on_the_document(rng, small_embedding):
 
 
 def test_matches_scalar_loop_oracle(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4,
+                              max_tokens=400)
     tokens = [2, 3, 4, 5, 6, 2, 4]
     probs = params.probabilities(tokens)
     oracle = cnn_scalar(tokens, params)
@@ -82,7 +84,8 @@ def favour_padding_cnn(rng, small_embedding):
     weights: that filter's all-padding windows (relu(b) = b) beat every
     window that reads a token."""
     small_embedding.vectors[2:] = np.abs(small_embedding.vectors[2:])
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=3)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=3,
+                              max_tokens=400)
     for h in params.window_sizes:
         params.filters[h][0] = -np.abs(params.filters[h][0])
         params.filter_biases[h][:] = [0.5, 0.25, 0.1]
@@ -115,9 +118,10 @@ def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_
 
 @pytest.mark.parametrize("real_len", [1, 57, 396, 400])
 def test_training_graph_reads_real_len_plus_widest_window_rows(rng, small_embedding, real_len):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=2)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=2,
+                              max_tokens=400)
     text = text_of(rng.integers(2, 7, size=real_len), small_embedding.vocab)
-    net_input = params.network_input(text)  # max_tokens 400
+    net_input = params.network_input(text)
     graph = ad.Graph(np.float32)
     params.loss(graph, net_input, target=1, rng=np.random.default_rng(0))
     (lookup,) = [node for node in graph.nodes if node.op == "lookup"]
@@ -125,14 +129,16 @@ def test_training_graph_reads_real_len_plus_widest_window_rows(rng, small_embedd
 
 
 def test_short_document_padded_to_window(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 4), n_filters=2,
+                              max_tokens=400)
     probs = params.probabilities([3])  # shorter than the widest window
     assert probs.shape == (2,)
     assert abs(probs.sum() - 1.0) < 1e-6
 
 
 def test_empty_document_signals(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2,
+                              max_tokens=400)
     for text in ("", "--- !!! ."):
         with pytest.raises(EmptyDocumentError, match="'d'"):
             params.network_input(SimpleNamespace(id="d", text=text))
@@ -151,7 +157,8 @@ def test_network_input_pads_one_widest_window_up_to_max_tokens(rng, small_embedd
 
 
 def test_probabilities_sum_to_one(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4,
+                              max_tokens=400)
     for _ in range(20):
         tokens = rng.integers(2, 7, size=rng.integers(3, 12)).tolist()
         probs = params.probabilities(tokens)
@@ -159,7 +166,8 @@ def test_probabilities_sum_to_one(rng, small_embedding):
 
 
 def test_toy_gradient_check(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3), n_filters=4,
+                              max_tokens=400)
     graph = ad.Graph(np.float64)
     loss = params.loss(graph, [2, 3, 4, 5, 6], target=1, mode="train",
                        rng=np.random.default_rng(5), dropout_rate=0.5, l2=1e-3)
@@ -168,7 +176,8 @@ def test_toy_gradient_check(rng, small_embedding):
 
 
 def test_l2_term_increases_loss(rng, small_embedding):
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2,
+                              max_tokens=400)
     params.dense_w[...] = 1.0
 
     def loss_value(l2):
@@ -180,7 +189,8 @@ def test_l2_term_increases_loss(rng, small_embedding):
 
 def test_frozen_embedding_not_trainable(rng, small_embedding):
     small_embedding.trainable = False
-    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2)
+    params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2,
+                              max_tokens=400)
     assert "embedding" not in params.trainable_arrays()
     graph = ad.Graph(np.float32)
     params.bind(graph)

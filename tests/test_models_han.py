@@ -14,7 +14,8 @@ from oracles import han_scalar
 
 @pytest.fixture
 def han_params(small_embedding, rng):
-    return HanParams.random(small_embedding, rng, hidden_dim=3, scale=0.4)
+    return HanParams.random(small_embedding, rng, hidden_dim=3, scale=0.4, max_sentences=30,
+                            max_words_per_sentence=50)
 
 
 def test_single_word_attention_is_exactly_one(han_params):
@@ -98,7 +99,8 @@ def test_network_input_is_the_capped_non_empty_sentences(han_params):
 
 
 def test_toy_gradient_check(small_embedding, rng):
-    params = HanParams.random(small_embedding, rng, hidden_dim=1, scale=0.5)
+    params = HanParams.random(small_embedding, rng, hidden_dim=1, scale=0.5, max_sentences=30,
+                              max_words_per_sentence=50)
     graph = ad.Graph(np.float64)
     loss = params.loss(graph, [[2, 3, 4], [5, 6, 2]], target=0, mode="train",
                        rng=np.random.default_rng(9), dropout_rate=0.5, l2=1e-3)
@@ -132,7 +134,8 @@ def test_tape_size_does_not_depend_on_the_document(han_params):
 
 
 def test_frozen_table_gets_no_gradient(small_embedding, rng):
-    params = HanParams.random(small_embedding, rng, hidden_dim=3, scale=0.4)
+    params = HanParams.random(small_embedding, rng, hidden_dim=3, scale=0.4, max_sentences=30,
+                              max_words_per_sentence=50)
     grads = {}
     for trainable in (True, False):
         params.embedding.trainable = trainable

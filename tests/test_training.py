@@ -4,10 +4,12 @@ import re
 from collections import Counter
 from pathlib import Path
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
 from controkit.errors import UsageError
 from controkit.models import TrainConfig, calibrate_threshold, fit, predict
@@ -81,6 +83,27 @@ class TestNeuralTraining:
             peaks.append(peak)
         arrays_held = (peaks[1] - peaks[0]) / (table_bytes[1] - table_bytes[0])
         assert arrays_held <= 0.5
+
+    @pytest.mark.parametrize("fine_tune", [True, False], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("kind", ["cnn", "han"])
+    def test_each_tape_is_freed_before_the_next_is_built(self, kind, fine_tune, splits,
+                                                          monkeypatch):
+        # A spy Graph keeps weak references to every tape the fit builds
+        # (training documents and validation scoring); when one is built, no
+        # tape built before it may still be alive, so a fit holds one at a time.
+        built, alive_at_build = [], []
+
+        class SpyGraph(ad.Graph):
+            def __init__(self, *args, **kwargs):
+                alive_at_build.append(sum(ref() is not None for ref in built))
+                built.append(weakref.ref(self))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "Graph", SpyGraph)
+        cfg = dataclasses.replace(CFG, epochs=2, batch_size=4, fine_tune_embeddings=fine_tune)
+        fit(kind, splits["train"][:8], splits["validation"][:4], cfg)
+        assert len(built) == 2 * (8 + 4)
+        assert alive_at_build == [0] * len(built)
 
     def test_w2v_file_read_once(self, splits, tmp_path, monkeypatch):
         from controkit import embeddings
