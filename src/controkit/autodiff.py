@@ -287,7 +287,7 @@ def l2_penalty(loss: Tensor, w: Tensor, k: float) -> Tensor:
     return _record("l2_penalty", (loss, w), fwd, bwd)
 
 
-def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
+def lookup(table: Tensor, indices, pad_index: int = 0) -> Tensor:
     """Gather rows of an embedding table.
 
     The backward pass returns a :class:`RowSparseGrad` of the gathered rows,
@@ -297,7 +297,7 @@ def lookup(table: Tensor, indices, pad_index: int | None = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError(f"lookup indices must be 1-D, got shape {idx.shape}")
-    kept = idx != pad_index if pad_index is not None else np.ones(len(idx), dtype=bool)
+    kept = idx != pad_index
 
     def fwd(tab):
         return tab[idx]

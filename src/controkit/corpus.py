@@ -58,7 +58,7 @@ def host_of(url: str) -> str:
     return urlsplit(url).netloc.lower().split(":")[0]
 
 
-def classify_source(url: str, wikipedia_hosts=("wikipedia.org",)) -> str:
+def classify_source(url: str, wikipedia_hosts) -> str:
     host = host_of(url)
     for wh in wikipedia_hosts:
         if host == wh or host.endswith("." + wh):
@@ -195,7 +195,7 @@ def compute_stats(docs) -> SplitStats:
 def _bfs_assignment(doc_urls: set[str], edges, sources: list[str]):
     """Multi-source BFS over fetched pages.
 
-    Returns {url: (distance, source_rank)}; the FIFO frontier seeded in
+    Returns {url: rank of its nearest source}; the FIFO frontier seeded in
     source order makes ties resolve to the earliest-listed source.
     """
     adjacency: dict[str, list[str]] = {}
@@ -203,19 +203,18 @@ def _bfs_assignment(doc_urls: set[str], edges, sources: list[str]):
         src, dst = normalize_url(e.src), normalize_url(e.dst)
         if src in doc_urls and dst in doc_urls:
             adjacency.setdefault(src, []).append(dst)
-    result: dict[str, tuple[int, int]] = {}
+    result: dict[str, int] = {}
     queue = deque()
     for rank, url in enumerate(sources):
         url = normalize_url(url)
         if url in doc_urls and url not in result:
-            result[url] = (0, rank)
+            result[url] = rank
             queue.append(url)
     while queue:
         url = queue.popleft()
-        dist, rank = result[url]
         for nxt in adjacency.get(url, ()):
             if nxt not in result:
-                result[nxt] = (dist + 1, rank)
+                result[nxt] = result[url]
                 queue.append(nxt)
     return result
 
@@ -229,7 +228,7 @@ def assign_seeds(documents, edges, seeds) -> dict[str, str]:
         url = normalize_url(doc.url)
         if url not in reach:
             raise IntegrityError(f"document {doc.url} unreachable from any seed")
-        assignment[doc.id] = normalize_url(seeds[reach[url][1]].url)
+        assignment[doc.id] = normalize_url(seeds[reach[url]].url)
     return assignment
 
 
@@ -252,7 +251,7 @@ def propagate_labels(documents, edges, seeds):
             raise IntegrityError(f"document {doc.url} unreachable from any seed")
         if url in pos_reach:
             doc.label = CONTROVERSIAL
-            doc.topic = controversial_seeds[pos_reach[url][1]].topic
+            doc.topic = controversial_seeds[pos_reach[url]].topic
         else:
             doc.label = NON_CONTROVERSIAL
             doc.topic = None

@@ -40,8 +40,10 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 class NeuralModel:
     """Parameters of a two-class network over an ``embedding`` table.
 
-    A subclass defines ``named_arrays`` (which includes ``embedding`` and
-    the ``dense.w`` prediction weights), ``random(embedding, rng, **shape)``,
+    A subclass holds an ``embedding`` table and ``arrays``, its other
+    parameters keyed by their checkpoint names in checkpoint order
+    (``dense.w`` are the prediction weights). It defines
+    ``random(embedding, rng, **shape)``, which builds that map,
     ``SHAPE``, which maps each shape keyword (stored with checkpoints) to
     its type (``int`` for a positive integer, ``list`` for a non-empty list
     of them), and three methods:
@@ -56,6 +58,10 @@ class NeuralModel:
     """
 
     SHAPE: dict = {}
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter under its checkpoint name, the table first."""
+        return {"embedding": self.embedding.vectors, **self.arrays}
 
     def bind(self, graph: ad.Graph) -> dict[str, ad.Tensor]:
         """``named_arrays`` as nodes of ``graph``: parameters, except a

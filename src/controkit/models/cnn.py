@@ -25,47 +25,29 @@ N_CLASSES = 2  # index 0 non-controversial, index 1 controversial
 @dataclass
 class CnnParams(NeuralModel):
     embedding: EmbeddingTable
+    arrays: dict            # conv<h>.w (n_filters, h*dim), conv<h>.b, dense.w (2, pooled), dense.b
     window_sizes: tuple
-    filters: dict           # window size -> (n_filters, window*dim) float32
-    filter_biases: dict     # window size -> (n_filters,) float32
-    dense_w: np.ndarray     # (2, n_windows*n_filters)
-    dense_b: np.ndarray     # (2,)
     max_tokens: int         # tokens read per document
 
     SHAPE = {"window_sizes": list, "n_filters": int, "max_tokens": int}
 
     @property
     def n_filters(self) -> int:
-        return next(iter(self.filters.values())).shape[0]
+        return self.arrays[f"conv{self.window_sizes[0]}.w"].shape[0]
 
     @classmethod
     def random(cls, embedding: EmbeddingTable, rng, *, window_sizes, n_filters, max_tokens):
         dim = embedding.dim
-        filters, biases = {}, {}
+        arrays = {}
         for h in window_sizes:
-            filters[h] = glorot_uniform(rng, fan_in=h * dim, fan_out=n_filters,
-                                        shape=(n_filters, h * dim))
-            biases[h] = np.zeros(n_filters, dtype=np.float32)
+            arrays[f"conv{h}.w"] = glorot_uniform(rng, fan_in=h * dim, fan_out=n_filters,
+                                                  shape=(n_filters, h * dim))
+            arrays[f"conv{h}.b"] = np.zeros(n_filters, dtype=np.float32)
         pooled = n_filters * len(window_sizes)
-        return cls(
-            embedding=embedding,
-            window_sizes=tuple(window_sizes),
-            filters=filters,
-            filter_biases=biases,
-            dense_w=glorot_uniform(rng, fan_in=pooled, fan_out=N_CLASSES,
-                                   shape=(N_CLASSES, pooled)),
-            dense_b=np.zeros(N_CLASSES, dtype=np.float32),
-            max_tokens=max_tokens,
-        )
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {"embedding": self.embedding.vectors}
-        for h in self.window_sizes:
-            out[f"conv{h}.w"] = self.filters[h]
-            out[f"conv{h}.b"] = self.filter_biases[h]
-        out["dense.w"] = self.dense_w
-        out["dense.b"] = self.dense_b
-        return out
+        arrays["dense.w"] = glorot_uniform(rng, fan_in=pooled, fan_out=N_CLASSES,
+                                           shape=(N_CLASSES, pooled))
+        arrays["dense.b"] = np.zeros(N_CLASSES, dtype=np.float32)
+        return cls(embedding, arrays, tuple(window_sizes), max_tokens)
 
     def network_input(self, doc) -> list[int]:
         """The ids of the first ``max_tokens`` tokens of a document (or a

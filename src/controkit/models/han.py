@@ -33,63 +33,31 @@ N_CLASSES = 2
 @dataclass
 class HanParams(NeuralModel):
     embedding: EmbeddingTable
-    word_gru: GruParams
-    word_att_w: np.ndarray   # (2h, 2h)
-    word_att_b: np.ndarray   # (2h,)
-    word_att_u: np.ndarray   # (2h,) context vector
-    sent_gru: GruParams
-    sent_att_w: np.ndarray
-    sent_att_b: np.ndarray
-    sent_att_u: np.ndarray
-    dense_w: np.ndarray      # (2, 2h)
-    dense_b: np.ndarray      # (2,)
-    max_sentences: int       # sentences read per document
+    arrays: dict  # {word,sent}_gru.{w,u,b}, {word,sent}_att.{w,b,u}, dense.{w,b}
+    max_sentences: int  # sentences read per document
     max_words_per_sentence: int
 
     SHAPE = {"hidden_dim": int, "max_sentences": int, "max_words_per_sentence": int}
 
     @property
     def hidden_dim(self) -> int:
-        return self.word_gru.hidden_dim
+        return self.arrays["word_gru.u"].shape[2]
 
     @classmethod
     def random(cls, embedding: EmbeddingTable, rng, *, hidden_dim: int, max_sentences: int,
                max_words_per_sentence: int, scale: float = 0.1):
-        dim = embedding.dim
         rep = 2 * hidden_dim  # concatenated bi-directional width
-
-        def u(*shape):
-            return rng.uniform(-scale, scale, size=shape).astype(np.float32)
-
-        return cls(
-            embedding=embedding,
-            word_gru=GruParams.random(dim, hidden_dim, rng, scale),
-            word_att_w=u(rep, rep),
-            word_att_b=u(rep),
-            word_att_u=u(rep),
-            sent_gru=GruParams.random(rep, hidden_dim, rng, scale),
-            sent_att_w=u(rep, rep),
-            sent_att_b=u(rep),
-            sent_att_u=u(rep),
-            dense_w=glorot_uniform(rng, fan_in=rep, fan_out=N_CLASSES, shape=(N_CLASSES, rep)),
-            dense_b=np.zeros(N_CLASSES, dtype=np.float32),
-            max_sentences=max_sentences,
-            max_words_per_sentence=max_words_per_sentence,
-        )
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {"embedding": self.embedding.vectors}
-        out.update(self.word_gru.named_arrays("word_gru"))
-        out["word_att.w"] = self.word_att_w
-        out["word_att.b"] = self.word_att_b
-        out["word_att.u"] = self.word_att_u
-        out.update(self.sent_gru.named_arrays("sent_gru"))
-        out["sent_att.w"] = self.sent_att_w
-        out["sent_att.b"] = self.sent_att_b
-        out["sent_att.u"] = self.sent_att_u
-        out["dense.w"] = self.dense_w
-        out["dense.b"] = self.dense_b
-        return out
+        arrays = {}
+        for level, input_dim in (("word", embedding.dim), ("sent", rep)):
+            arrays.update(GruParams.random(input_dim, hidden_dim, rng, scale)
+                          .named_arrays(f"{level}_gru"))
+            for name, shape in (("w", (rep, rep)), ("b", (rep,)), ("u", (rep,))):
+                arrays[f"{level}_att.{name}"] = rng.uniform(-scale, scale,
+                                                            size=shape).astype(np.float32)
+        arrays["dense.w"] = glorot_uniform(rng, fan_in=rep, fan_out=N_CLASSES,
+                                           shape=(N_CLASSES, rep))
+        arrays["dense.b"] = np.zeros(N_CLASSES, dtype=np.float32)
+        return cls(embedding, arrays, max_sentences, max_words_per_sentence)
 
     def network_input(self, doc) -> list[list[int]]:
         """The non-empty sentence id lists of a document (or a text), capped."""

@@ -23,9 +23,6 @@ from ..errors import DataFormatError, UsageError
 from ..textprep import tokenize
 from .base import LexicalModel, count_terms
 
-DEFAULT_MU = 2000.0
-
-
 @dataclass
 class LmModel(LexicalModel):
     """Per-class term counts; ``p_pos``, ``p_neg`` and ``log_ratio`` derive from them."""
@@ -91,7 +88,7 @@ def read_lexicon(path) -> set[str]:
     return lexicon
 
 
-def lm_train(docs, mu: float = DEFAULT_MU, lexicon=None) -> LmModel:
+def lm_train(docs, mu: float, lexicon=None) -> LmModel:
     """Count-based fit of the two class distributions.
 
     ``lexicon`` optionally restricts training to documents containing at

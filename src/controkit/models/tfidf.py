@@ -85,7 +85,7 @@ def _feature_matrix(indptr, ids, counts, model: TfIdfModel):
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), ids, np.concatenate(data)
 
 
-def tfidf_train(docs, epochs: int = 200, lr: float = 0.5, l2: float = 1e-4) -> TfIdfModel:
+def tfidf_train(docs, epochs: int, lr: float, l2: float) -> TfIdfModel:
     """Fit the margin classifier on labeled documents.
 
     Deterministic full-batch subgradient descent on

@@ -95,7 +95,7 @@ class Vocabulary:
                    [0, 0] + [counts.get(t, 0) for t in index_to_token[2:]])
 
 
-def build_vocabulary(corpus, max_size: int = 50_000, min_freq: int = 2) -> Vocabulary:
+def build_vocabulary(corpus, max_size: int, min_freq: int) -> Vocabulary:
     """Frequency-ranked vocabulary over a document stream.
 
     ``corpus`` yields objects with a ``text`` attribute or plain strings.

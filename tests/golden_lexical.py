@@ -73,8 +73,8 @@ def build_lexical_lock(name: str) -> dict:
     from controkit.textprep import tokenize
 
     train, test = lock_corpus(name)
-    tfidf = tfidf_train(train)
-    lm = lm_train(train)
+    tfidf = tfidf_train(train, epochs=200, lr=0.5, l2=1e-4)
+    lm = lm_train(train, mu=2000.0)
     return {
         "tfidf": {
             "n_terms": len(tfidf.terms),

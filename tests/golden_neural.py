@@ -46,7 +46,7 @@ def _wide_table(train_docs, dim: int):
     from controkit.embeddings import EmbeddingTable
     from controkit.textprep import Vocabulary, build_vocabulary
 
-    words = build_vocabulary(train_docs, min_freq=1).words()
+    words = build_vocabulary(train_docs, max_size=50_000, min_freq=1).words()
     words += [f"filler{i}" for i in range(WIDE_FILLER_ROWS)]
     return EmbeddingTable.random(Vocabulary.from_tokens(words), dim, np.random.default_rng(53))
 

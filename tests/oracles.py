@@ -103,8 +103,8 @@ def cnn_scalar(tokens, params) -> np.ndarray:
     dim = vectors.shape[1]
     pooled = []
     for h in params.window_sizes:
-        filt = np.asarray(params.filters[h], dtype=np.float64)
-        bias = np.asarray(params.filter_biases[h], dtype=np.float64)
+        filt = np.asarray(params.arrays[f"conv{h}.w"], dtype=np.float64)
+        bias = np.asarray(params.arrays[f"conv{h}.b"], dtype=np.float64)
         for f in range(filt.shape[0]):
             best = -math.inf
             for pos in range(len(emb) - h + 1):
@@ -114,8 +114,8 @@ def cnn_scalar(tokens, params) -> np.ndarray:
                         s += filt[f, i * dim + d] * emb[pos + i][d]
                 best = max(best, max(0.0, s))
             pooled.append(best)
-    dense_w = np.asarray(params.dense_w, dtype=np.float64)
-    dense_b = np.asarray(params.dense_b, dtype=np.float64)
+    dense_w = np.asarray(params.arrays["dense.w"], dtype=np.float64)
+    dense_b = np.asarray(params.arrays["dense.b"], dtype=np.float64)
     logits = [float(dense_b[c]) + sum(dense_w[c, j] * pooled[j] for j in range(len(pooled)))
               for c in range(dense_w.shape[0])]
     return softmax_direct(logits)
@@ -125,7 +125,10 @@ def han_scalar(sentences, params):
     """Explicit re-implementation of the hierarchical attention forward
     pass (eval mode), sentence by sentence, word by word."""
     vectors = np.asarray(params.embedding.vectors, dtype=np.float64)
-    hidden = params.word_gru.hidden_dim
+    hidden = params.hidden_dim
+
+    def attention_arrays(level):
+        return (params.arrays[f"{level}_att.{name}"] for name in "wbu")
 
     def attention(states, w, b, u):
         scores = []
@@ -138,34 +141,33 @@ def han_scalar(sentences, params):
             pooled += a * h
         return pooled, alpha
 
-    def bidirectional(xs, gru):
+    def bidirectional(xs, level):
         """Direction 0 read forward and direction 1 backward, concatenated per step."""
+        w, u, b = (params.arrays[f"{level}_gru.{name}"] for name in "wub")
         h = np.zeros(hidden)
         fw = []
         for x in xs:
-            h = gru_scalar(x, h, *direction(gru, 0))
+            h = gru_scalar(x, h, w[0], u[0], b[0])
             fw.append(h)
         h = np.zeros(hidden)
         bw = [None] * len(xs)
         for t in reversed(range(len(xs))):
-            h = gru_scalar(xs[t], h, *direction(gru, 1))
+            h = gru_scalar(xs[t], h, w[1], u[1], b[1])
             bw[t] = h
         return [np.concatenate([fw[t], bw[t]]) for t in range(len(xs))]
 
     sent_vectors = []
     word_alphas = []
     for sent in sentences:
-        states = bidirectional([vectors[t] for t in sent], params.word_gru)
-        pooled, alpha = attention(states, params.word_att_w, params.word_att_b,
-                                  params.word_att_u)
+        states = bidirectional([vectors[t] for t in sent], "word")
+        pooled, alpha = attention(states, *attention_arrays("word"))
         sent_vectors.append(pooled)
         word_alphas.append(alpha)
 
-    states = bidirectional(sent_vectors, params.sent_gru)
-    doc_vec, sent_alpha = attention(states, params.sent_att_w, params.sent_att_b,
-                                    params.sent_att_u)
-    dense_w = np.asarray(params.dense_w, dtype=np.float64)
-    dense_b = np.asarray(params.dense_b, dtype=np.float64)
+    states = bidirectional(sent_vectors, "sent")
+    doc_vec, sent_alpha = attention(states, *attention_arrays("sent"))
+    dense_w = np.asarray(params.arrays["dense.w"], dtype=np.float64)
+    dense_b = np.asarray(params.arrays["dense.b"], dtype=np.float64)
     logits = dense_w @ doc_vec + dense_b
     return softmax_direct(logits), word_alphas, sent_alpha
 

@@ -45,10 +45,11 @@ class TestUrls:
         assert len(document_id("http://a.test/x")) == 16
 
     def test_classify_source(self):
-        assert classify_source("https://en.wikipedia.org/wiki/X") == "wikipedia"
-        assert classify_source("https://wikipedia.org/wiki/X") == "wikipedia"
-        assert classify_source("https://example.com/page") == "general-web"
-        assert classify_source("http://notwikipedia.org/x") == "general-web"
+        hosts = ("wikipedia.org",)
+        assert classify_source("https://en.wikipedia.org/wiki/X", hosts) == "wikipedia"
+        assert classify_source("https://wikipedia.org/wiki/X", hosts) == "wikipedia"
+        assert classify_source("https://example.com/page", hosts) == "general-web"
+        assert classify_source("http://notwikipedia.org/x", hosts) == "general-web"
 
 
 class TestPropagation:

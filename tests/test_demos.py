@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
     "01_autodiff_and_gradient_checking.py",
     "02_gru_and_attention.py",
     "03_crawl_a_fixture_wiki.py",
+    "04_train_and_evaluate_classifiers.py",
+    "05_robustness_under_drift.py",
     "06_human_agreement.py",
 ])
 def test_demo_runs(name, tmp_path):

@@ -149,6 +149,25 @@ class TestCheckpointRoundTrip:
         docs = corpus_splits["test"][:15]
         assert predict(reloaded, docs) == predict(clf, docs)
 
+    @pytest.mark.parametrize("kind,names", [
+        ("cnn", ["embedding", "conv2.w", "conv2.b", "conv3.w", "conv3.b", "conv4.w", "conv4.b",
+                 "dense.w", "dense.b"]),
+        ("han", ["embedding", "word_gru.w", "word_gru.u", "word_gru.b", "word_att.w",
+                 "word_att.b", "word_att.u", "sent_gru.w", "sent_gru.u", "sent_gru.b",
+                 "sent_att.w", "sent_att.b", "sent_att.u", "dense.w", "dense.b"]),
+    ])
+    def test_parameters_keep_their_checkpoint_names_and_order(self, kind, names,
+                                                              corpus_splits, tmp_path):
+        config = dataclasses.replace(NEURAL_CFG, epochs=1, window_sizes=(2, 3, 4))
+        clf = fit(kind, corpus_splits["train"][:20], corpus_splits["validation"][:10],
+                  config).classifier
+        assert list(clf.model.named_arrays()) == names
+        path = tmp_path / f"{kind}.ctrv"
+        save_classifier(path, clf)
+        raw = path.read_bytes()
+        header = json.loads(raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]])
+        assert [entry["name"] for entry in header["parameters"]] == names
+
 
 def _limits_record_layout(hp):
     """CNN hyperparameters as once saved: the caps in a ``limits`` record apart

@@ -16,15 +16,11 @@ from oracles import cnn_scalar
 def zeroed_cnn(vocab_size=6, dim=4, windows=(2, 3), n_filters=3):
     vocab = Vocabulary.from_tokens([f"w{i}" for i in range(vocab_size - 2)], {})
     emb = EmbeddingTable(vocab, np.zeros((vocab_size, dim), np.float32), True)
-    return CnnParams(
-        embedding=emb,
-        window_sizes=windows,
-        filters={h: np.zeros((n_filters, h * dim), np.float32) for h in windows},
-        filter_biases={h: np.zeros(n_filters, np.float32) for h in windows},
-        dense_w=np.zeros((2, n_filters * len(windows)), np.float32),
-        dense_b=np.zeros(2, np.float32),
-        max_tokens=400,
-    )
+    params = CnnParams.random(emb, np.random.default_rng(0), window_sizes=windows,
+                              n_filters=n_filters, max_tokens=400)
+    for arr in params.arrays.values():
+        arr[...] = 0
+    return params
 
 
 def test_all_zero_parameters_give_uniform_probabilities():
@@ -37,7 +33,7 @@ def test_max_over_time_position_invariance(rng):
     params = zeroed_cnn(dim=3, windows=(3,), n_filters=1)
     params.embedding.vectors[2:5] = np.eye(3, dtype=np.float32)  # w0, w1, w2
     pattern = np.concatenate([np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]])
-    params.filters[3][0] = pattern.astype(np.float32)
+    params.arrays["conv3.w"][0] = pattern.astype(np.float32)
 
     def pooled_activation(tokens):
         graph = ad.Graph(np.float64)
@@ -87,8 +83,8 @@ def favour_padding_cnn(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2, 3, 4), n_filters=3,
                               max_tokens=400)
     for h in params.window_sizes:
-        params.filters[h][0] = -np.abs(params.filters[h][0])
-        params.filter_biases[h][:] = [0.5, 0.25, 0.1]
+        params.arrays[f"conv{h}.w"][0] = -np.abs(params.arrays[f"conv{h}.w"][0])
+        params.arrays[f"conv{h}.b"][:] = [0.5, 0.25, 0.1]
     return params
 
 
@@ -111,7 +107,7 @@ def test_trimmed_input_scores_as_the_padded_document(rng, small_embedding, real_
     if real_len in (2, 57):  # an all-padding window is filter 0's first maximum
         emb = params.embedding.vectors[full]
         for h in params.window_sizes:
-            acts = [params.filters[h][0] @ emb[i : i + h].reshape(-1)
+            acts = [params.arrays[f"conv{h}.w"][0] @ emb[i : i + h].reshape(-1)
                     for i in range(400 - h + 1)]
             assert np.argmax(np.maximum(np.add(acts, 0.5), 0)) == real_len
 
@@ -178,13 +174,14 @@ def test_toy_gradient_check(rng, small_embedding):
 def test_l2_term_increases_loss(rng, small_embedding):
     params = CnnParams.random(small_embedding, rng, window_sizes=(2,), n_filters=2,
                               max_tokens=400)
-    params.dense_w[...] = 1.0
+    dense_w = params.arrays["dense.w"]
+    dense_w[...] = 1.0
 
     def loss_value(l2):
         graph = ad.Graph(np.float64)
         return float(params.loss(graph, [2, 3, 4], 0, "eval", l2=l2).data)
 
-    assert loss_value(1e-3) == pytest.approx(loss_value(0.0) + 1e-3 * params.dense_w.size)
+    assert loss_value(1e-3) == pytest.approx(loss_value(0.0) + 1e-3 * dense_w.size)
 
 
 def test_frozen_embedding_not_trainable(rng, small_embedding):

@@ -35,7 +35,7 @@ def test_duplicate_sentences_share_attention(han_params):
     assert np.allclose(word_att[0], word_att[1], atol=1e-6)
     assert np.allclose(sent_att, [0.5, 0.5], atol=5e-3)
 
-    for arr in (han_params.sent_gru.w, han_params.sent_gru.u, han_params.sent_gru.b):
+    for arr in (han_params.arrays[f"sent_gru.{name}"] for name in "wub"):
         arr[...] = 0.0
     _, _, sent_att = han_forward(sentences, han_params)
     assert np.array_equal(sent_att, [0.5, 0.5])

@@ -46,7 +46,7 @@ def test_count_terms_gives_each_list_its_ascending_ids_and_counts():
 class TestTfIdf:
     def test_feature_values_match_hand_computation(self):
         corpus = [doc("a a b", CONTROVERSIAL), doc("b c", NON_CONTROVERSIAL)]
-        model = tfidf_train(corpus, epochs=0)
+        model = tfidf_train(corpus, epochs=0, lr=0.5, l2=1e-4)
         # idf: ln((1+2)/(1+df)) + 1 -> a,c: ln(1.5)+1 ~ 1.405465, b: ln(1)+1 = 1
         idf_a = math.log(3 / 2) + 1
         assert model.idf[model.term_index["a"]] == pytest.approx(idf_a, abs=1e-9)
@@ -62,7 +62,7 @@ class TestTfIdf:
 
     def test_single_class_rejected(self):
         with pytest.raises(UsageError, match="both classes"):
-            tfidf_train([doc("a"), doc("b")])
+            tfidf_train([doc("a"), doc("b")], epochs=200, lr=0.5, l2=1e-4)
 
     def test_separable_corpus_training_accuracy_one(self):
         corpus = [
@@ -72,7 +72,7 @@ class TestTfIdf:
             doc("garden recipe walk", NON_CONTROVERSIAL),
         ]
         # perceptron oracle confirms linear separability of the tf-idf vectors
-        probe = tfidf_train(corpus, epochs=0)
+        probe = tfidf_train(corpus, epochs=0, lr=0.5, l2=1e-4)
         xs = []
         for d in corpus:
             ids, row = feature_row(probe, d.text.split())
@@ -94,19 +94,19 @@ class TestTfIdf:
                 break
         assert separable
 
-        model = tfidf_train(corpus)
+        model = tfidf_train(corpus, epochs=200, lr=0.5, l2=1e-4)
         for d in corpus:
             margin = model.score(tokenize(d.text))
             assert (margin >= 0) == (d.label == CONTROVERSIAL)
 
     def test_unseen_terms_contribute_nothing(self):
         corpus = [doc("a b", CONTROVERSIAL), doc("c d", NON_CONTROVERSIAL)]
-        model = tfidf_train(corpus)
+        model = tfidf_train(corpus, epochs=200, lr=0.5, l2=1e-4)
         assert model.score(tokenize("a b")) == model.score(tokenize("a b zzz qqq"))
 
     def test_count_scaling_invariance(self):
         corpus = [doc("a a b c", CONTROVERSIAL), doc("b c d", NON_CONTROVERSIAL)]
-        model = tfidf_train(corpus, epochs=0)
+        model = tfidf_train(corpus, epochs=0, lr=0.5, l2=1e-4)
         base_ids, base = feature_row(model, ["a", "a", "b"])
         tripled_ids, tripled = feature_row(model, ["a"] * 6 + ["b"] * 3)
         assert np.array_equal(base_ids, tripled_ids)
@@ -117,7 +117,7 @@ class TestTfIdf:
         # score and the fit build a document's row in one place, so a
         # training document's margin is its feature-matrix row @ w + b
         train, _ = lock_corpus(corpus)
-        model = tfidf_train(train)
+        model = tfidf_train(train, epochs=200, lr=0.5, l2=1e-4)
         terms, *counted = count_terms(tokenize(d.text) for d in train)
         assert terms == model.terms
         rows, cols, data = _feature_matrix(*counted, model)
@@ -224,13 +224,13 @@ class TestLm:
 
     def test_empty_document_scores_zero(self):
         corpus = [doc("x", CONTROVERSIAL), doc("y", NON_CONTROVERSIAL)]
-        model = lm_train(corpus)
+        model = lm_train(corpus, mu=2000.0)
         assert model.score(tokenize("")) == 0.0
         assert model.score(tokenize("totally unseen words")) == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(UsageError, match="both classes"):
-            lm_train([doc("x", CONTROVERSIAL)])
+            lm_train([doc("x", CONTROVERSIAL)], mu=2000.0)
 
     def test_lexicon_filters_training_documents(self):
         corpus = [
@@ -246,15 +246,15 @@ class TestLm:
     def test_lexicon_that_empties_a_class_rejected(self):
         corpus = [doc("keyword a", CONTROVERSIAL), doc("plain b", NON_CONTROVERSIAL)]
         with pytest.raises(UsageError, match="lexicon"):
-            lm_train(corpus, lexicon={"keyword"})
+            lm_train(corpus, mu=2000.0, lexicon={"keyword"})
 
     @pytest.mark.parametrize("empty", [set(), [], ()])
     def test_empty_lexicon_rejected(self, empty):
         # only None means "no lexicon"; an empty one would filter everything
         corpus = [doc("keyword a", CONTROVERSIAL), doc("plain b", NON_CONTROVERSIAL)]
         with pytest.raises(UsageError, match="lexicon has no terms"):
-            lm_train(corpus, lexicon=empty)
-        assert lm_train(corpus, lexicon=None).terms == ["a", "b", "keyword", "plain"]
+            lm_train(corpus, mu=2000.0, lexicon=empty)
+        assert lm_train(corpus, mu=2000.0, lexicon=None).terms == ["a", "b", "keyword", "plain"]
 
     def test_lexicon_file_read_by_fit(self, tmp_path):
         corpus = [

@@ -34,7 +34,7 @@ def splits():
 
 def _wide_table(docs, rows=20_000):
     """A ``rows`` x 64 trainable table covering ``docs``, padded with unused words."""
-    words = build_vocabulary(docs, min_freq=1).words()
+    words = build_vocabulary(docs, max_size=50_000, min_freq=1).words()
     words += [f"filler{i}" for i in range(rows - 2 - len(words))]
     table = EmbeddingTable.random(Vocabulary.from_tokens(words), 64, np.random.default_rng(0))
     assert table.vectors.shape == (rows, 64)

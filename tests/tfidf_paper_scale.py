@@ -52,9 +52,9 @@ def main() -> None:
     features, totals, scores = [], [], []
     for _ in range(args.runs):
         t0 = time.perf_counter()
-        tfidf_train(docs, epochs=0)
+        tfidf_train(docs, epochs=0, lr=0.5, l2=1e-4)
         t1 = time.perf_counter()
-        model = tfidf_train(docs)
+        model = tfidf_train(docs, epochs=200, lr=0.5, l2=1e-4)
         t2 = time.perf_counter()
         for tokens in held_out:
             model.score(tokens)
@@ -65,7 +65,7 @@ def main() -> None:
         print(f"features {features[-1]:.2f} s  fit {totals[-1]:.2f} s  "
               f"score {scores[-1]:.3f} ms/doc ({len(model.terms)} terms)")
     tracemalloc.start()
-    tfidf_train(docs)
+    tfidf_train(docs, epochs=200, lr=0.5, l2=1e-4)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"median of {args.runs}: features {statistics.median(features):.2f} s, "
