@@ -11,7 +11,7 @@ import numpy as np
 
 from controkit import autodiff as ad
 from controkit.embeddings import EmbeddingTable
-from controkit.gru import GruParams, gru_sequence
+from controkit.gru import gru_arrays, gru_sequence
 from controkit.models.han import HanParams, han_forward
 from controkit.textprep import Vocabulary
 
@@ -22,25 +22,32 @@ rng = np.random.default_rng(7)
 # sequences as one tape node; row i * T + t of the input is step t of sequence
 # i, and row i * T + t of the output is direction 0's state after reading steps
 # 0..t next to direction 1's after reading steps T-1..t.
-params = GruParams.random(input_dim=3, hidden_dim=4, rng=rng, scale=0.4)
+w, u, b = gru_arrays(input_dim=3, hidden_dim=4, rng=rng, scale=0.4)
+
+
+def register(graph, prefix):
+    """The layer's arrays as parameters of ``graph``: the cell gru_sequence reads."""
+    return tuple(graph.parameter(f"{prefix}.{name}", arr) for name, arr in zip("wub", (w, u, b)))
+
+
 xs = rng.normal(size=(5, 3))
 graph = ad.Graph(np.float64)
-states = gru_sequence(graph.constant(xs), params.register(graph, "demo"), n_rows=1)
+states = gru_sequence(graph.constant(xs), register(graph, "demo"), n_rows=1)
 print("forward | backward states after each of 5 steps:\n", np.round(states.data, 3))
 print("tape nodes: 3 parameters (w, u, b) + input + 1 GRU node =", len(graph.nodes))
 
 # a masked step keeps the state it had
 graph = ad.Graph(np.float64)
-masked = gru_sequence(graph.constant(xs), params.register(graph, "masked"), n_rows=1,
+masked = gru_sequence(graph.constant(xs), register(graph, "masked"), n_rows=1,
                       mask=np.array([[1, 1, 0, 0, 1]]))
 forward = masked.data[:, :4]
 print("masked steps 2 and 3 (counting from 0) keep step 1's forward state:",
       np.array_equal(forward[1], forward[2]) and np.array_equal(forward[1], forward[3]))
 
 # force the update gate shut through z's rows of b: the state never leaves its zero start
-params.b[:, :4] = -np.inf
+b[:, :4] = -np.inf
 graph = ad.Graph(np.float64)
-frozen = gru_sequence(graph.constant(xs), params.register(graph, "frozen"), n_rows=1)
+frozen = gru_sequence(graph.constant(xs), register(graph, "frozen"), n_rows=1)
 print("z=0 keeps h exactly:", np.array_equal(frozen.data, np.zeros((5, 8))))
 
 # --- attention on a toy document ---------------------------------------------

@@ -28,6 +28,7 @@ from .corpus import (
 )
 from .errors import UsageError, require_int
 from .metrics import (
+    METRIC_NAMES,
     agreement_report,
     evaluate_predictions,
     prediction_set,
@@ -241,8 +242,7 @@ def run_topic_cv(docs, model_kinds, spec_config: dict, seed: int, k: int = 10):
     one) for validation."""
     folds = topic_folds(docs, k, seed)
     per_fold = []
-    sums: dict[str, dict[str, float]] = {m: {name: 0.0 for name in ("precision", "recall", "f1", "auc")}
-                                         for m in model_kinds}
+    sums: dict[str, dict[str, float]] = {m: dict.fromkeys(METRIC_NAMES, 0.0) for m in model_kinds}
     for fold_index, (topic, test_docs, train_docs) in enumerate(folds):
         rng = np.random.default_rng(derive_seed(seed, f"topic:val:{fold_index}"))
         order = rng.permutation(len(train_docs))

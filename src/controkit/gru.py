@@ -1,4 +1,4 @@
-"""Bidirectional gated recurrent unit: a layer's parameters and a
+"""Bidirectional gated recurrent unit: a layer's parameter draw and a
 whole-sequence op.
 
 Gate convention, fixed so that checkpoints are unambiguous:
@@ -17,17 +17,15 @@ backpropagation-through-time rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
 
 
-@dataclass
-class GruParams:
-    """Both directions of one GRU layer in three arrays.
+def gru_arrays(input_dim: int, hidden_dim: int, rng, scale: float = 0.1):
+    """Both directions of one GRU layer as three arrays ``(w, u, b)``, drawn
+    uniform in [-scale, scale] one direction at a time as w, then u, then b.
 
     Each array is stacked first by direction (0 reads a sequence forward,
     1 backward), then by gate in z, r, h order: ``w`` is
@@ -35,33 +33,11 @@ class GruParams:
     and ``b`` is (2, 3 * hidden_dim). ``w[d, :hidden_dim]`` is direction d's
     W_z, ``b[d, 2 * hidden_dim:]`` its b_h.
     """
-
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.u.shape[2]
-
-    @classmethod
-    def random(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.1):
-        """Uniform [-scale, scale] initialization, drawn one direction at a
-        time as w, then u, then b."""
-        gates = 3 * hidden_dim
-        draws = [[rng.uniform(-scale, scale, size=shape).astype(np.float32)
-                  for shape in ((gates, input_dim), (gates, hidden_dim), (gates,))]
-                 for _direction in range(2)]
-        return cls(*(np.stack(arrays) for arrays in zip(*draws)))
-
-    def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in ("w", "u", "b")}
-
-    def register(self, graph: ad.Graph, prefix: str) -> tuple[ad.Tensor, ...]:
-        """``w``, ``u`` and ``b`` as parameters of ``graph``; this tuple is
-        the ``cell`` of :func:`gru_sequence`."""
-        return tuple(graph.parameter(name, arr)
-                     for name, arr in self.named_arrays(prefix).items())
+    gates = 3 * hidden_dim
+    draws = [[rng.uniform(-scale, scale, size=shape).astype(np.float32)
+              for shape in ((gates, input_dim), (gates, hidden_dim), (gates,))]
+             for _direction in range(2)]
+    return tuple(np.stack(arrays) for arrays in zip(*draws))
 
 
 def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None) -> ad.Tensor:
@@ -71,9 +47,10 @@ def gru_sequence(x: ad.Tensor, cell, n_rows: int, mask=None) -> ad.Tensor:
     ``x`` is (n_rows * T, input_dim) with row ``i * T + t`` holding step t
     of sequence i; the result is (n_rows * T, 2 * hidden_dim) in the same
     row order, direction 0's state (after reading steps 0..t) then
-    direction 1's (after reading steps T-1..t). ``cell`` is the tuple
-    :meth:`GruParams.register` returns. ``mask`` is an optional (n_rows, T)
-    0/1 array: a step whose mask is 0 keeps the previous state.
+    direction 1's (after reading steps T-1..t). ``cell`` is the graph's
+    (w, u, b) tensors, shaped as :func:`gru_arrays` draws them. ``mask`` is
+    an optional (n_rows, T) 0/1 array: a step whose mask is 0 keeps the
+    previous state.
 
     Both directions run in one step loop: direction 1's gate inputs are
     flipped into its reading order once on the way in, and its states and

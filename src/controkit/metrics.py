@@ -46,6 +46,8 @@ class PredictionSet:
             raise UsageError("prediction arrays must have equal lengths")
         if n and not np.all(np.isfinite(self.scores)):
             raise UsageError("prediction scores must be finite")
+        if not np.all(np.isin(np.r_[self.hard_labels, self.true_labels], (0, 1))):
+            raise UsageError("prediction labels must be 0 or 1")
 
     def __len__(self):
         return len(self.doc_ids)
@@ -75,6 +77,28 @@ class PrfResult:
         return iter((self.precision, self.recall, self.f1))
 
 
+def class_counts(keys, n_groups: int, cells) -> np.ndarray:
+    """(r, n_groups, 2) counts: [i, g, y] counts the documents keyed
+    ``2 * g + y`` among those row i of the (r, n) index draw ``cells`` picks,
+    from one bincount of row-offset keys. ``np.arange(n)[None]`` is the full
+    sample as one row."""
+    r, width = len(cells), 2 * n_groups
+    offset_keys = keys[cells]
+    offset_keys += width * np.arange(r)[:, None]
+    return np.bincount(offset_keys.ravel(), minlength=r * width).reshape(r, n_groups, 2)
+
+
+def _confusion_keys(predicted, labels):
+    """Keys grouped by hard prediction: each document's confusion cell."""
+    return 2 * np.asarray(predicted, dtype=bool) + (np.asarray(labels) == 1)
+
+
+def _score_keys(scores, labels):
+    """The ascending distinct scores, and keys grouped by their rank."""
+    distinct, rank = np.unique(np.asarray(scores, dtype=np.float64), return_inverse=True)
+    return distinct, 2 * rank + (np.asarray(labels) == 1)
+
+
 def precision_recall_f1(predicted, labels) -> tuple[float, float, float]:
     """Precision, recall and their harmonic mean of boolean predictions
     against 0/1 labels, from one set of confusion counts.
@@ -82,16 +106,14 @@ def precision_recall_f1(predicted, labels) -> tuple[float, float, float]:
     Degenerate conventions: precision 0 with no predicted positives, recall
     0 with no actual positives, F1 = 0 when P + R = 0.
     """
-    rows = _confusion_rows(predicted, labels, np.ones((1, len(labels)), dtype=np.int64))
-    return tuple(float(v[0]) for v in rows)
+    keys = _confusion_keys(predicted, labels)
+    counts = class_counts(keys, 2, np.arange(len(keys))[None])
+    return tuple(float(v[0]) for v in _prf_rows(counts))
 
 
-def _confusion_rows(predicted, labels, counts):
-    """Precision, recall and F1 under each row of (r, n) draw counts."""
-    predicted, labels = np.asarray(predicted, dtype=bool), np.asarray(labels)
-    actual = labels == 1
-    return prf_from_counts(counts @ (predicted & actual), counts @ (predicted & (labels == 0)),
-                           counts @ (~predicted & actual))
+def _prf_rows(counts):
+    """Precision, recall and F1 under each row of (r, 2, 2) confusion counts."""
+    return prf_from_counts(tp=counts[:, 1, 1], fp=counts[:, 1, 0], fn=counts[:, 0, 1])
 
 
 def prf_from_counts(tp, fp, fn):
@@ -119,36 +141,34 @@ def prf(preds: PredictionSet) -> PrfResult:
     return PrfResult(precision, recall, f1, flags)
 
 
+def counts_by_score(scores, labels, refusal: str):
+    """The ascending distinct scores and the (g, 2) negative and positive
+    counts at each, the kernel's one-row case. Raises UsageError(``refusal``,
+    its ``{missing}`` naming the absent class) unless both classes occur."""
+    distinct, keys = _score_keys(scores, labels)
+    counts = class_counts(keys, len(distinct), np.arange(len(keys))[None])[0]
+    n_neg, n_pos = counts.sum(axis=0)
+    if n_pos == 0 or n_neg == 0:
+        raise UsageError(refusal.format(missing="positive" if n_pos == 0 else "negative"))
+    return distinct, counts
+
+
 def auc(scores, labels) -> float:
     """Rank-based AUC: the fraction of (positive, negative) pairs ranked
     correctly, ties counting one half; equals the trapezoidal ROC area."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        missing = "positive" if n_pos == 0 else "negative"
-        raise UsageError(f"auc needs both classes; no {missing} examples present")
-    return float(_auc_rows(scores, labels, np.ones((1, len(scores)), dtype=np.int64))[0])
+    _, counts = counts_by_score(scores, labels,
+                                "auc needs both classes; no {missing} examples present")
+    return float(_auc_rows(counts[None])[0])
 
 
-def _class_counts_by_score(scores, labels, counts):
-    """(r, g) positive and negative draw counts per distinct score, ascending."""
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts, labels = counts[:, order], labels[order]
-    return (np.add.reduceat(counts * (labels == 1), starts, axis=1),
-            np.add.reduceat(counts * (labels == 0), starts, axis=1))
-
-
-def _auc_rows(scores, labels, counts):
-    """AUC under each row of draw counts, NaN on a row that lacks a class.
+def _auc_rows(counts):
+    """AUC under each row of (r, g, 2) class counts per ascending distinct
+    score, NaN on a row that lacks a class.
 
     U = sum of positives * (negatives below + half the negatives tied) over
     distinct scores is a half-integer, exact in float64, so U / (n_pos *
     n_neg) equals the tie-averaged rank-sum formula bit for bit."""
-    pos, neg = _class_counts_by_score(scores, labels, counts)
+    neg, pos = counts[..., 0], counts[..., 1]
     twice_u = np.sum(pos * (2 * np.cumsum(neg, axis=1) - neg), axis=1)
     with np.errstate(invalid="ignore"):  # a single-class row is 0 / 0
         return 0.5 * twice_u / (pos.sum(axis=1) * neg.sum(axis=1))
@@ -162,15 +182,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """(fpr, tpr) points of the ROC curve, for CSV export."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise UsageError("roc needs both classes")
-    pos, neg = _class_counts_by_score(scores, labels, np.ones((1, len(scores)), dtype=np.int64))
-    tpr = np.cumsum(pos[0, ::-1]) / n_pos
-    fpr = np.cumsum(neg[0, ::-1]) / n_neg
+    _, counts = counts_by_score(scores, labels, "roc needs both classes")
+    fpr, tpr = (np.cumsum(counts[::-1], axis=0) / counts.sum(axis=0)).T
     return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 
@@ -184,29 +197,29 @@ def percentile_linear(values, q: float) -> float:
     return float(v[lo] + g * (v[hi] - v[lo]))
 
 
-def _metric_rows(preds: PredictionSet, metric: str, counts) -> np.ndarray:
-    """``metric`` under each row of (r, n) draw counts, NaN where undefined."""
+def _metric_rows(preds: PredictionSet, metric: str):
+    """``metric`` under each row of an (r, n) index draw, as a function of
+    the draw, NaN where undefined. The documents are keyed once, here."""
     if metric not in METRIC_NAMES:
         raise UsageError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
     if metric == "auc":
-        return _auc_rows(preds.scores, preds.true_labels, counts)
-    rows = _confusion_rows(preds.hard_labels == 1, preds.true_labels, counts)
-    return rows[METRIC_NAMES.index(metric)]
+        distinct, keys = _score_keys(preds.scores, preds.true_labels)
+        return lambda cells: _auc_rows(class_counts(keys, len(distinct), cells))
+    keys = _confusion_keys(preds.hard_labels == 1, preds.true_labels)
+    return lambda cells: _prf_rows(class_counts(keys, 2, cells))[METRIC_NAMES.index(metric)]
 
 
 def _resample_values(n: int, n_resamples: int, seed: int, metric_rows):
-    """``metric_rows(counts)`` on the full sample (computed before any draw,
-    so an unknown metric fails first), its defined values over the resamples
-    in resample order, and the number of NaN ones. One bincount over
-    row-offset indices turns a block's (r, n) index draw into draw counts."""
-    point = float(metric_rows(np.ones((1, n), dtype=np.int64))[0])
+    """``metric_rows`` of the full sample (computed before any draw), its
+    defined values over the resamples in resample order, and the number of
+    NaN ones."""
+    point = float(metric_rows(np.arange(n)[None])[0])
     rng = np.random.default_rng(seed)
     per_block = max(1, _BLOCK_CELLS // n)
     values = [np.empty(0)]
     for start in range(0, n_resamples, per_block):
         r = min(per_block, n_resamples - start)
-        cells = rng.integers(0, n, size=(r, n)) + n * np.arange(r)[:, None]
-        values.append(metric_rows(np.bincount(cells.ravel(), minlength=r * n).reshape(r, n)))
+        values.append(metric_rows(rng.integers(0, n, size=(r, n))))
     values = np.concatenate(values)
     return point, values[~np.isnan(values)], int(np.sum(np.isnan(values)))
 
@@ -235,8 +248,7 @@ def bootstrap_ci(preds: PredictionSet, metric, n_resamples: int = 1000,
     n = len(preds)
     if n < 2:
         raise UsageError("bootstrap needs at least 2 predictions")
-    point, values, skipped = _resample_values(
-        n, n_resamples, seed, lambda counts: _metric_rows(preds, metric, counts))
+    point, values, skipped = _resample_values(n, n_resamples, seed, _metric_rows(preds, metric))
     if not len(values):
         raise UsageError("metric undefined on every bootstrap resample")
     alpha = (1.0 - LEVEL) / 2.0
@@ -276,9 +288,9 @@ def compare(a: PredictionSet, b: PredictionSet, metric, n_resamples: int = 1000,
     n = len(a)
     if n < 2:
         raise UsageError("compare needs at least 2 predictions")
+    rows_a, rows_b = _metric_rows(a, metric), _metric_rows(b, metric)
     point_difference, diffs, skipped = _resample_values(
-        n, n_resamples, seed,
-        lambda counts: _metric_rows(a, metric, counts) - _metric_rows(b, metric, counts))
+        n, n_resamples, seed, lambda cells: rows_a(cells) - rows_b(cells))
     if not len(diffs):
         raise UsageError("metric undefined on every paired resample")
     alpha = (1.0 - LEVEL) / 2.0

@@ -20,7 +20,7 @@ from ..checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from ..corpus import CONTROVERSIAL
 from ..embeddings import EmbeddingTable
 from ..errors import ControkitError, DataFormatError, UsageError
-from ..metrics import prf_from_counts
+from ..metrics import counts_by_score, prf_from_counts
 from ..textprep import Vocabulary, tokenize
 
 EMPTY_DOC_SCORE = 0.5
@@ -249,14 +249,11 @@ def calibrate_threshold(scores, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise UsageError("scores and labels must be equal-length vectors")
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise UsageError("threshold calibration needs both classes in validation")
-    candidates, group = np.unique(scores, return_inverse=True)
-    # candidate k predicts the score groups k and up, so its true and false
+    candidates, counts = counts_by_score(scores, labels,
+                                         "threshold calibration needs both classes in validation")
+    # candidate k predicts the score groups k and up, so its false and true
     # positives are class counts summed from the top
-    tp = np.cumsum(np.bincount(group, weights=labels == 1)[::-1])[::-1]
-    fp = np.cumsum(np.bincount(group, weights=labels == 0)[::-1])[::-1]
+    fp, tp = np.cumsum(counts[::-1], axis=0)[::-1].T
     f1 = np.r_[prf_from_counts(tp, fp, tp[0] - tp)[2], 0.0]  # 0.0: the predict-nothing one
     candidates = np.r_[candidates, candidates[-1] + max(1e-9, abs(candidates[-1]) * 1e-9)]
     return float(candidates[np.argmax(f1)])  # the first best: ties pick the lowest

@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable
-from ..gru import GruParams, gru_sequence
+from ..gru import gru_arrays, gru_sequence
 from ..textprep import PAD_INDEX, encode_sentences
 from .base import EmptyDocumentError, NeuralModel, glorot_uniform
 
@@ -49,8 +49,8 @@ class HanParams(NeuralModel):
         rep = 2 * hidden_dim  # concatenated bi-directional width
         arrays = {}
         for level, input_dim in (("word", embedding.dim), ("sent", rep)):
-            arrays.update(GruParams.random(input_dim, hidden_dim, rng, scale)
-                          .named_arrays(f"{level}_gru"))
+            gru = gru_arrays(input_dim, hidden_dim, rng, scale)
+            arrays.update(zip((f"{level}_gru.{name}" for name in "wub"), gru))
             for name, shape in (("w", (rep, rep)), ("b", (rep,)), ("u", (rep,))):
                 arrays[f"{level}_att.{name}"] = rng.uniform(-scale, scale,
                                                             size=shape).astype(np.float32)

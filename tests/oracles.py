@@ -75,9 +75,9 @@ def gru_scalar(x, h_prev, w, u, b) -> np.ndarray:
     return (1.0 - z) * h_prev + z * h_cand
 
 
-def direction(p, d: int):
-    """Direction ``d``'s (w, u, b) of a bidirectional ``GruParams``."""
-    return p.w[d], p.u[d], p.b[d]
+def direction(arrays, d: int):
+    """Direction ``d``'s (w, u, b) of a bidirectional GRU layer's (w, u, b)."""
+    return tuple(arr[d] for arr in arrays)
 
 
 def adam_trace(gradients, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0):
@@ -201,6 +201,17 @@ def auc_pairs(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def auc_rank_sum(scores, labels):
+    """Mann-Whitney U over tie-averaged ranks: the positives' rank sum less
+    its least possible value, per (positive, negative) pair."""
+    ranks = ranks_with_ties(list(scores))
+    n_pos = sum(1 for y in labels if y == 1)
+    n_neg = sum(1 for y in labels if y == 0)
+    assert n_pos and n_neg
+    rank_sum = sum(r for r, y in zip(ranks, labels) if y == 1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
 def ranks_with_ties(values):

@@ -1,26 +1,30 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from controkit import autodiff as ad
 from controkit.errors import DimensionError
-from controkit.gru import GruParams, gru_sequence
+from controkit.gru import gru_arrays, gru_sequence
 
 from oracles import direction, gru_scalar, weighted_sum
 
 
 def zero_params(input_dim, hidden_dim):
-    return GruParams.random(input_dim, hidden_dim, np.random.default_rng(0), scale=0.0)
+    return gru_arrays(input_dim, hidden_dim, np.random.default_rng(0), scale=0.0)
+
+
+def register(g, params):
+    """The layer's (w, u, b) as parameters ``gru.w``, ``gru.u`` and ``gru.b``
+    of ``g``: the ``cell`` of gru_sequence."""
+    return tuple(g.parameter(f"gru.{name}", arr) for name, arr in zip("wub", params))
 
 
 def run_sequence(x, params, n_rows=1, mask=None):
     """States after every step, as an (n_rows, T, direction, hidden) array."""
     x = np.asarray(x, dtype=np.float64)
     g = ad.Graph(np.float64)
-    out = gru_sequence(g.constant(x.reshape(-1, x.shape[-1])), params.register(g, "gru"),
+    out = gru_sequence(g.constant(x.reshape(-1, x.shape[-1])), register(g, params),
                        n_rows, mask=mask)
-    return out.data.reshape(n_rows, -1, 2, params.hidden_dim)
+    return out.data.reshape(n_rows, -1, 2, out.shape[1] // 2)
 
 
 def oracle_states(xs, params, d, mask=None):
@@ -28,7 +32,7 @@ def oracle_states(xs, params, d, mask=None):
     zero state in that direction's reading order; a masked step keeps the
     state. Returned in step order."""
     order = range(len(xs)) if d == 0 else reversed(range(len(xs)))
-    h = np.zeros(params.hidden_dim)
+    h = np.zeros(params[1].shape[2])
     states = [None] * len(xs)
     for t in order:
         if mask is None or mask[t]:
@@ -44,8 +48,9 @@ class TestGruStep:
         # a zero input with zero recurrent weights and biases gives
         # sigma(0) = 0.5 and tanh(0) = 0, so the step is h = 0.5 * h_prev
         params = zero_params(2, 3)
-        params.w[:, 6:] = rng.normal(size=(2, 3, 2))  # W_h
-        params.w[:, :3] = rng.normal(size=(2, 3, 2))  # W_z
+        w = params[0]
+        w[:, 6:] = rng.normal(size=(2, 3, 2))  # W_h
+        w[:, :3] = rng.normal(size=(2, 3, 2))  # W_z
         xs = [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
         for d, states in enumerate((run_sequence(xs, params)[0, :, 0],
                                     run_sequence(xs[::-1], params)[0, ::-1, 1])):
@@ -58,14 +63,14 @@ class TestGruStep:
         assert np.array_equal(states, np.zeros((1, 3, 2, 3)))
 
     def test_matches_scalar_oracle(self, rng):
-        params = GruParams.random(4, 3, rng, scale=0.7)
+        params = gru_arrays(4, 3, rng, scale=0.7)
         xs = rng.normal(size=(5, 4))
         states = run_sequence(xs, params)[0]
         for d in range(2):
             assert np.max(np.abs(states[:, d] - oracle_states(xs, params, d))) < 1e-6
 
     def test_batched_rows_match_loop(self, rng):
-        params = GruParams.random(3, 2, rng, scale=0.5)
+        params = gru_arrays(3, 2, rng, scale=0.5)
         xs = rng.normal(size=(4, 6, 3))
         batched = run_sequence(xs, params, n_rows=4)
         for i in range(4):
@@ -73,7 +78,7 @@ class TestGruStep:
                 assert np.allclose(batched[i, :, d], oracle_states(xs[i], params, d), atol=1e-6)
 
     def test_shape_mismatch(self, rng):
-        params = GruParams.random(3, 2, rng)
+        params = gru_arrays(3, 2, rng)
         with pytest.raises(DimensionError):
             run_sequence(np.zeros((4, 5)), params)  # input width 5, cell takes 3
         with pytest.raises(DimensionError):
@@ -82,16 +87,16 @@ class TestGruStep:
             run_sequence(np.zeros((4, 3)), params, n_rows=2, mask=np.ones((2, 3)))
 
     def test_update_gate_forced_closed_returns_h_prev(self, rng):
-        params = GruParams.random(3, 2, rng, scale=0.3)
-        params.b[:, 0] = -np.inf  # z = 0 exactly for unit 0: it keeps its zero state
+        params = gru_arrays(3, 2, rng, scale=0.3)
+        params[2][:, 0] = -np.inf  # b_z: z = 0 exactly for unit 0: it keeps its zero state
         xs = 3.0 * rng.normal(size=(4, 3))
         states = run_sequence(xs, params)[0]
         assert np.array_equal(states[:, :, 0], np.zeros((4, 2)))
         assert np.all(states[:, :, 1] != 0.0)
 
     def test_update_gate_forced_open_returns_candidate(self, rng):
-        params = GruParams.random(3, 2, rng, scale=0.3)
-        params.b[:, :2] = np.inf  # z = 1 exactly: each state is its candidate
+        params = gru_arrays(3, 2, rng, scale=0.3)
+        params[2][:, :2] = np.inf  # b_z: z = 1 exactly: each state is its candidate
         xs = rng.normal(size=(4, 3))
         states = run_sequence(xs, params)[0]
         for d, order in enumerate((range(4), reversed(range(4)))):
@@ -103,7 +108,7 @@ class TestGruStep:
                 h_prev = states[t, d]
 
     def test_mask_keeps_previous_state(self, rng):
-        params = GruParams.random(3, 2, rng, scale=0.4)
+        params = gru_arrays(3, 2, rng, scale=0.4)
         xs = rng.normal(size=(2, 4, 3))
         mask = np.array([[1, 0, 1, 1], [1, 1, 0, 0]])
         states = run_sequence(xs, params, n_rows=2, mask=mask)
@@ -121,10 +126,10 @@ class TestGruStep:
                                    atol=1e-12)
 
     def test_gradients_through_step(self, rng):
-        params = GruParams.random(3, 2, rng, scale=0.5)
+        params = gru_arrays(3, 2, rng, scale=0.5)
         g = ad.Graph(np.float64)
         x = g.parameter("x", rng.normal(size=(3, 3)))
-        h = gru_sequence(x, params.register(g, "gru"), 1)
+        h = gru_sequence(x, register(g, params), 1)
         report = ad.grad_check(g, weighted_sum(h, rng.normal(size=h.shape)), 1e-5, 1e-5)
         assert report.passed, report
 
@@ -182,20 +187,19 @@ def replay(x, w, u, b, n_rows, keep, upstream):
 
 class TestGruSequence:
     def test_params_are_three_stacked_arrays_drawn_direction_by_direction(self):
-        assert [f.name for f in fields(GruParams)] == ["w", "u", "b"]
-        params = GruParams.random(3, 2, np.random.default_rng(5), scale=0.5)
-        assert (params.w.shape, params.u.shape, params.b.shape) == ((2, 6, 3), (2, 6, 2), (2, 6))
-        assert all(arr.dtype == np.float32 for arr in (params.w, params.u, params.b))
+        w, u, b = gru_arrays(3, 2, np.random.default_rng(5), scale=0.5)
+        assert (w.shape, u.shape, b.shape) == ((2, 6, 3), (2, 6, 2), (2, 6))
+        assert all(arr.dtype == np.float32 for arr in (w, u, b))
         draws = np.random.default_rng(5).uniform(-0.5, 0.5, size=2 * (18 + 12 + 6))
         for d, flat in enumerate(np.split(draws.astype(np.float32), 2)):
-            w, u, b = np.split(flat, [18, 30])
-            assert np.array_equal(params.w[d].ravel(), w)
-            assert np.array_equal(params.u[d].ravel(), u)
-            assert np.array_equal(params.b[d], b)
+            w_d, u_d, b_d = np.split(flat, [18, 30])
+            assert np.array_equal(w[d].ravel(), w_d)
+            assert np.array_equal(u[d].ravel(), u_d)
+            assert np.array_equal(b[d], b_d)
 
     def test_direction_1_equals_direction_0_over_reversed_rows(self, rng):
-        params = GruParams.random(3, 4, rng, scale=0.6)
-        for arr in (params.w, params.u, params.b):
+        params = gru_arrays(3, 4, rng, scale=0.6)
+        for arr in params:
             arr[1] = arr[0]  # both directions share weights
         xs = rng.normal(size=(2, 5, 3))
         states = run_sequence(xs, params, n_rows=2)
@@ -204,9 +208,9 @@ class TestGruSequence:
         assert np.allclose(states[:, :, 0], flipped[:, ::-1, 1], atol=1e-12)
 
     def test_one_tape_node(self, rng):
-        params = GruParams.random(3, 2, rng)
+        params = gru_arrays(3, 2, rng)
         g = ad.Graph(np.float64)
-        cell = params.register(g, "gru")
+        cell = register(g, params)
         before = len(g.nodes)
         out = gru_sequence(g.constant(rng.normal(size=(40, 3))), cell, 4)
         assert [n.op for n in g.nodes[before:]] == ["const", "gru_sequence"]
@@ -226,9 +230,9 @@ class TestGruSequence:
             return record(op, inputs, fwd, bwd_spy if op == "gru_sequence" else bwd, name)
 
         monkeypatch.setattr(ad, "_record", spy)
-        params = GruParams.random(3, 2, rng)
+        params = gru_arrays(3, 2, rng)
         g = ad.Graph(np.float64)
-        h = gru_sequence(g.constant(rng.normal(size=(8, 3))), params.register(g, "gru"), 2)
+        h = gru_sequence(g.constant(rng.normal(size=(8, 3))), register(g, params), 2)
         grads = g.backward(weighted_sum(h, rng.normal(size=(8, 4))))
         _, *cell_grads = returned
         for name, grad in zip(("gru.w", "gru.u", "gru.b"), cell_grads):
@@ -240,11 +244,11 @@ class TestGruSequence:
         # the loss reads one direction (reverse: direction 1, which starts at
         # each row's last real step) over a ragged mask with a 1-step row
         d = int(reverse)
-        params = GruParams.random(3, 2, rng, scale=0.5)
+        params = gru_arrays(3, 2, rng, scale=0.5)
         g = ad.Graph(np.float64)
         x = g.parameter("x", rng.normal(size=(3 * 4, 3)))
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
-        h = gru_sequence(x, params.register(g, "gru"), 3, mask=mask)
+        h = gru_sequence(x, register(g, params), 3, mask=mask)
         weights = np.zeros((12, 4))
         weights[:, 2 * d:2 * d + 2] = rng.normal(size=(12, 2))
         report = ad.grad_check(g, weighted_sum(h, weights), 1e-5, 1e-5)
@@ -273,10 +277,10 @@ class TestGruSequence:
                 real[0] = 1
             keep = mask = np.arange(steps) < real[:, None]
         input_dim = 64 if rows is not None else 2 * hidden
-        params = GruParams.random(input_dim, hidden, rng, scale=0.5)
+        params = gru_arrays(input_dim, hidden, rng, scale=0.5)
         g = ad.Graph(np.float32)
         x = g.parameter("x", rng.normal(size=(n_rows * steps, input_dim)))
-        out = gru_sequence(x, params.register(g, "gru"), n_rows, mask)
+        out = gru_sequence(x, register(g, params), n_rows, mask)
         upstream = rng.normal(size=out.shape).astype(np.float32)
         grads = g.backward(weighted_sum(out, upstream))
         names = ("x", "gru.w", "gru.u", "gru.b")

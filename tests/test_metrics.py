@@ -18,7 +18,14 @@ from controkit.metrics import (
     spearman,
 )
 
-from oracles import auc_pairs, bootstrap_second, percentile_hand, prf_confusion, spearman_hand
+from oracles import (
+    auc_pairs,
+    auc_rank_sum,
+    bootstrap_second,
+    percentile_hand,
+    prf_confusion,
+    spearman_hand,
+)
 
 
 def pset(scores, hard, true, ids=None, name="m"):
@@ -174,16 +181,20 @@ class TestBootstrap:
     def test_matches_independent_second_implementation(self, rng):
         # identical values, skips and intervals from the loop oracle, for
         # every metric and for paired differences: a tiny 5-item set, a tied
-        # 12-item set, a tied 70-item set whose draws span two blocks, and an
-        # F1 case whose draws span many
+        # 12-item set, a tied 70-item set whose draws span two blocks, an F1
+        # case whose draws span many, and a tied AUC and F1 case whose draws
+        # span many, paired with a set of fewer distinct scores
         def oracle(metric, hard, true, scores):
+            # pair enumeration is quadratic; the rank-sum form keeps n = 1,100 quick
+            auc_oracle = auc_pairs if len(scores) < 100 else auc_rank_sum
+
             def value(idx):
                 if metric != "auc":
                     return prf_confusion(hard[idx].tolist(), true[idx].tolist())[
                         METRIC_NAMES.index(metric)]
                 if true[idx].min() == true[idx].max():
                     raise ValueError("single-class draw")
-                return auc_pairs(scores[idx].tolist(), true[idx].tolist())
+                return auc_oracle(scores[idx].tolist(), true[idx].tolist())
             return value
 
         def recorded(value, seen):
@@ -202,6 +213,8 @@ class TestBootstrap:
              METRIC_NAMES, True),
             (rng.random(1100), rng.integers(0, 2, 1100), rng.integers(0, 2, 1100),
              ("f1",), False),
+            (np.round(rng.random(1100), 2), rng.integers(0, 2, 1100), rng.integers(0, 2, 1100),
+             ("auc", "f1"), True),
         ]
         assert 70 * 1000 > _BLOCK_CELLS > 70 * 500
         for seed, (scores, hard, true, metrics, paired) in enumerate(cases, start=77):
@@ -406,3 +419,6 @@ class TestEvalReport:
             PredictionSet(["a"], np.array([0.5, 0.4]), np.array([1]), np.array([1]))
         with pytest.raises(UsageError, match="finite"):
             PredictionSet(["a"], np.array([np.inf]), np.array([1]), np.array([1]))
+        for hard, true in (([2], [1]), ([1], [2]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(UsageError, match="labels must be 0 or 1"):
+                PredictionSet(["a"], np.array([0.5]), np.array(hard), np.array(true))
