@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 from . import __version__, reports
 from .corpus import (
+    CrawlFailure,
     CrawlPolicy,
     read_documents,
     read_edges,
@@ -24,6 +25,7 @@ from .corpus import (
     split_dataset,
     write_documents,
     write_edges,
+    write_records,
 )
 from .errors import (
     DataFormatError,
@@ -90,9 +92,7 @@ def cmd_crawl(args) -> int:
     edges_path = args.edges_out or args.out + ".edges.jsonl"
     write_edges(edges_path, result.edges)
     failures_path = args.out + ".failures.jsonl"
-    with open(failures_path, "w", encoding="utf-8") as f:
-        for url, reason in result.failures:
-            f.write(json.dumps({"url": url, "reason": reason}) + "\n")
+    write_records(CrawlFailure, failures_path, result.failures)
     if args.seeds_out:
         from .corpus import write_seeds
 

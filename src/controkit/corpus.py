@@ -1,27 +1,28 @@
-"""Weakly labeled dataset model: documents, label propagation, splits, files.
-
-On-disk formats (all UTF-8 JSON-lines):
-
-* dataset: one document per line with fields exactly ``id``, ``url``,
-  ``title``, ``text``, ``label``, ``source``, ``hop``, ``topic``,
-  ``snapshot_year``, ``fetched_at``.
-* seeds: ``url``, ``topic``, ``polarity``.
-* annotations: ``id``, ``scores``.
-* link edges (sidecar written next to a crawled dataset; splitting by seed
-  neighborhood needs them): ``src``, ``dst``, ``link_class``.
+"""Weakly labeled dataset model: documents, label propagation, splits, and
+their UTF-8 JSON-lines files, one record per line as ``RECORD_FIELDS`` lists.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 from urllib.parse import urldefrag, urlsplit, urlunsplit
 
 import numpy as np
 
-from .errors import DataFormatError, IntegrityError, UsageError, require_int, require_number
+from .errors import (
+    DataFormatError,
+    IntegrityError,
+    UsageError,
+    build_from_json,
+    require_int,
+    require_number,
+)
 
 CONTROVERSIAL = "controversial"
 NON_CONTROVERSIAL = "non-controversial"
@@ -34,11 +35,6 @@ EXTERNAL_LINKS = "external-links"
 DEFAULT_LINK_CLASSES = (SEE_ALSO, REFERENCES, EXTERNAL_LINKS)
 
 MAX_HOPS = 2  # the deepest hop a dataset holds
-
-DATASET_FIELDS = (
-    "id", "url", "title", "text", "label", "source",
-    "hop", "topic", "snapshot_year", "fetched_at",
-)
 
 
 def normalize_url(url: str) -> str:
@@ -82,7 +78,7 @@ class Document:
     fetched_at: str
 
     def to_json(self) -> dict:
-        return {f: getattr(self, f) for f in DATASET_FIELDS}
+        return _record_json(self, Document)
 
 
 @dataclass(frozen=True)
@@ -152,16 +148,23 @@ class CrawlPolicy:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrawlPolicy":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown crawl policy keys: {sorted(unknown)}")
-        return cls(**data)
+        return build_from_json(cls, data, "crawl policy")
 
 
 @dataclass
 class AnnotationRecord:
     id: str
     scores: list[float]
+
+    def __post_init__(self):
+        self.scores = [float(s) for s in self.scores]
+
+
+class CrawlFailure(NamedTuple):
+    """A page the crawl could not fetch, and why (the cause, without the URL)."""
+
+    url: str
+    reason: str
 
 
 @dataclass
@@ -312,97 +315,94 @@ def split_dataset(documents, seed_counts: dict[str, int], rng_seed: int,
 # JSON-lines persistence
 # ---------------------------------------------------------------------------
 
-def _load_lines(path):
-    with open(path, "r", encoding="utf-8") as f:
+def _text(value) -> bool:
+    return type(value) is str
+
+
+def _optional_text(value) -> bool:
+    return value is None or type(value) is str
+
+
+def _scores(value) -> bool:
+    """A non-empty list of finite numbers, bools refused."""
+    return type(value) is list and bool(value) and all(
+        type(s) in (int, float) and abs(s) <= sys.float_info.max for s in value)
+
+
+# The one JSON-lines schema: each record kind's fields in file order, with the
+# test each value must pass (``type(v) is int`` refuses bools). A line holds
+# exactly these fields.
+RECORD_FIELDS = {
+    Document: (("id", _text), ("url", _text), ("title", _text), ("text", _text),
+               ("label", lambda v: v in (CONTROVERSIAL, NON_CONTROVERSIAL)),
+               ("source", lambda v: v in (WIKIPEDIA, GENERAL_WEB)),
+               ("hop", lambda v: type(v) is int and 0 <= v <= MAX_HOPS),
+               ("topic", _optional_text), ("snapshot_year", lambda v: type(v) is int),
+               ("fetched_at", _text)),
+    Seed: (("url", _text), ("topic", _optional_text),
+           ("polarity", lambda v: v in (CONTROVERSIAL, "random-negative"))),
+    LinkEdge: (("src", _text), ("dst", _text), ("link_class", _text)),
+    AnnotationRecord: (("id", _text), ("scores", _scores)),
+    CrawlFailure: (("url", _text), ("reason", _text)),
+}
+
+
+def _record_json(record, kind) -> dict:
+    """The schema fields of a ``kind`` record, in file order."""
+    return {name: getattr(record, name) for name, _ in RECORD_FIELDS[kind]}
+
+
+def read_records(kind, path) -> list:
+    """The ``kind`` records of a JSON-lines file, blank lines skipped. A line
+    that is not a JSON object holding exactly the schema's fields, each value
+    passing its field's test, is a ``DataFormatError`` naming the line."""
+    fields = RECORD_FIELDS[kind]
+    records = []
+    with open(path, "rb") as f:  # json.loads decodes each line, so bad UTF-8 names its line
         for number, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                yield number, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"malformed JSON: {exc.msg}", line=number) from exc
-
-
-def write_documents(path, documents) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in documents:
-            if doc.label not in (CONTROVERSIAL, NON_CONTROVERSIAL):
-                raise UsageError(f"document {doc.id} has no label; propagate labels first")
-            f.write(json.dumps(doc.to_json(), ensure_ascii=False) + "\n")
-
-
-def read_documents(path) -> list[Document]:
-    docs = []
-    for number, record in _load_lines(path):
-        missing = [f for f in DATASET_FIELDS if f not in record]
-        if missing:
-            raise DataFormatError(f"missing field {missing[0]!r}", line=number)
-        unknown = set(record) - set(DATASET_FIELDS)
-        if unknown:
-            raise DataFormatError(
-                f"unknown field {sorted(unknown)[0]!r}; dataset schema mismatch", line=number
-            )
-        if record["label"] not in (CONTROVERSIAL, NON_CONTROVERSIAL):
-            raise DataFormatError(f"bad label {record['label']!r}", line=number)
-        if record["source"] not in (WIKIPEDIA, GENERAL_WEB):
-            raise DataFormatError(f"bad source {record['source']!r}", line=number)
-        if not isinstance(record["hop"], int) or not 0 <= record["hop"] <= MAX_HOPS:
-            raise DataFormatError(f"bad hop {record['hop']!r}", line=number)
-        if not isinstance(record["snapshot_year"], int):
-            raise DataFormatError(f"bad snapshot_year {record['snapshot_year']!r}", line=number)
-        docs.append(Document(**record))
-    return docs
-
-
-def write_seeds(path, seeds) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in seeds:
-            f.write(json.dumps({"url": s.url, "topic": s.topic, "polarity": s.polarity},
-                               ensure_ascii=False) + "\n")
-
-
-def read_seeds(path) -> list[Seed]:
-    seeds = []
-    for number, record in _load_lines(path):
-        for fname in ("url", "topic", "polarity"):
-            if fname not in record:
-                raise DataFormatError(f"missing field {fname!r}", line=number)
-        if record["polarity"] not in (CONTROVERSIAL, "random-negative"):
-            raise DataFormatError(f"bad polarity {record['polarity']!r}", line=number)
-        seeds.append(Seed(url=record["url"], topic=record["topic"], polarity=record["polarity"]))
-    return seeds
-
-
-def write_edges(path, edges) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for e in edges:
-            f.write(json.dumps({"src": e.src, "dst": e.dst, "link_class": e.link_class}) + "\n")
-
-
-def read_edges(path) -> list[LinkEdge]:
-    edges = []
-    for number, record in _load_lines(path):
-        for fname in ("src", "dst", "link_class"):
-            if fname not in record:
-                raise DataFormatError(f"missing field {fname!r}", line=number)
-        edges.append(LinkEdge(src=record["src"], dst=record["dst"],
-                              link_class=record["link_class"]))
-    return edges
-
-
-def read_annotations(path) -> list[AnnotationRecord]:
-    records = []
-    for number, record in _load_lines(path):
-        if "id" not in record or "scores" not in record:
-            raise DataFormatError("annotation records need 'id' and 'scores'", line=number)
-        scores = record["scores"]
-        if not isinstance(scores, list) or not scores:
-            raise DataFormatError("'scores' must be a non-empty array", line=number)
-        records.append(AnnotationRecord(id=record["id"], scores=[float(s) for s in scores]))
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"not UTF-8: {exc.reason}", line=number) from exc
+            if not isinstance(record, dict):
+                raise DataFormatError(f"expected a JSON object, got {type(record).__name__}",
+                                      line=number)
+            missing = [name for name, _ in fields if name not in record]
+            if missing:
+                raise DataFormatError(f"missing field {missing[0]!r}", line=number)
+            for name, test in fields:
+                if not test(record[name]):
+                    raise DataFormatError(f"bad {name} {record[name]!r}", line=number)
+            if len(record) > len(fields):
+                unknown = sorted(set(record) - {name for name, _ in fields})
+                raise DataFormatError(f"unknown field {unknown[0]!r}; "
+                                      f"{kind.__name__} schema mismatch", line=number)
+            records.append(kind(**record))
     return records
 
 
-def write_annotations(path, records) -> None:
+def write_records(kind, path, records) -> None:
+    """Write ``kind`` records as JSON lines of their schema fields, in order."""
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps({"id": r.id, "scores": r.scores}) + "\n")
+        for record in records:
+            f.write(json.dumps(_record_json(record, kind), ensure_ascii=False) + "\n")
+
+
+def write_documents(path, documents) -> None:
+    for doc in documents:
+        if doc.label not in (CONTROVERSIAL, NON_CONTROVERSIAL):
+            raise UsageError(f"document {doc.id} has no label; propagate labels first")
+    write_records(Document, path, documents)
+
+
+read_documents = partial(read_records, Document)
+read_seeds = partial(read_records, Seed)
+write_seeds = partial(write_records, Seed)
+read_edges = partial(read_records, LinkEdge)
+write_edges = partial(write_records, LinkEdge)
+read_annotations = partial(read_records, AnnotationRecord)
+write_annotations = partial(write_records, AnnotationRecord)

@@ -20,6 +20,7 @@ from urllib import robotparser
 import requests
 
 from .corpus import (
+    CrawlFailure,
     CrawlPolicy,
     Document,
     LinkEdge,
@@ -231,7 +232,7 @@ class HttpFetcher:
 class CrawlResult:
     documents: list[Document]
     edges: list[LinkEdge]
-    failures: list = field(default_factory=list)
+    failures: list[CrawlFailure] = field(default_factory=list)
 
 
 def _now_rfc3339() -> str:
@@ -252,7 +253,7 @@ def crawl_snowball(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
     clock = clock or _now_rfc3339
     documents: dict[str, Document] = {}
     edges: list[LinkEdge] = []
-    failures: list[tuple[str, str]] = []
+    failures: list[CrawlFailure] = []
 
     level: list[str] = []
     seen: set[str] = set()
@@ -273,7 +274,7 @@ def crawl_snowball(seeds, policy: CrawlPolicy, fetcher, snapshot_year: int,
                 page = fetcher.fetch(url)
             except FetchFailure as exc:
                 logger.warning("skipping %s: %s", url, exc.reason)
-                failures.append((url, exc.reason))
+                failures.append(CrawlFailure(url, exc.reason))
                 continue
             content = parse_page(page.html, url)
             documents[url] = Document(
@@ -316,7 +317,7 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
     attempts_left = max(5 * n, n + 20)
     chosen: list[Seed] = []
     chosen_ids: set[str] = set()
-    failures: list[tuple[str, str]] = []
+    failures: list[CrawlFailure] = []
     while len(chosen) < n:
         if attempts_left <= 0:
             raise UsageError(
@@ -328,7 +329,7 @@ def sample_negatives(fetcher, n: int, policy: CrawlPolicy, snapshot_year: int,
             page = fetcher.fetch_random()
         except FetchFailure as exc:
             logger.warning("random draw failed: %s", exc)
-            failures.append((exc.url, exc.reason))
+            failures.append(CrawlFailure(exc.url, exc.reason))
             continue
         doc_id = document_id(page.url)
         if doc_id in exclude or doc_id in chosen_ids:
@@ -346,7 +347,7 @@ def merge_crawls(*results: CrawlResult) -> CrawlResult:
     docs: dict[str, Document] = {}
     edges: list[LinkEdge] = []
     seen_edges: set[tuple] = set()
-    failures: dict[str, tuple] = {}
+    failures: dict[str, CrawlFailure] = {}
     for res in results:
         for doc in res.documents:
             key = normalize_url(doc.url)

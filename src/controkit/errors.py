@@ -46,6 +46,14 @@ class NumericError(ControkitError):
     """A numeric computation produced NaN/Inf or diverged."""
 
 
+def build_from_json(cls, data: dict, what: str):
+    """``cls(**data)``, refusing with ``UsageError`` keys naming no field of the dataclass."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**data)
+
+
 def require_int(what: str, value, least: int) -> None:
     """Refuse with ``UsageError`` a value that is not an int (bools refused) >= ``least``."""
     if type(value) is not int or value < least:

@@ -26,7 +26,7 @@ from .corpus import (
     read_annotations,
     read_documents,
 )
-from .errors import UsageError, require_int
+from .errors import UsageError, build_from_json, require_int
 from .metrics import (
     METRIC_NAMES,
     agreement_report,
@@ -88,10 +88,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentSpec":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown experiment spec keys: {sorted(unknown)}")
-        return cls(**data)
+        return build_from_json(cls, data, "experiment spec")
 
 
 def _config_for(spec_config: dict, kind: str, master_seed: int) -> TrainConfig:

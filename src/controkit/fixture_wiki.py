@@ -21,10 +21,15 @@ from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
-from .corpus import CrawlPolicy, Seed, normalize_url
+from .corpus import EXTERNAL_LINKS, REFERENCES, SEE_ALSO, CrawlPolicy, Seed, normalize_url
 from .crawl import HttpFetcher
+from .errors import DataFormatError
 
 RANDOM_ENDPOINT = "http://wiki.test/special:random"
+
+# A page's link sections: its FixturePage field, heading and link class
+_SECTIONS = (("see_also", "See also", SEE_ALSO), ("references", "References", REFERENCES),
+             ("external_links", "External links", EXTERNAL_LINKS))
 
 _FILLER = (
     "debate dispute argument policy history culture science evidence "
@@ -58,14 +63,9 @@ class FixtureWiki:
         """(src, dst, link_class) triples, the ground truth for oracles."""
         out = []
         for page in self.pages.values():
-            src = normalize_url(page.url)
-            for cls, targets in (
-                ("see-also", page.see_also),
-                ("references", page.references),
-                ("external-links", page.external_links),
-            ):
-                for t in targets:
-                    out.append((src, normalize_url(t), cls))
+            for name, _, link_class in _SECTIONS:
+                for t in getattr(page, name):
+                    out.append((normalize_url(page.url), normalize_url(t), link_class))
         return out
 
 
@@ -76,13 +76,8 @@ def render_page(page: FixturePage) -> str:
 
     body_links = " ".join(f'<a href="{u}">{u}</a>' for u in page.body_links)
     paragraphs = "".join(f"<p>{p}</p>" for p in page.paragraphs)
-    sections = []
-    if page.see_also:
-        sections.append(f"<h2>See also</h2>{link_list(page.see_also)}")
-    if page.references:
-        sections.append(f"<h2>References</h2>{link_list(page.references)}")
-    if page.external_links:
-        sections.append(f"<h2>External links</h2>{link_list(page.external_links)}")
+    sections = [f"<h2>{heading}</h2>{link_list(getattr(page, name))}"
+                for name, heading, _ in _SECTIONS if getattr(page, name)]
     return (
         "<html><head><title>{title}</title>"
         "<script>var tracker = 'ignored';</script>"
@@ -274,19 +269,21 @@ def wiki_from_json(data: dict) -> FixtureWiki:
 
     Shape: ``{"pages": [{"url", "title", "paragraphs", "see_also",
     "references", "external_links", "body_links"}], "random_pool": [...],
-    "robots": {host: text}}``.
+    "robots": {host: text}}``. A page entry that is not an object with a
+    string ``url``, or whose list field is not a list of strings, is a
+    ``DataFormatError`` naming the entry and the field.
     """
     wiki = FixtureWiki()
-    for entry in data.get("pages", []):
-        wiki.add(FixturePage(
-            url=entry["url"],
-            title=entry.get("title", entry["url"]),
-            paragraphs=list(entry.get("paragraphs", [])),
-            see_also=list(entry.get("see_also", [])),
-            references=list(entry.get("references", [])),
-            external_links=list(entry.get("external_links", [])),
-            body_links=list(entry.get("body_links", [])),
-        ))
+    for i, entry in enumerate(data.get("pages", [])):
+        if not isinstance(entry, dict) or not isinstance(entry.get("url"), str):
+            raise DataFormatError(f"fixture wiki pages[{i}]: missing or bad field 'url'")
+        page = wiki.add(FixturePage(url=entry["url"], title=entry.get("title", entry["url"])))
+        for name in ("paragraphs", "see_also", "references", "external_links", "body_links"):
+            value = entry.get(name, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise DataFormatError(f"fixture wiki pages[{i}]: bad {name} {value!r}, "
+                                      "expected a list of strings")
+            getattr(page, name).extend(value)
     wiki.random_pool = list(data.get("random_pool", []))
     wiki.robots = dict(data.get("robots", {}))
     if "random_endpoint" in data:

@@ -39,15 +39,14 @@ class PredictionSet:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.hard_labels = np.asarray(self.hard_labels, dtype=np.int64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
+        # checked before the int64 cast, which would truncate a label of 0.5 to 0
+        self.hard_labels = _binary_labels(self.hard_labels).astype(np.int64)
+        self.true_labels = _binary_labels(self.true_labels).astype(np.int64)
         n = len(self.doc_ids)
         if not (len(self.scores) == len(self.hard_labels) == len(self.true_labels) == n):
             raise UsageError("prediction arrays must have equal lengths")
         if n and not np.all(np.isfinite(self.scores)):
             raise UsageError("prediction scores must be finite")
-        if not np.all(np.isin(np.r_[self.hard_labels, self.true_labels], (0, 1))):
-            raise UsageError("prediction labels must be 0 or 1")
 
     def __len__(self):
         return len(self.doc_ids)
@@ -88,15 +87,23 @@ def class_counts(keys, n_groups: int, cells) -> np.ndarray:
     return np.bincount(offset_keys.ravel(), minlength=r * width).reshape(r, n_groups, 2)
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """``labels`` as an array; ``UsageError`` unless each is 0 or 1."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise UsageError("labels must be 0 or 1")
+    return labels
+
+
 def _confusion_keys(predicted, labels):
     """Keys grouped by hard prediction: each document's confusion cell."""
-    return 2 * np.asarray(predicted, dtype=bool) + (np.asarray(labels) == 1)
+    return 2 * np.asarray(predicted, dtype=bool) + (_binary_labels(labels) == 1)
 
 
 def _score_keys(scores, labels):
     """The ascending distinct scores, and keys grouped by their rank."""
     distinct, rank = np.unique(np.asarray(scores, dtype=np.float64), return_inverse=True)
-    return distinct, 2 * rank + (np.asarray(labels) == 1)
+    return distinct, 2 * rank + (_binary_labels(labels) == 1)
 
 
 def precision_recall_f1(predicted, labels) -> tuple[float, float, float]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -153,6 +154,11 @@ class LexicalModel:
             raise EmptyDocumentError("document has no tokens")
         return tokens
 
+    def token_ids(self, tokens) -> np.ndarray:
+        """The term ids of the in-vocabulary tokens, in token order."""
+        ids = np.fromiter(map(self.term_index.get, tokens, repeat(-1)), np.int64, len(tokens))
+        return ids[ids >= 0]
+
 
 def count_terms(token_lists):
     """The sorted terms of some token lists, and CSR arrays ``(indptr, ids,
@@ -246,7 +252,7 @@ def calibrate_threshold(scores, labels) -> float:
     prefers under the lowest-threshold tie break.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise UsageError("scores and labels must be equal-length vectors")
     candidates, counts = counts_by_score(scores, labels,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -48,9 +47,7 @@ class LmModel(LexicalModel):
     def score(self, tokens) -> float:
         """Mean log-likelihood ratio over in-vocabulary tokens; 0 when none. The
         ratios add in token order (``np.sum`` would add them pairwise)."""
-        ids = np.fromiter(map(self.term_index.get, tokens, repeat(-1)), dtype=np.int64,
-                          count=len(tokens))
-        ratios = self.log_ratio[ids[ids >= 0]]
+        ratios = self.log_ratio[self.token_ids(tokens)]
         return float(np.cumsum(ratios)[-1] / len(ratios)) if len(ratios) else 0.0
 
     def checkpoint_parts(self):

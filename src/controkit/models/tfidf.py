@@ -8,7 +8,6 @@ mean hinge loss plus an l2 penalty; the score is the raw margin w.x + b.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,8 @@ class TfIdfModel(LexicalModel):
     def term_counts(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """The ascending ids of a document's in-vocabulary terms, with their
         float64 counts: the form :func:`count_terms` gives a training document."""
-        counts = Counter(tokens)
-        known = [t for t in sorted(counts) if t in self.term_index]  # sorted terms: ids ascend
-        return (np.fromiter(map(self.term_index.__getitem__, known), np.int64, len(known)),
-                np.fromiter(map(counts.__getitem__, known), np.float64, len(known)))
+        ids, counts = np.unique(self.token_ids(tokens), return_counts=True)
+        return ids, counts.astype(np.float64)
 
     def score(self, tokens) -> float:
         """Margin w.x + b over the document's own terms; positive favors controversial."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..embeddings import EmbeddingTable, read_w2v, table_from_vectors
-from ..errors import NumericError, UsageError, require_int, require_number
+from ..errors import NumericError, UsageError, build_from_json, require_int, require_number
 from ..metrics import precision_recall_f1
 from ..optim import AdamState, adam_step
 from ..textprep import PAD_INDEX, Vocabulary, build_vocabulary
@@ -93,11 +93,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise UsageError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**data)
+        return build_from_json(cls, data, "training config")
 
     def to_json(self) -> dict:
         data = asdict(self)

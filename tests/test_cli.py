@@ -323,6 +323,52 @@ class TestExitCodes:
                      "--train", "1", "--validation", "0", "--test", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("role, line, message", [
+        ("seeds", {"url": 5, "topic": None, "polarity": CONTROVERSIAL}, "bad url 5"),
+        ("edges", {"src": 1, "dst": "http://wiki.test/p1", "link_class": "see-also"},
+         "bad src 1"),
+        ("seeds", "http://wiki.test/p1", "expected a JSON object, got str"),
+    ], ids=["seed-url-5", "edge-src-1", "string-line"])
+    def test_malformed_split_input_is_data_error(self, crawl_artifacts, tmp_path, capsys,
+                                                 role, line, message):
+        inputs = {"data": crawl_artifacts / "dataset.jsonl",
+                  "edges": crawl_artifacts / "dataset.jsonl.edges.jsonl",
+                  "seeds": crawl_artifacts / "all_seeds.jsonl"}
+        lines = inputs[role].read_text().splitlines() + [json.dumps(line)]
+        inputs[role] = tmp_path / f"{role}.jsonl"
+        inputs[role].write_text("\n".join(lines) + "\n")
+        code = main(["split", "--data", str(inputs["data"]), "--edges", str(inputs["edges"]),
+                     "--seeds", str(inputs["seeds"]), "--out-dir", str(tmp_path / "o"),
+                     "--train", "1", "--validation", "0", "--test", "0"])
+        assert code == 3
+        assert f"{message} (line {len(lines)})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_document_text_not_a_string_is_data_error(self, trained, tmp_path, capsys):
+        _, data_dir = trained
+        shutil.copytree(data_dir, tmp_path / "data")
+        lines = (tmp_path / "data" / "train.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "text": 5})
+        (tmp_path / "data" / "train.jsonl").write_text("\n".join(lines) + "\n")
+        code = main(["train", "--model", "tfidf", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "m.ctrv")])
+        assert code == 3
+        assert "bad text 5 (line 2)" in capsys.readouterr().err
+        assert not (tmp_path / "m.ctrv").exists()
+
+    def test_annotation_scores_not_numbers_is_data_error(self, trained, tmp_path, capsys):
+        _, data_dir = trained
+        (tmp_path / "ann.jsonl").write_text('{"id": "d0", "scores": [1, 2, 3]}\n'
+                                            '{"id": "d1", "scores": ["x"]}\n')
+        spec = {"kind": "agreement", "models": ["tfidf"],
+                "datasets": {"train_dir": str(data_dir), "test": str(data_dir / "test.jsonl"),
+                             "annotations": str(tmp_path / "ann.jsonl")}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = main(["experiment", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(tmp_path / "exp")])
+        assert code == 3
+        assert "bad scores ['x'] (line 2)" in capsys.readouterr().err
+
     def test_usage_error_is_exit_2(self, tmp_path):
         # single-class corpus cannot train the margin model
         docs = [d for d in make_separable_corpus(n_docs=20, seed=1)

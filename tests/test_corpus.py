@@ -1,11 +1,14 @@
 import json
+import re
 
 import pytest
 
 from controkit.corpus import (
     CONTROVERSIAL,
     NON_CONTROVERSIAL,
+    RECORD_FIELDS,
     AnnotationRecord,
+    CrawlFailure,
     Document,
     LinkEdge,
     Seed,
@@ -18,11 +21,13 @@ from controkit.corpus import (
     read_annotations,
     read_documents,
     read_edges,
+    read_records,
     read_seeds,
     split_dataset,
     write_annotations,
     write_documents,
     write_edges,
+    write_records,
     write_seeds,
 )
 from controkit.errors import DataFormatError, IntegrityError, UsageError
@@ -226,6 +231,13 @@ class TestDatasetIo:
         with pytest.raises(DataFormatError, match="line 2"):
             read_documents(path)
 
+    def test_bytes_not_utf8_name_line(self, tmp_path):
+        path = tmp_path / "seeds.jsonl"
+        path.write_bytes(b'{"url": "http://w/a", "topic": null, "polarity": "random-negative"}\n'
+                         b'{"url": "http://w/b", "topic": "\xe9", "polarity": "random-negative"}\n')
+        with pytest.raises(DataFormatError, match=r"not UTF-8: .* \(line 2\)"):
+            read_seeds(path)
+
     def test_bad_hop_rejected(self, tmp_path):
         doc = make_doc("http://w/x").to_json()
         doc["hop"] = 7
@@ -256,3 +268,76 @@ class TestDatasetIo:
         doc.label = None
         with pytest.raises(UsageError, match="label"):
             write_documents(tmp_path / "docs.jsonl", [doc])
+
+
+# One well-formed record of each kind, and a field of it that must hold a string.
+VALID_RECORDS = {
+    Document: (make_doc("http://w/x").to_json(), "text"),
+    Seed: ({"url": "http://w/s", "topic": "politics", "polarity": CONTROVERSIAL}, "url"),
+    LinkEdge: ({"src": "http://w/s", "dst": "http://w/a", "link_class": "see-also"}, "src"),
+    AnnotationRecord: ({"id": "d1", "scores": [1, 2.5, 4]}, "id"),
+    CrawlFailure: ({"url": "http://w/gone", "reason": "HTTP 404"}, "reason"),
+}
+
+
+def malformed_records():
+    """(kind, a bad line's JSON text, the message the reader must give) for every kind."""
+    cases = []
+    for kind, (valid, text_field) in VALID_RECORDS.items():
+        cases += [(kind, "[1, 2]", "expected a JSON object, got list"),
+                  (kind, '"http://w/s"', "expected a JSON object, got str"),
+                  (kind, {k: v for k, v in valid.items() if k != text_field},
+                   f"missing field '{text_field}'"),
+                  (kind, {**valid, "bogus": 1}, "unknown field 'bogus'")]
+        cases += [(kind, {**valid, text_field: bad}, f"bad {text_field} {bad!r}")
+                  for bad in (5, True, ["x"], None)]
+    doc, seed = VALID_RECORDS[Document][0], VALID_RECORDS[Seed][0]
+    for kind, valid, field, bad in (
+            (Document, doc, "hop", True), (Document, doc, "hop", 3), (Document, doc, "hop", -1),
+            (Document, doc, "hop", 1.0), (Document, doc, "snapshot_year", True),
+            (Document, doc, "snapshot_year", "2018"), (Document, doc, "label", None),
+            (Document, doc, "label", 5), (Document, doc, "source", "web"),
+            (Document, doc, "fetched_at", None), (Seed, seed, "polarity", 5),
+            (Seed, seed, "polarity", "positive"), (Seed, seed, "topic", 5)):
+        cases.append((kind, {**valid, field: bad}, f"bad {field} {bad!r}"))
+    for bad in (5, True, ["x"], [], [True, 1], ["1"], None, [float("nan")], [1e999]):
+        cases.append((AnnotationRecord, {"id": "d1", "scores": bad}, f"bad scores {bad!r}"))
+    return [pytest.param(kind, line if isinstance(line, str) else json.dumps(line), message,
+                         id=f"{kind.__name__}-{message}") for kind, line, message in cases]
+
+
+@pytest.mark.parametrize("kind, line, message", malformed_records())
+def test_malformed_record_names_field_and_line(tmp_path, kind, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(VALID_RECORDS[kind][0]) + "\n\n" + line + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(message) + r".*\(line 3\)$"):
+        read_records(kind, path)
+
+
+@pytest.mark.parametrize("kind, record", [
+    (Document, Document(id="0123456789abcdef", url="http://w/d\u00e9bat",
+                        title="D\u00e9bat \u4e89\u8bae", text="caf\u00e9 \u2014 na\u00efve",
+                        label=NON_CONTROVERSIAL, source="general-web", hop=2,
+                        topic="th\u00e8me", snapshot_year=2009,
+                        fetched_at="2020-01-02T03:04:05+00:00")),
+    (Seed, Seed("http://w/\u00fcber", "politique \u00e9", "random-negative")),
+    (LinkEdge, LinkEdge("http://w/\u00e9", "http://w/\u00fc\u00df", "references")),
+    (AnnotationRecord, AnnotationRecord("d\u00e9", [1.0, 2.5])),
+    (CrawlFailure, CrawlFailure("http://w/\u00f1", "HTTP 404")),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_non_ascii_round_trip(tmp_path, kind, record):
+    path = tmp_path / "records.jsonl"
+    write_records(kind, path, [record])
+    text = path.read_text(encoding="utf-8")
+    assert "\\u" not in text  # written as UTF-8, not escaped
+    assert list(json.loads(text)) == [name for name, _ in RECORD_FIELDS[kind]]
+    assert read_records(kind, path) == [record]
+
+
+def test_annotation_scores_read_as_floats(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text('{"id": "d1", "scores": [1, 2, 3.5]}\n')
+    [record] = read_annotations(path)
+    assert record.scores == [1.0, 2.0, 3.5]
+    assert all(type(s) is float for s in record.scores)
+

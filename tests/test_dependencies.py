@@ -71,8 +71,9 @@ ENTRY_POINTS = {
 
 
 def public_definitions() -> dict[str, str]:
-    """Qualified name -> name of every module-level function and every
-    method of a public class in the package, leaving out ``_`` names."""
+    """Qualified name -> name of every module-level function (a ``def`` or a
+    name bound to a ``partial``) and every method of a public class in the
+    package, leaving out ``_`` names."""
     defs = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
@@ -83,16 +84,20 @@ def public_definitions() -> dict[str, str]:
                             and not item.name.startswith("_"))
             elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defs[f"{module}.{node.name}"] = node.name
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "id", None) == "partial"):
+                defs.update((f"{module}.{t.id}", t.id) for t in node.targets
+                            if not t.id.startswith("_"))
     return defs
 
 
 def referenced_names() -> set[str]:
     """Every name, attribute and imported name read in the package (CLI
-    included) and the demos."""
+    included) and the demos; binding a name is not reading it."""
     names = set()
     for path in [*PACKAGE.rglob("*.py"), *(ROOT / "demos").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

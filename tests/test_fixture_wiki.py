@@ -1,6 +1,8 @@
+import pytest
 import requests
 
 from controkit.corpus import CrawlPolicy
+from controkit.errors import DataFormatError
 from controkit.fixture_wiki import (
     FixturePage,
     FixtureServer,
@@ -79,6 +81,22 @@ def test_wiki_json_round_trip():
     rebuilt = wiki_from_json(data)
     assert set(rebuilt.pages) == set(wiki.pages)
     assert rebuilt.random_pool == wiki.random_pool
+
+
+@pytest.mark.parametrize("page, message", [
+    ({"title": "A"}, "pages[1]: missing or bad field 'url'"),
+    ({"url": 5}, "pages[1]: missing or bad field 'url'"),
+    ("http://wiki.test/a", "pages[1]: missing or bad field 'url'"),
+    ({"url": "http://wiki.test/h", "see_also": "http://wiki.test/b"},
+     "pages[1]: bad see_also 'http://wiki.test/b'"),
+    ({"url": "http://wiki.test/h", "paragraphs": ["ok", 5]}, "pages[1]: bad paragraphs ['ok', 5]"),
+], ids=["no-url", "url-not-a-string", "entry-not-an-object", "see-also-a-string",
+        "paragraph-not-a-string"])
+def test_wiki_json_refuses_malformed_pages(page, message):
+    data = {"pages": [{"url": "http://wiki.test/ok", "title": "ok"}, page]}
+    with pytest.raises(DataFormatError) as info:
+        wiki_from_json(data)
+    assert message in str(info.value)
 
 
 def test_generated_wiki_respects_source_conventions():

@@ -13,10 +13,12 @@ from controkit.metrics import (
     compare,
     evaluate_predictions,
     percentile_linear,
+    precision_recall_f1,
     prf,
     roc_points,
     spearman,
 )
+from controkit.models.base import calibrate_threshold
 
 from oracles import (
     auc_pairs,
@@ -91,6 +93,14 @@ class TestAuc:
             auc([0.5, 0.6], [0, 0])
         with pytest.raises(UsageError, match="negative"):
             auc([0.5, 0.6], [1, 1])
+
+    def test_labels_outside_0_1_rejected(self):
+        # a label of 2 once counted as a negative: auc returned 1.0
+        for call in (auc, roc_points, calibrate_threshold,
+                     lambda s, y: precision_recall_f1(np.asarray(s) > 0.5, y)):
+            for labels in ([2, 1], [0.5, 1]):
+                with pytest.raises(UsageError, match="labels must be 0 or 1"):
+                    call([0.1, 0.9], labels)
 
     def test_matches_pair_oracle_on_random_instances(self, rng):
         for _ in range(300):
@@ -419,6 +429,7 @@ class TestEvalReport:
             PredictionSet(["a"], np.array([0.5, 0.4]), np.array([1]), np.array([1]))
         with pytest.raises(UsageError, match="finite"):
             PredictionSet(["a"], np.array([np.inf]), np.array([1]), np.array([1]))
-        for hard, true in (([2], [1]), ([1], [2]), ([-1], [0]), ([0], [-1])):
+        for hard, true in (([2], [1]), ([1], [2]), ([-1], [0]), ([0], [-1]), ([0.5], [1]),
+                           ([1], [0.5])):
             with pytest.raises(UsageError, match="labels must be 0 or 1"):
                 PredictionSet(["a"], np.array([0.5]), np.array(hard), np.array(true))
